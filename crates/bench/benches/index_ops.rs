@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_baselines::curve_2d;
 use sfc_clustering::RectQuery;
-use sfc_index::{BPlusTree, DiskModel, QueryOptions, SfcTable};
+use sfc_index::{BPlusTree, DiskModel, QueryOptions, ShardedTable};
 use std::hint::black_box;
 
 fn bench_btree(c: &mut Criterion) {
@@ -51,7 +51,7 @@ fn bench_table_queries(c: &mut Criterion) {
     group.sample_size(30);
     for name in ["onion", "hilbert", "z-order", "row-major"] {
         let curve = curve_2d(name, side).unwrap();
-        let table = SfcTable::build(curve, records.clone(), DiskModel::hdd()).unwrap();
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1).unwrap();
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             let mut x = 0u32;
             b.iter(|| {

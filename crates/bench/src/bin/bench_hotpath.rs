@@ -23,8 +23,7 @@ use sfc_clustering::{
 };
 use sfc_engine::{CommitPolicy, Engine, EngineConfig, Op};
 use sfc_index::{
-    BPlusTree, DiskModel, LruBufferPool, Planner, QueryOptions, SfcTable, ShardedTable,
-    DEFAULT_NODE_CAPACITY,
+    BPlusTree, DiskModel, LruBufferPool, Planner, QueryOptions, ShardedTable, DEFAULT_NODE_CAPACITY,
 };
 use sfc_net::{Client, Replica, Server};
 use sfc_workloads::{client_streams, mixed_op_stream, zipf_points, OpMix, StreamOp};
@@ -253,7 +252,7 @@ fn main() {
         });
     }
 
-    // Bulk keying, the stage SfcTable::build batches: one virtual call per
+    // Bulk keying, the stage ShardedTable::build batches: one virtual call per
     // record through the dyn boundary vs. one fill_indices batch. This pair
     // sat flat for several PRs (~1.0x) because the old baseline called
     // `slow.fill_indices` — ONE virtual call whose ScalarOnly default then
@@ -290,7 +289,7 @@ fn main() {
     // near 1.0x because its rank kernel is ~3 ns/cell scalar either way,
     // but for Morton the batch path swaps the per-bit/magic-mask interleave
     // for one BMI2 `pdep` per coordinate — this is the pair that shows what
-    // routing `SfcTable::build` keying through `fill_indices` buys.
+    // routing `ShardedTable::build` keying through `fill_indices` buys.
     {
         let side = 1u32 << 8;
         let fast: Box<dyn SpaceFillingCurve<2>> = Box::new(Morton::<2>::new(side).unwrap());
@@ -362,7 +361,7 @@ fn main() {
             name: "index/table_build/onion2d/65k",
             baseline_ns: None,
             optimized_ns: time_ns(reps, || {
-                SfcTable::build(curve, records.clone(), DiskModel::ssd())
+                ShardedTable::build(curve, records.clone(), DiskModel::ssd(), 1)
                     .unwrap()
                     .len() as u64
             }),
@@ -406,8 +405,9 @@ fn main() {
                 .unwrap();
             let mut total_us = 0.0f64;
             for q in &queries {
-                let (_, per_shard) = table.query_rect_with_shard_stats(q).unwrap();
-                let critical = per_shard
+                let res = table.query_rect(q, &QueryOptions::default()).unwrap();
+                let critical = res
+                    .shard_io
                     .iter()
                     .map(|s| s.time_us(&model))
                     .fold(0.0f64, f64::max);
@@ -456,7 +456,8 @@ fn main() {
             name: "index/write_path/insert_delete/onion2d/65k",
             baseline_ns: None,
             optimized_ns: time_ns(reps, || {
-                let mut t: SfcTable<Onion2D, u32, 2> = SfcTable::new(curve, DiskModel::ssd());
+                let mut t: ShardedTable<Onion2D, u32, 2> =
+                    ShardedTable::build(curve, Vec::new(), DiskModel::ssd(), 1).unwrap();
                 for (i, &p) in points.iter().enumerate() {
                     t.insert(p, i as u32).unwrap();
                 }
@@ -495,10 +496,11 @@ fn main() {
         let model = DiskModel::hdd();
         let pool_pages = 1 << 10;
         let fixed_us = {
-            let t = SfcTable::build_paged(
+            let t = ShardedTable::build_paged(
                 Onion2D::new(side).unwrap(),
                 records.clone(),
                 model,
+                1,
                 pool_pages,
             )
             .unwrap();
@@ -513,10 +515,11 @@ fn main() {
                 .sum::<f64>()
         };
         let planned_us = {
-            let t = SfcTable::build_paged(
+            let t = ShardedTable::build_paged(
                 Onion2D::new(side).unwrap(),
                 records.clone(),
                 model,
+                1,
                 pool_pages,
             )
             .unwrap();
@@ -1024,9 +1027,10 @@ fn main() {
             // same key population, so repeated applies are size-stable.
             let table: ShardedTable<Onion2D, u64, 2> =
                 ShardedTable::build(curve, updates.clone(), DiskModel::ssd(), shard_count).unwrap();
-            // Cut the batch at this table's partitions (what sort_batch
-            // does inside apply_batch), so each sub-batch exercises
-            // exactly one shard's slice of the epoch.
+            // Cut the batch at this table's partitions (as apply_batch does
+            // internally), so each sub-batch touches exactly one shard and
+            // apply_batch applies it on the calling thread: one shard's
+            // slice of the epoch.
             let mut per_shard_ops: Vec<Vec<sfc_index::BatchOp<2, u64>>> =
                 vec![Vec::new(); shard_count];
             for &(p, v) in &updates {
@@ -1042,7 +1046,7 @@ fn main() {
             let mut critical_ns = 0.0f64;
             for ops in per_shard_ops.iter().filter(|o| !o.is_empty()) {
                 let shard_ns = time_ns(reps, || {
-                    table.apply_batch_serial(ops.clone()).unwrap().len() as u64
+                    table.apply_batch(ops.clone()).unwrap().len() as u64
                 });
                 serial_ns += shard_ns;
                 critical_ns = critical_ns.max(shard_ns);

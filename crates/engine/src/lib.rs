@@ -7,9 +7,9 @@
 //! traffic:
 //!
 //! * **Reads** go straight to the [`ShardedTable`](sfc_index::ShardedTable):
-//!   per-shard `RwLock`s
-//!   mean readers of different shards never contend and readers of the
-//!   same shard share the lock. Rectangle queries run through the
+//!   each read pins one immutable epoch version and scans it with no lock
+//!   held, so readers never contend with each other or with the writer.
+//!   Rectangle queries run through the
 //!   [adaptive planner](sfc_index::Planner), which picks each query's
 //!   decomposition budget from a cost model fed by the engine's own live
 //!   I/O statistics ([`Engine::explain`] shows the decision).
@@ -19,8 +19,9 @@
 //!   [`ShardedTable::apply_batch`](sfc_index::ShardedTable::apply_batch),
 //!   so the
 //!   B+-trees see sorted bulk mutations instead of random single inserts,
-//!   each shard's write lock is held only for its slice of the batch, and
-//!   readers atomically observe epoch boundaries per shard.
+//!   each touched shard is written as a private copy-on-write fork, and
+//!   readers observe whole epochs: a new version is installed with one
+//!   pointer swap.
 //!
 //! Consistency model (what the proptests verify): **per-key
 //! read-your-writes** at all times — a `Get` consults the pending log

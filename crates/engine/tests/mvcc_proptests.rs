@@ -219,6 +219,13 @@ proptest! {
                     &got, expected,
                     "{} as_of({}) != WAL prefix replay", name, e
                 );
+                // Retained and replayed epochs report the same shape: one
+                // I/O entry per shard, one seek per scanned range.
+                prop_assert_eq!(result.shard_io.len(), 3);
+                prop_assert_eq!(
+                    result.shard_io.iter().map(|s| s.seeks).sum::<u64>(),
+                    result.ranges_scanned
+                );
                 // Executing through the op stream answers identically.
                 let reply = engine
                     .execute(Op::QueryAsOf { epoch: e as u64, query: q })

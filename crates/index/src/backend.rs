@@ -7,7 +7,7 @@
 //!
 //! * [`MemoryBackend`] — the [`BPlusTree`] alone; every touched leaf page
 //!   counts as a transfer. This is the fastest backend and the default for
-//!   `SfcTable`/`ShardedTable`.
+//!   `ShardedTable`.
 //! * [`PagedBackend`] — the B+-tree fronted by an [`LruBufferPool`], with a
 //!   [`DiskModel`] attached. Leaf pages play the role of
 //!   [`SimulatedDisk`](crate::SimulatedDisk) pages: a scan seeks once, then

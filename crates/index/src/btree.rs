@@ -499,8 +499,7 @@ impl<V> BPlusTree<V> {
     /// The pinned no-prefetch form of [`Self::scan_range`]: identical
     /// reporting and visiting semantics, entry-at-a-time loop, no cache
     /// hints. Exists as the baseline the `index/scan_range` benches and the
-    /// equivalence tests compare the prefetched scan against (the same
-    /// pinning pattern as `ShardedTable::apply_batch_serial`).
+    /// equivalence tests compare the prefetched scan against.
     pub fn scan_range_reference(
         &self,
         lo: u64,

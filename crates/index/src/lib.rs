@@ -18,24 +18,22 @@
 //!   explicit page-granular read/write/sync against a real medium, with
 //!   [`FileStore`] as the file implementation and an injection seam for
 //!   fault-injecting test stores;
-//! * **Tables** — [`SfcTable`]: records ordered by any
-//!   [`onion_core::SpaceFillingCurve`]; rectangle queries are decomposed
-//!   into the curve's cluster ranges, so **seeks per query = the paper's
-//!   clustering number**. `Send + Sync`, with a write path
-//!   (`insert`/`delete`/`update`) and batch query/lookup APIs riding the
-//!   batch mapping kernels;
-//! * **Shards** — [`ShardedTable`]: the table partitioned into contiguous
-//!   curve ranges ([`partition_universe`], with communication metrics for
-//!   the load-balancing application), queried concurrently under
-//!   [`std::thread::scope`] with per-shard [`IoStats`] merging. Shard
-//!   state is **epoch MVCC**: the live state is an immutable,
-//!   epoch-stamped [`TableVersion`]; every read pins one (no lock held
-//!   while scanning, so a scan observes exactly one epoch) and batched
-//!   writers ([`ShardedTable::apply_batch`]) copy-on-write only the
-//!   shards and B+-tree pages a batch touches before installing the new
-//!   version with a pointer swap. A [`RetentionPolicy`]-bounded window of
-//!   recent versions backs [`ShardedTable::snapshot_at`] time-travel
-//!   reads;
+//! * **Tables** — [`ShardedTable`]: records ordered by any
+//!   [`onion_core::SpaceFillingCurve`] and split into contiguous curve
+//!   ranges ([`partition_universe`], with communication metrics for the
+//!   load-balancing application); a 1-shard table is the plain SFC table.
+//!   Rectangle queries are decomposed into the curve's cluster ranges, so
+//!   **seeks per query = the paper's clustering number**, and the shards
+//!   scan concurrently under [`std::thread::scope`], each reporting its
+//!   own [`IoStats`]. `Send + Sync`, with single-record writes, batched
+//!   epoch writes ([`ShardedTable::apply_batch`]), batched queries and
+//!   [`ShardedTable::knn`]. Shard state is **epoch MVCC**: the live state
+//!   is an immutable, epoch-stamped [`TableVersion`]; every read pins one
+//!   (no lock held while scanning, so a scan observes exactly one epoch)
+//!   and `apply_batch` copies-on-write only the shards and B+-tree pages
+//!   a batch touches before installing the new version with a pointer
+//!   swap. A [`RetentionPolicy`]-bounded window of recent versions backs
+//!   [`ShardedTable::snapshot_at`] time-travel reads;
 //! * **Planning** — [`Planner`] / [`QueryPlan`]: an adaptive query planner
 //!   that chooses each rectangle query's decomposition budget (exact
 //!   cluster ranges, gap-coalesced, or one covering range) from a cost
@@ -52,19 +50,20 @@
 //!
 //! ```
 //! use onion_core::{Onion2D, Point};
-//! use sfc_index::{DiskModel, QueryOptions, SfcTable, ShardedTable};
+//! use sfc_index::{DiskModel, QueryOptions, ShardedTable};
 //! use sfc_clustering::RectQuery;
 //!
 //! let records: Vec<(Point<2>, u32)> = (0..64u32).map(|i| (Point::new([i, i]), i)).collect();
 //! let q = RectQuery::new([0, 0], [10, 10]).unwrap();
 //! let opts = QueryOptions::default();
 //!
-//! let table = SfcTable::build(Onion2D::new(64).unwrap(), records.clone(), DiskModel::hdd()).unwrap();
-//! assert_eq!(table.query_rect(&q, &opts).unwrap().records.len(), 10);
+//! let table = ShardedTable::build(Onion2D::new(64).unwrap(), records.clone(), DiskModel::hdd(), 1).unwrap();
+//! let rows = table.query_rect(&q, &opts).unwrap();
+//! assert_eq!(rows.records.len(), 10);
 //!
 //! // The same query through four concurrent shards returns the same rows.
 //! let sharded = ShardedTable::build(Onion2D::new(64).unwrap(), records, DiskModel::hdd(), 4).unwrap();
-//! assert_eq!(sharded.query_rect(&q, &opts).unwrap().records, table.query_rect(&q, &opts).unwrap().records);
+//! assert_eq!(sharded.query_rect(&q, &opts).unwrap().records, rows.records);
 //! ```
 
 #![warn(missing_docs)]
@@ -99,7 +98,7 @@ pub use segment::{SegmentScanStats, SegmentTree, SEGMENT_MAGIC};
 pub use shard::{BatchOp, RetentionPolicy, ShardedTable, TableSnapshot, TableVersion};
 pub use store::{FileStore, PageStore, StoreStats};
 pub use stored::{FileBackend, StoreConfig, StoreFactory};
-pub use table::{QueryOptions, QueryResult, RangeMode, Record, SfcTable, ValueGuard};
+pub use table::{QueryOptions, QueryResult, Record, ValueGuard};
 pub use wal::{
     crc32, decode_seq, encode_seq, read_snapshot, write_snapshot, EpochFrame, SnapshotContents,
     Wal, WalCodec, WalCursor, SNAPSHOT_MAGIC, WAL_MAGIC,

@@ -61,7 +61,8 @@ use std::sync::Mutex;
 /// `density` input of [`Planner::plan_ranges`]'s cost model (how many
 /// entries a scanned key span is expected to yield). May exceed 1 when
 /// cells hold duplicate records. The single definition shared by
-/// `SfcTable::density` and `ShardedTable::density`.
+/// `ShardedTable::density`, `TableSnapshot::density` and the planned
+/// query path.
 pub fn record_density(records: usize, cells: u64) -> f64 {
     if cells == 0 {
         0.0

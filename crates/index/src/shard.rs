@@ -14,8 +14,8 @@
 //! Skewed data stresses this design exactly as it does real systems: the
 //! partitioning balances *cells*, not records, so a hotspot concentrates
 //! records (and scan work) in few shards — measurable here via
-//! [`ShardedTable::shard_sizes`] and the per-shard stats of
-//! [`ShardedTable::query_rect_with_shard_stats`].
+//! [`ShardedTable::shard_sizes`] and the per-shard stats every query
+//! returns in [`QueryResult::shard_io`].
 
 use crate::backend::{Backend, MemoryBackend, PagedBackend};
 use crate::disk::{DiskModel, IoStats};
@@ -23,11 +23,12 @@ use crate::partition::{partition_universe, Partition};
 use crate::plan::{Planner, QueryPlan};
 use crate::store::PageStore;
 use crate::stored::{FileBackend, StoreConfig, StoreFactory};
-use crate::table::{keyed_records, QueryOptions, QueryResult, RangeMode, Record, ValueGuard};
+use crate::table::{keyed_records, QueryOptions, QueryResult, Record, ValueGuard};
 use crate::wal::WalCodec;
 use onion_core::{Point, SfcError, SpaceFillingCurve};
-use sfc_clustering::{coalesce_ranges, coalesce_to_budget, RectQuery, ScratchPool};
+use sfc_clustering::{RectQuery, ScratchPool};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -147,8 +148,9 @@ fn cow_shard<V, B: Backend<V>>(slot: &mut Arc<B>) -> &mut B {
 /// scanned concurrently, with MVCC epoch versions.
 ///
 /// Shards are ordered by curve range, so concatenating per-shard results in
-/// shard order preserves global curve-key order — a sharded query returns
-/// exactly what the equivalent [`SfcTable`](crate::SfcTable) returns.
+/// shard order preserves global curve-key order — a query returns the same
+/// rows at any shard count, and a 1-shard table is the plain SFC-ordered
+/// table of the paper's application (§I).
 ///
 /// Shard state lives in an immutable, epoch-stamped [`TableVersion`]
 /// behind an atomic pointer: every read path **pins** the current version
@@ -226,8 +228,9 @@ where
     V: Clone,
 {
     /// Builds a sharded table whose shards each front their pages with an
-    /// LRU buffer pool of `pool_pages` pages (see
-    /// [`SfcTable::build_paged`](crate::SfcTable::build_paged)).
+    /// LRU buffer pool of `pool_pages` pages: repeated queries over warm
+    /// regions stop paying transfer costs, and per-query [`IoStats`]
+    /// report the hit/miss split.
     ///
     /// # Errors
     /// If any point lies outside the curve's universe.
@@ -255,8 +258,11 @@ where
 {
     /// Builds a sharded table whose shards are genuinely disk-resident:
     /// each shard's records are bulk-built into an immutable segment file
-    /// `dir/shard<i>.g<N>.seg` (see
-    /// [`SfcTable::build_stored`](crate::SfcTable::build_stored)).
+    /// `dir/shard<i>.g<N>.seg` (fronted by an LRU page cache of
+    /// `cfg.pool_pages` pages), and later writes land in an in-memory
+    /// overlay until [`Self::compact_shards`]. Query [`IoStats`] report
+    /// the *measured* `real_reads` / `real_seeks` next to the simulated
+    /// counters.
     ///
     /// # Errors
     /// If any point lies outside the curve's universe, or segment I/O
@@ -398,14 +404,21 @@ where
         };
         let mut retained = self.retained.lock().expect("retention window poisoned");
         retained.push_back(prev);
-        while retained.len() > self.retention.epochs {
+        Self::evict(&mut retained, self.retention);
+    }
+
+    /// Drops the oldest retained versions until the window fits `policy`:
+    /// first the epoch bound, then the estimated byte bound. The current
+    /// version is never in the window, so it is never evicted.
+    fn evict(retained: &mut VecDeque<Arc<TableVersion<B>>>, policy: RetentionPolicy) {
+        while retained.len() > policy.epochs {
             retained.pop_front();
         }
         // Conservative per-entry footprint: versions share unwritten
         // pages, so the true marginal cost is usually far lower.
         let entry_bytes = (std::mem::size_of::<Record<D, V>>() + std::mem::size_of::<u64>()) as u64;
         let mut estimated: u64 = retained.iter().map(|v| v.records * entry_bytes).sum();
-        while estimated > self.retention.bytes {
+        while estimated > policy.bytes {
             match retained.pop_front() {
                 Some(v) => estimated -= v.records * entry_bytes,
                 None => break,
@@ -450,18 +463,10 @@ where
     /// to the retained window.
     pub fn set_retention(&mut self, policy: RetentionPolicy) {
         self.retention = policy;
-        let retained = self.retained.get_mut().expect("retention window poisoned");
-        while retained.len() > policy.epochs {
-            retained.pop_front();
-        }
-        let entry_bytes = (std::mem::size_of::<Record<D, V>>() + std::mem::size_of::<u64>()) as u64;
-        let mut estimated: u64 = retained.iter().map(|v| v.records * entry_bytes).sum();
-        while estimated > policy.bytes {
-            match retained.pop_front() {
-                Some(v) => estimated -= v.records * entry_bytes,
-                None => break,
-            }
-        }
+        Self::evict(
+            self.retained.get_mut().expect("retention window poisoned"),
+            policy,
+        );
     }
 
     /// The epoch of the current version: the number of batches applied
@@ -674,76 +679,6 @@ where
         Ok((keys, order))
     }
 
-    /// Applies a batch of writes through `&self` on the single-threaded
-    /// reference path: validates and keys every point with one
-    /// [`SpaceFillingCurve::fill_indices`] call, stably sorts the batch
-    /// into curve order, forks each touched shard copy-on-write, applies
-    /// that shard's contiguous run to the fork — in place via the sorted
-    /// index permutation, with no per-shard staging — and installs the
-    /// whole set as the next epoch version with one pointer swap.
-    ///
-    /// [`Self::apply_batch`] produces byte-identical state and identical
-    /// results while applying the per-shard runs concurrently; this
-    /// serial form is the semantic reference the equivalence proptests
-    /// and the `engine/apply_parallel` bench compare against, and the
-    /// path `apply_batch` itself takes for small batches.
-    ///
-    /// An empty batch installs nothing and bumps no epoch.
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe (checked before
-    /// anything is applied).
-    pub fn apply_batch_serial(&self, ops: Vec<BatchOp<D, V>>) -> Result<Vec<Option<V>>, SfcError> {
-        let (keys, order) = self.key_batch(&ops)?;
-        let mut slots: Vec<Option<BatchOp<D, V>>> = ops.into_iter().map(Some).collect();
-        let mut results: Vec<Option<V>> = Vec::new();
-        results.resize_with(slots.len(), || None);
-        if order.is_empty() {
-            return Ok(results);
-        }
-        let _gate = self.write_gate.lock().expect("write gate poisoned");
-        let base = self.pin();
-        let mut shards = base.shards.clone();
-        let mut at = 0usize;
-        let mut delta = 0i64;
-        while at < order.len() {
-            let shard = self.shard_of_key(keys[order[at]]);
-            let end = at
-                + order[at..]
-                    .iter()
-                    .take_while(|&&i| keys[i] <= self.parts[shard].hi)
-                    .count();
-            // Fork the touched shard (readers keep scanning `base`'s copy
-            // untouched); untouched shards stay shared `Arc`s.
-            let backend = cow_shard(&mut shards[shard]);
-            for pos in at..end {
-                // The permutation visits `slots` in curve order, not
-                // submission order — a data-dependent stride the hardware
-                // prefetcher cannot follow. Hint a few ops ahead so each
-                // slot's line arrives while earlier ops apply.
-                if let Some(&ahead) = order.get(pos + APPLY_PREFETCH_DISTANCE) {
-                    crate::prefetch::prefetch_read(&slots[ahead]);
-                }
-                let i = order[pos];
-                let op = slots[i].take().expect("each op applied once");
-                results[i] = apply_one(backend, keys[i], op, &mut delta);
-            }
-            at = end;
-        }
-        let records = base
-            .records
-            .checked_add_signed(delta)
-            .expect("record count underflow");
-        self.install(Arc::new(TableVersion {
-            epoch: base.epoch + 1,
-            shards,
-            records,
-        }));
-        self.records
-            .store(records, std::sync::atomic::Ordering::Relaxed);
-        Ok(results)
-    }
-
     /// Streams shard `shard`'s entries in ascending key order through the
     /// backend's [`Backend::persist`] hook — the building block of
     /// curve-ordered snapshots ([`write_snapshot`](crate::write_snapshot)
@@ -789,15 +724,7 @@ where
     /// failures are reported, never panicked, so a durable engine's
     /// `open` can surface them.
     pub fn restore_entries(&self, entries: Vec<(u64, Record<D, V>)>) -> Result<(), SfcError> {
-        let cells = self.curve.universe().cell_count();
-        if let Some(&(key, _)) = entries.iter().find(|&&(k, _)| k >= cells) {
-            return Err(SfcError::IndexOutOfBounds { index: key, cells });
-        }
-        if !entries.windows(2).all(|w| w[0].0 <= w[1].0) {
-            return Err(SfcError::Storage {
-                context: "restoring table: snapshot entries are not in curve-key order".into(),
-            });
-        }
+        self.check_entries(&entries, "restoring table")?;
         let total = entries.len() as u64;
         let mut remainder = entries;
         // Cut the sorted entries at partition boundaries, back to front
@@ -885,26 +812,9 @@ where
             .map(ValueGuard::new))
     }
 
-    /// Point lookup returning an owned copy of the payload.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    #[deprecated(since = "0.8.0", note = "use `get(p)?.map(|g| g.cloned())` instead")]
-    pub fn get_cloned(&self, p: Point<D>) -> Result<Option<V>, SfcError> {
-        Ok(self.get(p)?.map(|guard| guard.cloned()))
-    }
-
-    /// Splits the cluster ranges of `q` at shard boundaries. Returns the
-    /// per-shard sub-range lists and the total sub-range count.
-    fn split_query(&self, q: &RectQuery<D>) -> Result<(ShardWork, u64), SfcError> {
-        self.check_fits(q)?;
-        let mut scratch = self.scratch.checkout();
-        let ranges = scratch.ranges_of(&self.curve, q);
-        Ok(self.split_ranges(ranges))
-    }
-
-    /// Splits arbitrary sorted ranges (a plan's, or a full decomposition's)
-    /// at shard boundaries.
+    /// Splits sorted ranges (a plan's, or a full decomposition's) at shard
+    /// boundaries. Returns the per-shard sub-range lists and the total
+    /// sub-range count.
     fn split_ranges(&self, ranges: &[(u64, u64)]) -> (ShardWork, u64) {
         let mut work: ShardWork = vec![Vec::new(); self.parts.len()];
         let mut pieces = 0u64;
@@ -934,15 +844,34 @@ where
         }
         Ok(())
     }
+
+    /// Checks that snapshot `entries` are keyed inside the universe and
+    /// sorted by curve key; `context` names the caller in the error.
+    fn check_entries(
+        &self,
+        entries: &[(u64, Record<D, V>)],
+        context: &str,
+    ) -> Result<(), SfcError> {
+        let cells = self.curve.universe().cell_count();
+        if let Some(&(key, _)) = entries.iter().find(|&&(k, _)| k >= cells) {
+            return Err(SfcError::IndexOutOfBounds { index: key, cells });
+        }
+        if !entries.windows(2).all(|w| w[0].0 <= w[1].0) {
+            return Err(SfcError::Storage {
+                context: format!("{context}: snapshot entries are not in curve-key order"),
+            });
+        }
+        Ok(())
+    }
 }
 
-/// How many permutation steps ahead the batch-apply loops hint `slots`
-/// entries into cache (see [`crate::prefetch`]): far enough to cover an
+/// How many permutation steps ahead [`take_run`] hints `slots` entries
+/// into cache (see [`crate::prefetch`]): far enough to cover an
 /// L2 miss under the loop's per-op work, near enough that hinted lines
 /// survive until use.
 const APPLY_PREFETCH_DISTANCE: usize = 8;
 
-/// Batches below this many ops always take the serial apply path: their
+/// Batches below this many ops always apply on the calling thread: their
 /// per-shard slices are too small to amortize thread spawns (an epoch of
 /// a few hundred ops applies in tens of microseconds — comparable to
 /// starting one thread). Recovery replay and bulk loads run far above it.
@@ -950,8 +879,9 @@ const PARALLEL_APPLY_MIN_OPS: usize = 1024;
 
 /// Whether this host can actually run shard workers concurrently. On a
 /// single-core machine the parallel apply is pure spawn overhead (the
-/// workers serialize anyway), so `apply_batch` stays on the serial path
-/// there — behavior is identical either way, only the schedule differs.
+/// workers serialize anyway), so `apply_batch` stays on the calling
+/// thread there — behavior is identical either way, only the schedule
+/// differs.
 fn host_has_parallelism() -> bool {
     use std::sync::OnceLock;
     static CORES: OnceLock<usize> = OnceLock::new();
@@ -970,26 +900,26 @@ where
 {
     /// Applies a batch of writes through `&self`: validates and keys every
     /// point with one [`SpaceFillingCurve::fill_indices`] call, stably
-    /// sorts the batch into curve order, and applies each shard's
-    /// contiguous slice under that shard's write lock — so the B+-trees
-    /// see sorted bulk mutations instead of random single inserts, and
-    /// readers of untouched shards are never blocked.
+    /// sorts the batch into curve order, cuts the sorted run at shard
+    /// boundaries, and applies each shard's contiguous slice to a private
+    /// copy-on-write fork of that shard — so the B+-trees see sorted bulk
+    /// mutations instead of random single inserts, and readers never wait:
+    /// they keep scanning the pinned previous version while the forks are
+    /// written.
     ///
     /// Large batches (1024+ ops touching more than one shard, on hosts
     /// with more than one core) apply their per-shard slices
-    /// **concurrently** via [`Self::apply_batch_parallel`]: the slices
-    /// are disjoint by construction and each worker owns its shard's
-    /// private fork, so the parallel apply is observationally identical
-    /// to [`Self::apply_batch_serial`] — same displaced payloads, same
-    /// final state, same all-shards-at-once version install — with the
-    /// epoch's critical path shrunk to the slowest shard. Smaller
-    /// batches (and single-core hosts) stay on the serial path (the
-    /// equivalence proptests pin both).
+    /// **concurrently** under [`std::thread::scope`]: the slices are
+    /// disjoint by construction and each worker owns its fork outright,
+    /// taking no lock, so the epoch's critical path shrinks to the slowest
+    /// shard. Smaller batches (and single-core hosts) apply the slices one
+    /// after another on the calling thread. Both schedules return the same
+    /// displaced payloads and install the same state.
     ///
     /// Returns the displaced payloads in **submission order** (`None` for
     /// inserts and for deletes/updates of vacant cells). Ops on the same
     /// point apply in submission order; no write is applied if any point
-    /// is invalid.
+    /// is invalid. An empty batch installs nothing and bumps no epoch.
     ///
     /// This is the write entry point the epoch-batching serving layer
     /// (`sfc-engine`) drives — both for live epochs and for recovery
@@ -1004,34 +934,15 @@ where
     /// anything is applied).
     pub fn apply_batch(&self, ops: Vec<BatchOp<D, V>>) -> Result<Vec<Option<V>>, SfcError> {
         let total = ops.len();
-        if total < PARALLEL_APPLY_MIN_OPS || !host_has_parallelism() {
-            return self.apply_batch_serial(ops);
-        }
-        self.apply_batch_parallel(ops)
-    }
-
-    /// The always-threaded form of [`Self::apply_batch`]: per-shard
-    /// slices apply concurrently under [`std::thread::scope`] regardless
-    /// of batch size or host core count (a batch confined to one shard
-    /// still applies inline — threads would buy nothing). Observationally
-    /// identical to [`Self::apply_batch_serial`]; the equivalence
-    /// proptests drive this form directly so the threaded path is pinned
-    /// even where `apply_batch`'s heuristics would choose the serial one.
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe (checked before
-    /// anything is applied).
-    pub fn apply_batch_parallel(
-        &self,
-        ops: Vec<BatchOp<D, V>>,
-    ) -> Result<Vec<Option<V>>, SfcError> {
-        let total = ops.len();
         let (keys, order) = self.key_batch(&ops)?;
-        // Cut the sorted run at shard boundaries into owned per-shard
-        // work lists of `(submission index, key, op)`.
-        type ShardSlice<const D: usize, V> = (usize, Vec<(usize, u64, BatchOp<D, V>)>);
-        let mut slots: Vec<Option<BatchOp<D, V>>> = ops.into_iter().map(Some).collect();
-        let mut slices: Vec<ShardSlice<D, V>> = Vec::new();
+        let mut results: Vec<Option<V>> = Vec::new();
+        results.resize_with(total, || None);
+        if order.is_empty() {
+            return Ok(results);
+        }
+        // Cut the curve-sorted permutation at shard boundaries: one run of
+        // positions in `order` per touched shard.
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
         let mut at = 0usize;
         while at < order.len() {
             let shard = self.shard_of_key(keys[order[at]]);
@@ -1040,57 +951,32 @@ where
                     .iter()
                     .take_while(|&&i| keys[i] <= self.parts[shard].hi)
                     .count();
-            let slice: Vec<(usize, u64, BatchOp<D, V>)> = order[at..end]
-                .iter()
-                .enumerate()
-                .map(|(n, &i)| {
-                    // Same permutation-lookahead hint as the serial path:
-                    // the gather walks `slots` in curve order.
-                    if let Some(&ahead) = order.get(at + n + APPLY_PREFETCH_DISTANCE) {
-                        crate::prefetch::prefetch_read(&slots[ahead]);
-                    }
-                    (i, keys[i], slots[i].take().expect("each op staged once"))
-                })
-                .collect();
-            slices.push((shard, slice));
+            runs.push((shard, at..end));
             at = end;
         }
-        let mut results: Vec<Option<V>> = Vec::new();
-        results.resize_with(total, || None);
-        if slices.is_empty() {
-            return Ok(results);
-        }
+        let threaded = total >= PARALLEL_APPLY_MIN_OPS && runs.len() > 1 && host_has_parallelism();
+        let mut slots: Vec<Option<BatchOp<D, V>>> = ops.into_iter().map(Some).collect();
         let _gate = self.write_gate.lock().expect("write gate poisoned");
         let base = self.pin();
         let mut shards = base.shards.clone();
         let mut delta = 0i64;
-        if slices.len() <= 1 {
-            // One shard owns the whole run: threads buy nothing.
-            for (shard, slice) in slices {
-                let backend = cow_shard(&mut shards[shard]);
-                for (i, key, op) in slice {
-                    results[i] = apply_one(backend, key, op, &mut delta);
-                }
-            }
-        } else {
-            // Each worker owns its shard's private fork outright — the
-            // workers hold no lock and share nothing mutable, so the
-            // apply contends with readers on exactly nothing.
-            type ForkedShard<B, const D: usize, V> = (usize, B, Vec<(usize, u64, BatchOp<D, V>)>);
-            let mut forked: Vec<ForkedShard<B, D, V>> = slices
+        if threaded {
+            // Each worker owns its shard's private fork and its staged ops
+            // outright: the workers hold no lock and share nothing mutable.
+            type Staged<B, const D: usize, V> = (usize, B, Vec<(usize, u64, BatchOp<D, V>)>);
+            let mut staged: Vec<Staged<B, D, V>> = runs
                 .into_iter()
-                .map(|(shard, slice)| {
-                    let backend = shards[shard].fork();
-                    (shard, backend, slice)
+                .map(|(shard, run)| {
+                    let slice = take_run(&mut slots, &keys, &order, run).collect();
+                    (shard, shards[shard].fork(), slice)
                 })
                 .collect();
             type ShardChunk<V> = (Vec<(usize, Option<V>)>, i64);
             let chunks: Vec<ShardChunk<V>> = std::thread::scope(|s| {
-                let handles: Vec<_> = forked
+                let handles: Vec<_> = staged
                     .iter_mut()
-                    .map(|entry| {
+                    .map(|(_, backend, slice)| {
                         s.spawn(move || {
-                            let (_, backend, slice) = entry;
                             let mut local_delta = 0i64;
                             let pairs: Vec<(usize, Option<V>)> = slice
                                 .drain(..)
@@ -1107,13 +993,22 @@ where
                     .map(|h| h.join().expect("shard apply worker panicked"))
                     .collect()
             });
-            for (shard, backend, _) in forked {
+            for (shard, backend, _) in staged {
                 shards[shard] = Arc::new(backend);
             }
             for (pairs, d) in chunks {
                 delta += d;
                 for (i, displaced) in pairs {
                     results[i] = displaced;
+                }
+            }
+        } else {
+            for (shard, run) in runs {
+                // Fork the touched shard (readers keep scanning `base`'s
+                // copy untouched); untouched shards stay shared `Arc`s.
+                let backend = cow_shard(&mut shards[shard]);
+                for (i, key, op) in take_run(&mut slots, &keys, &order, run) {
+                    results[i] = apply_one(backend, key, op, &mut delta);
                 }
             }
         }
@@ -1134,19 +1029,18 @@ where
     /// Answers a rectangle query: decomposes it into cluster ranges, splits
     /// them at shard boundaries, and scans the shards concurrently
     /// ([`std::thread::scope`]), merging records in shard order — which is
-    /// curve-key order, so results match the unsharded table exactly.
+    /// curve-key order, so the rows are the same at any shard count.
     ///
-    /// `opts` selects the execution strategy exactly as on
-    /// [`SfcTable::query_rect`](crate::SfcTable::query_rect): exact
-    /// cluster ranges (the default), gap-coalesced / seek-budgeted scans
-    /// ([`RangeMode`]), or the adaptive planner
-    /// ([`QueryOptions::planned`], whose chosen [`QueryPlan`] comes back
-    /// in [`QueryResult::plan`]). The rows are identical whatever the
-    /// strategy; only the seek/read-amplification trade moves.
+    /// `opts` selects the decomposition: the exact cluster ranges (the
+    /// default — seeks per query = the paper's clustering number), or the
+    /// adaptive planner ([`QueryOptions::planned`]), which budgets the
+    /// ranges globally before the shard split, returns its [`QueryPlan`]
+    /// in [`QueryResult::plan`], and is fed the realized I/O. The rows are
+    /// identical either way; only the seek/read-amplification trade moves.
     ///
-    /// The merged [`IoStats`] *sum* the shards' I/O (total work); per-shard
-    /// breakdowns — from which a parallel critical path `max(time_us)` can
-    /// be computed — come from [`Self::query_rect_with_shard_stats`].
+    /// [`QueryResult::io`] *sums* the shards' I/O (total work);
+    /// [`QueryResult::shard_io`] keeps each shard's share, from which a
+    /// parallel critical path `max(time_us)` can be computed.
     ///
     /// # Errors
     /// If the query does not fit inside the universe.
@@ -1155,83 +1049,58 @@ where
         q: &RectQuery<D>,
         opts: &QueryOptions<'_>,
     ) -> Result<QueryResult<D, V>, SfcError> {
-        if let Some(planner) = opts.planner {
-            return self.query_planned_inner(q, planner).map(|(mut r, plan)| {
-                r.plan = Some(plan);
-                r
-            });
-        }
-        match opts.mode {
-            RangeMode::Exact => {
-                let (result, _) = self.query_rect_with_shard_stats(q)?;
-                Ok(result)
-            }
-            RangeMode::Coalesced { max_gap } => {
-                self.query_coalesced_inner(q, |ranges| coalesce_ranges(ranges, max_gap))
-            }
-            RangeMode::Budget { max_ranges } => {
-                self.query_coalesced_inner(q, |ranges| coalesce_to_budget(ranges, max_ranges))
-            }
-        }
+        self.query_version(&self.pin(), q, opts.planner)
     }
 
-    /// The fixed-coalescing path behind [`Self::query_rect`]: `merge`
-    /// shrinks the global decomposition before the shard split, and the
-    /// concurrent scan filters out records from absorbed gap cells
-    /// (`io.entries` counts the matching rows).
-    fn query_coalesced_inner(
+    /// The one rect-query executor behind [`Self::query_rect`],
+    /// [`Self::knn`] and [`TableSnapshot::query_rect`]: decomposes `q`,
+    /// lets `planner` (if any) budget the ranges on `version`'s record
+    /// density, splits them at shard boundaries, scans `version`, and
+    /// feeds the merged and per-shard I/O back into the planner. Planned
+    /// ranges may absorb gap cells, so their scans drop records outside
+    /// `q`.
+    fn query_version(
         &self,
+        version: &TableVersion<B>,
         q: &RectQuery<D>,
-        merge: impl FnOnce(&[(u64, u64)]) -> Vec<(u64, u64)>,
+        planner: Option<&Planner>,
     ) -> Result<QueryResult<D, V>, SfcError> {
         self.check_fits(q)?;
-        let version = self.pin();
-        let merged = {
+        let (plan, (work, pieces)) = {
             let mut scratch = self.scratch.checkout();
-            merge(scratch.ranges_of(&self.curve, q))
+            let full = scratch.ranges_of(&self.curve, q);
+            match planner {
+                None => (None, self.split_ranges(full)),
+                Some(planner) => {
+                    let cells = self.curve.universe().cell_count();
+                    let plan = planner
+                        .plan_ranges(full, crate::plan::record_density(version.len(), cells));
+                    let split = self.split_ranges(&plan.ranges);
+                    (Some(plan), split)
+                }
+            }
         };
-        let (work, pieces) = self.split_ranges(&merged);
-        let (records, per_shard) = self.scan_work(&version, &work, q, true)?;
+        let started = std::time::Instant::now();
+        let (records, shard_io) = self.scan_work(version, &work, q, plan.is_some())?;
+        let wall_us = started.elapsed().as_secs_f64() * 1e6;
         let mut io = IoStats::default();
-        for stats in &per_shard {
+        for stats in &shard_io {
             io.absorb(*stats);
+        }
+        if let Some(planner) = planner {
+            planner.observe(&io);
+            planner.observe_shards(&shard_io);
+            if io.real_reads > 0 {
+                planner.observe_latency(io.real_seeks, io.real_reads, wall_us);
+            }
         }
         Ok(QueryResult {
             records,
             ranges_scanned: pieces,
             io,
-            plan: None,
+            shard_io,
+            plan,
         })
-    }
-
-    /// Like [`Self::query_rect`], but also returns each shard's own
-    /// [`IoStats`] (indexed by shard, zeros for untouched shards) — the
-    /// load-balance view: with one simulated disk per shard, the query's
-    /// parallel latency is the maximum per-shard `time_us`, and the gap
-    /// between that maximum and the mean is the skew the workload induced.
-    ///
-    /// # Errors
-    /// If the query does not fit inside the universe.
-    pub fn query_rect_with_shard_stats(
-        &self,
-        q: &RectQuery<D>,
-    ) -> Result<(QueryResult<D, V>, Vec<IoStats>), SfcError> {
-        let version = self.pin();
-        let (work, pieces) = self.split_query(q)?;
-        let (records, per_shard) = self.scan_work(&version, &work, q, false)?;
-        let mut io = IoStats::default();
-        for stats in &per_shard {
-            io.absorb(*stats);
-        }
-        Ok((
-            QueryResult {
-                records,
-                ranges_scanned: pieces,
-                io,
-                plan: None,
-            },
-            per_shard,
-        ))
     }
 
     /// Answers a rectangle query against a **reconstructed historical**
@@ -1245,9 +1114,11 @@ where
     /// (same keying, same stable curve-order sort, same per-op
     /// application), so the records returned are byte-identical to what
     /// [`Self::query_rect`] would have answered at that epoch. The scan
-    /// runs over a single throwaway in-memory backend: `ranges_scanned`
-    /// reports the query's unsharded clustering number and `io` the
-    /// replay scan's own cost, not the historical layout's.
+    /// runs over a single throwaway in-memory backend, with the ranges
+    /// split at this table's shard boundaries: `ranges_scanned` and the
+    /// shape of `shard_io` (one entry per shard) match an exact
+    /// [`Self::query_rect`], while the I/O figures are the replay scan's
+    /// own cost, not the historical layout's.
     ///
     /// # Errors
     /// If any replayed op or snapshot key lies outside the curve's
@@ -1259,32 +1130,29 @@ where
         q: &RectQuery<D>,
     ) -> Result<QueryResult<D, V>, SfcError> {
         self.check_fits(q)?;
-        let cells = self.curve.universe().cell_count();
-        if let Some(&(key, _)) = entries.iter().find(|&&(k, _)| k >= cells) {
-            return Err(SfcError::IndexOutOfBounds { index: key, cells });
-        }
-        if !entries.windows(2).all(|w| w[0].0 <= w[1].0) {
-            return Err(SfcError::Storage {
-                context: "replaying history: snapshot entries are not in curve-key order".into(),
-            });
-        }
+        self.check_entries(&entries, "replaying history")?;
         let (keys, order) = self.key_batch(&ops)?;
         let mut backend: MemoryBackend<Record<D, V>> = MemoryBackend::bulk_load(entries);
         let mut slots: Vec<Option<BatchOp<D, V>>> = ops.into_iter().map(Some).collect();
         let mut delta = 0i64;
-        for &i in &order {
-            let op = slots[i].take().expect("each op applied once");
-            apply_one(&mut backend, keys[i], op, &mut delta);
+        for (_, key, op) in take_run(&mut slots, &keys, &order, 0..order.len()) {
+            apply_one(&mut backend, key, op, &mut delta);
         }
-        let mut scratch = self.scratch.checkout();
-        let ranges = scratch.ranges_of(&self.curve, q);
+        let (work, pieces) = self.split_ranges(self.scratch.checkout().ranges_of(&self.curve, q));
         let mut records = Vec::new();
-        let pieces = ranges.len() as u64;
-        let stats = scan_shard(&backend, ranges, q, false, &mut records)?;
+        let mut io = IoStats::default();
+        let mut shard_io = vec![IoStats::default(); work.len()];
+        for (ranges, stats) in work.iter().zip(&mut shard_io) {
+            if !ranges.is_empty() {
+                *stats = scan_shard(&backend, ranges, q, false, &mut records)?;
+                io.absorb(*stats);
+            }
+        }
         Ok(QueryResult {
             records,
             ranges_scanned: pieces,
-            io: stats,
+            io,
+            shard_io,
             plan: None,
         })
     }
@@ -1301,68 +1169,6 @@ where
         let mut scratch = self.scratch.checkout();
         let full = scratch.ranges_of(&self.curve, q);
         Ok(planner.plan_ranges(full, self.density()))
-    }
-
-    /// Answers a rectangle query through the adaptive planner.
-    ///
-    /// # Errors
-    /// If the query does not fit inside the universe.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `query_rect(q, &QueryOptions::planned(planner))`; the plan is in `QueryResult::plan`"
-    )]
-    pub fn query_rect_planned(
-        &self,
-        q: &RectQuery<D>,
-        planner: &Planner,
-    ) -> Result<(QueryResult<D, V>, QueryPlan), SfcError> {
-        self.query_planned_inner(q, planner)
-    }
-
-    /// The planner path behind [`Self::query_rect`]: plans the
-    /// decomposition budget globally, splits the planned ranges at shard
-    /// boundaries, scans concurrently (filtering out records from absorbed
-    /// gap cells), and feeds both the merged [`IoStats`] and the per-shard
-    /// breakdown back into the planner (hit rate and latency skew).
-    fn query_planned_inner(
-        &self,
-        q: &RectQuery<D>,
-        planner: &Planner,
-    ) -> Result<(QueryResult<D, V>, QueryPlan), SfcError> {
-        // Pin once: the plan is costed on this version's record density
-        // and the scan executes against the same version, so the stats
-        // fed back to the planner describe exactly the state it planned.
-        let version = self.pin();
-        self.check_fits(q)?;
-        let plan = {
-            let mut scratch = self.scratch.checkout();
-            let full = scratch.ranges_of(&self.curve, q);
-            let density =
-                crate::plan::record_density(version.len(), self.curve.universe().cell_count());
-            planner.plan_ranges(full, density)
-        };
-        let (work, pieces) = self.split_ranges(&plan.ranges);
-        let started = std::time::Instant::now();
-        let (records, per_shard) = self.scan_work(&version, &work, q, true)?;
-        let wall_us = started.elapsed().as_secs_f64() * 1e6;
-        let mut io = IoStats::default();
-        for stats in &per_shard {
-            io.absorb(*stats);
-        }
-        planner.observe(&io);
-        planner.observe_shards(&per_shard);
-        if io.real_reads > 0 {
-            planner.observe_latency(io.real_seeks, io.real_reads, wall_us);
-        }
-        Ok((
-            QueryResult {
-                records,
-                ranges_scanned: pieces,
-                io,
-                plan: None,
-            },
-            plan,
-        ))
     }
 
     /// Scans a per-shard worklist against one pinned version, inline for
@@ -1426,11 +1232,11 @@ where
         Ok((records, per_shard))
     }
 
-    /// Answers a batch of rectangle queries with one thread scope: each
-    /// shard worker processes its sub-ranges of *every* query, so the
-    /// per-query spawn cost is amortized across the batch — the
-    /// concurrency analogue of
-    /// [`SfcTable::query_rect_batch`](crate::SfcTable::query_rect_batch).
+    /// Answers a batch of exact rectangle queries with one pin and one
+    /// thread scope: each shard worker scans its sub-ranges of *every*
+    /// query, so the per-query spawn cost is amortized across the batch.
+    /// Each result equals what [`Self::query_rect`] would return for that
+    /// query, I/O stats included.
     ///
     /// # Errors
     /// If any query does not fit inside the universe.
@@ -1442,43 +1248,32 @@ where
         // same epoch.
         let version = self.pin();
         // Split every query first so errors surface before any scan work.
-        let mut splits = Vec::with_capacity(queries.len());
-        for q in queries {
-            splits.push(self.split_query(q)?);
-        }
-        // Transpose into per-shard worklists of (query, lo, hi).
-        let mut shard_work: Vec<Vec<(usize, u64, u64)>> = vec![Vec::new(); version.shards.len()];
-        for (qi, (work, _)) in splits.iter().enumerate() {
-            for (shard, ranges) in work.iter().enumerate() {
-                for &(lo, hi) in ranges {
-                    shard_work[shard].push((qi, lo, hi));
-                }
+        let mut splits: Vec<(ShardWork, u64)> = Vec::with_capacity(queries.len());
+        {
+            let mut scratch = self.scratch.checkout();
+            for q in queries {
+                self.check_fits(q)?;
+                splits.push(self.split_ranges(scratch.ranges_of(&self.curve, q)));
             }
         }
+        let shard_count = version.shards.len();
         type Chunk<const D: usize, V> =
             Result<(usize, Vec<(usize, Vec<Record<D, V>>, IoStats)>), SfcError>;
         let chunks: Vec<Chunk<D, V>> = std::thread::scope(|s| {
-            let handles: Vec<_> = shard_work
-                .iter()
-                .enumerate()
-                .filter(|(_, wl)| !wl.is_empty())
-                .map(|(shard, worklist)| {
+            let handles: Vec<_> = (0..shard_count)
+                .filter(|&shard| splits.iter().any(|(work, _)| !work[shard].is_empty()))
+                .map(|shard| {
                     let backend: &B = &version.shards[shard];
+                    let splits = &splits;
                     s.spawn(move || {
-                        let mut out: Vec<(usize, Vec<Record<D, V>>, IoStats)> = Vec::new();
-                        for &(qi, lo, hi) in worklist {
-                            if out.last().is_none_or(|&(last_qi, _, _)| last_qi != qi) {
-                                out.push((qi, Vec::new(), IoStats::default()));
+                        let mut out = Vec::new();
+                        for (qi, ((work, _), q)) in splits.iter().zip(queries).enumerate() {
+                            let ranges = &work[shard];
+                            if !ranges.is_empty() {
+                                let mut recs = Vec::new();
+                                let stats = scan_shard(backend, ranges, q, false, &mut recs)?;
+                                out.push((qi, recs, stats));
                             }
-                            let (_, recs, io) = out.last_mut().expect("just pushed");
-                            let stats =
-                                backend.scan(lo, hi, &mut |_, rec| recs.push(rec.clone()))?;
-                            io.seeks += 1;
-                            io.pages += stats.pages;
-                            io.cache_hits += stats.cache_hits;
-                        }
-                        for (_, recs, io) in &mut out {
-                            io.entries = recs.len() as u64;
                         }
                         Ok((shard, out))
                     })
@@ -1495,19 +1290,81 @@ where
                 records: Vec::new(),
                 ranges_scanned: pieces,
                 io: IoStats::default(),
+                shard_io: vec![IoStats::default(); shard_count],
                 plan: None,
             })
             .collect();
         // Chunks arrive in shard order (spawn order), and within a shard in
         // query order, so per-query extension preserves curve-key order.
         for chunk in chunks {
-            let (_, chunk) = chunk?;
-            for (qi, recs, io) in chunk {
+            let (shard, chunk) = chunk?;
+            for (qi, recs, stats) in chunk {
                 results[qi].records.extend(recs);
-                results[qi].io.absorb(io);
+                results[qi].io.absorb(stats);
+                results[qi].shard_io[shard] = stats;
             }
         }
         Ok(results)
+    }
+
+    /// The `k` records nearest to `center` in Euclidean distance — the
+    /// "multi-dimensional similarity searching" application of §I.
+    ///
+    /// Works by querying expanding Chebyshev windows around `center`
+    /// (radius doubling each round) on one pinned version: once at least
+    /// `k` hits lie within Euclidean distance `r` of the center, no record
+    /// outside the window can be closer. Returns `(record, squared
+    /// distance)` pairs sorted by distance (ties broken by curve key
+    /// order), with fewer than `k` entries only if the table is smaller
+    /// than `k`.
+    ///
+    /// # Errors
+    /// If `center` lies outside the universe.
+    pub fn knn(&self, center: Point<D>, k: usize) -> Result<Vec<(Record<D, V>, u64)>, SfcError> {
+        let side = self.curve.universe().side();
+        if !self.curve.universe().contains(center) {
+            return Err(SfcError::PointOutOfBounds {
+                point: center.to_string(),
+                side,
+            });
+        }
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let dist2 = |p: Point<D>| -> u64 {
+            (0..D)
+                .map(|d| {
+                    let delta = u64::from(p.0[d].abs_diff(center.0[d]));
+                    delta * delta
+                })
+                .sum()
+        };
+        let version = self.pin();
+        let mut radius = 1u32;
+        loop {
+            let lo: [u32; D] = std::array::from_fn(|d| center.0[d].saturating_sub(radius));
+            let len: [u32; D] =
+                std::array::from_fn(|d| (center.0[d] + radius).min(side - 1) - lo[d] + 1);
+            let window = RectQuery::new(lo, len).expect("window is non-degenerate");
+            let res = self.query_version(&version, &window, None)?;
+            let mut hits: Vec<(Record<D, V>, u64)> = res
+                .records
+                .into_iter()
+                .map(|r| {
+                    let d2 = dist2(r.point);
+                    (r, d2)
+                })
+                .collect();
+            hits.sort_by_key(|&(_, d2)| d2);
+            let safe = u64::from(radius) * u64::from(radius);
+            let certain = hits.iter().take(k).filter(|&&(_, d2)| d2 <= safe).count();
+            let window_is_whole_universe = len.iter().all(|&l| l == side);
+            if certain >= k || window_is_whole_universe {
+                hits.truncate(k);
+                return Ok(hits);
+            }
+            radius = radius.saturating_mul(2);
+        }
     }
 }
 
@@ -1561,15 +1418,6 @@ where
             .map(ValueGuard::new))
     }
 
-    /// Owned-copy point lookup at this epoch.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    #[deprecated(since = "0.8.0", note = "use `get(p)?.map(|g| g.cloned())` instead")]
-    pub fn get_cloned(&self, p: Point<D>) -> Result<Option<V>, SfcError> {
-        Ok(self.get(p)?.map(|guard| guard.cloned()))
-    }
-
     /// Streams shard `shard`'s entries at this epoch in ascending key
     /// order — the fixed-epoch form of
     /// [`ShardedTable::persist_shard`], which durable checkpoints walk so
@@ -1602,25 +1450,35 @@ where
     /// # Errors
     /// If the query does not fit inside the universe.
     pub fn query_rect(&self, q: &RectQuery<D>) -> Result<QueryResult<D, V>, SfcError> {
-        let (work, pieces) = self.table.split_query(q)?;
-        let (records, per_shard) = self.table.scan_work(&self.version, &work, q, false)?;
-        let mut io = IoStats::default();
-        for stats in &per_shard {
-            io.absorb(*stats);
-        }
-        Ok(QueryResult {
-            records,
-            ranges_scanned: pieces,
-            io,
-            plan: None,
-        })
+        self.table.query_version(&self.version, q, None)
     }
+}
+
+/// Moves the ops at positions `run` of the curve-sorted permutation
+/// `order` out of `slots`, as `(submission index, key, op)` in curve order
+/// — the op stream both `apply_batch` schedules and history replay feed
+/// to [`apply_one`]. The permutation visits `slots` with a data-dependent
+/// stride the hardware prefetcher cannot follow, so each step hints the
+/// slot a few ops ahead into cache.
+fn take_run<'a, const D: usize, V>(
+    slots: &'a mut [Option<BatchOp<D, V>>],
+    keys: &'a [u64],
+    order: &'a [usize],
+    run: Range<usize>,
+) -> impl Iterator<Item = (usize, u64, BatchOp<D, V>)> + 'a {
+    run.map(move |pos| {
+        if let Some(&ahead) = order.get(pos + APPLY_PREFETCH_DISTANCE) {
+            crate::prefetch::prefetch_read(&slots[ahead]);
+        }
+        let i = order[pos];
+        (i, keys[i], slots[i].take().expect("each op applied once"))
+    })
 }
 
 /// Applies one write to a shard backend, accumulating the record-count
 /// delta and returning the displaced payload — the single op kernel
-/// every batch-apply path (serial, parallel, single-shard fallback)
-/// shares, so their semantics cannot drift apart.
+/// both `apply_batch` schedules and history replay share, so their
+/// semantics cannot drift apart.
 fn apply_one<const D: usize, V, B: Backend<Record<D, V>>>(
     backend: &mut B,
     key: u64,
@@ -1684,9 +1542,13 @@ fn scan_shard<const D: usize, V: Clone, B: Backend<Record<D, V>>>(
 }
 
 #[cfg(test)]
+#[path = "../tests/model/mod.rs"]
+mod model;
+
+#[cfg(test)]
 mod tests {
+    use super::model::Model;
     use super::*;
-    use crate::table::SfcTable;
     use onion_core::Onion2D;
 
     fn dense_records(side: u32) -> Vec<(Point<2>, u32)> {
@@ -1699,121 +1561,161 @@ mod tests {
         records
     }
 
+    /// A result's rows as `(point, value)` pairs, the model's shape.
+    fn rows(res: &QueryResult<2, u32>) -> Vec<(Point<2>, u32)> {
+        res.records.iter().map(|r| (r.point, r.value)).collect()
+    }
+
     #[test]
-    fn sharded_matches_single_table() {
+    fn rows_match_the_model_at_every_shard_count() {
         let side = 16u32;
-        let single = SfcTable::build(
-            Onion2D::new(side).unwrap(),
-            dense_records(side),
-            DiskModel::hdd(),
-        )
-        .unwrap();
+        let curve = Onion2D::new(side).unwrap();
+        let records = dense_records(side);
+        let model = Model::new(records.clone());
         for shards in [1usize, 2, 3, 4, 7] {
-            let sharded = ShardedTable::build(
-                Onion2D::new(side).unwrap(),
-                dense_records(side),
-                DiskModel::hdd(),
-                shards,
-            )
-            .unwrap();
-            assert_eq!(sharded.shard_count(), shards);
-            assert_eq!(sharded.len(), single.len());
+            let t = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), shards).unwrap();
+            assert_eq!(t.shard_count(), shards);
+            assert_eq!(t.len(), 256);
             for q in [
                 RectQuery::new([0, 0], [16, 16]).unwrap(),
                 RectQuery::new([2, 3], [5, 4]).unwrap(),
                 RectQuery::new([7, 7], [2, 2]).unwrap(),
                 RectQuery::new([0, 15], [16, 1]).unwrap(),
             ] {
-                let a = single.query_rect(&q, &QueryOptions::default()).unwrap();
-                let b = sharded.query_rect(&q, &QueryOptions::default()).unwrap();
-                assert_eq!(a.records, b.records, "shards={shards} {q:?}");
-                assert!(
-                    b.ranges_scanned >= a.ranges_scanned,
-                    "splitting can only add ranges"
-                );
-                assert_eq!(a.io.entries, b.io.entries);
+                let res = t.query_rect(&q, &QueryOptions::default()).unwrap();
+                assert_eq!(rows(&res), model.query(&curve, &q), "shards={shards} {q:?}");
+                // One seek per range; one shard scans exactly the paper's
+                // clustering number, and shard boundaries only add ranges.
+                let clusters = sfc_clustering::clustering_number(&curve, &q);
+                assert_eq!(res.io.seeks, res.ranges_scanned);
+                assert!(res.ranges_scanned >= clusters, "shards={shards} {q:?}");
+                if shards == 1 {
+                    assert_eq!(res.ranges_scanned, clusters, "{q:?}");
+                }
+                assert_eq!(res.io.entries, q.volume());
+                assert!(res.io.pages >= res.io.seeks, "each range touches >= 1 page");
+                assert_eq!(res.io.cache_hits, 0, "memory backend has no pool");
+                assert!(res.io.time_us(t.model()) > 0.0);
             }
+        }
+        // A sparse table returns just the stored subset of the rect.
+        let sparse = vec![
+            (Point::new([0, 0]), 1u32),
+            (Point::new([5, 5]), 2),
+            (Point::new([15, 15]), 3),
+            (Point::new([5, 6]), 4),
+        ];
+        let q = RectQuery::new([4, 4], [4, 4]).unwrap();
+        for shards in [1usize, 3] {
+            let t = ShardedTable::build(curve, sparse.clone(), DiskModel::ssd(), shards).unwrap();
+            let res = t.query_rect(&q, &QueryOptions::default()).unwrap();
+            assert_eq!(rows(&res), Model::new(sparse.clone()).query(&curve, &q));
+            assert_eq!(res.records.len(), 2);
         }
     }
 
     #[test]
     fn batch_matches_individual_sharded_queries() {
         let side = 16u32;
-        let sharded = ShardedTable::build(
-            Onion2D::new(side).unwrap(),
-            dense_records(side),
-            DiskModel::ssd(),
-            4,
-        )
-        .unwrap();
         let queries = [
             RectQuery::new([0, 0], [16, 16]).unwrap(),
             RectQuery::new([5, 1], [4, 9]).unwrap(),
             RectQuery::new([15, 15], [1, 1]).unwrap(),
         ];
-        let batch = sharded.query_rect_batch(&queries).unwrap();
-        for (q, res) in queries.iter().zip(&batch) {
-            let single = sharded.query_rect(q, &QueryOptions::default()).unwrap();
-            assert_eq!(res.records, single.records, "{q:?}");
-            assert_eq!(res.io, single.io, "{q:?}");
-            assert_eq!(res.ranges_scanned, single.ranges_scanned, "{q:?}");
+        for shards in [1usize, 4] {
+            let sharded = ShardedTable::build(
+                Onion2D::new(side).unwrap(),
+                dense_records(side),
+                DiskModel::ssd(),
+                shards,
+            )
+            .unwrap();
+            let batch = sharded.query_rect_batch(&queries).unwrap();
+            assert_eq!(batch.len(), queries.len());
+            for (q, res) in queries.iter().zip(&batch) {
+                let single = sharded.query_rect(q, &QueryOptions::default()).unwrap();
+                assert_eq!(res.records, single.records, "{q:?}");
+                assert_eq!(res.io, single.io, "{q:?}");
+                assert_eq!(res.shard_io, single.shard_io, "{q:?}");
+                assert_eq!(res.ranges_scanned, single.ranges_scanned, "{q:?}");
+            }
+            // A bad query anywhere in the batch fails the whole batch.
+            assert!(sharded
+                .query_rect_batch(&[queries[1], RectQuery::new([10, 10], [10, 10]).unwrap()])
+                .is_err());
         }
-        assert!(sharded
-            .query_rect_batch(&[RectQuery::new([10, 10], [10, 10]).unwrap()])
-            .is_err());
     }
 
     #[test]
     fn writes_route_to_owning_shard() {
         let side = 16u32;
-        let mut t: ShardedTable<Onion2D, u32, 2> =
-            ShardedTable::build(Onion2D::new(side).unwrap(), Vec::new(), DiskModel::ssd(), 4)
-                .unwrap();
-        assert!(t.is_empty());
-        for (p, v) in dense_records(side) {
-            t.insert(p, v).unwrap();
-        }
-        assert_eq!(t.len(), 256);
-        let sizes = t.shard_sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), 256);
-        assert_eq!(sizes.len(), 4);
+        let curve = Onion2D::new(side).unwrap();
         assert!(
-            sizes.iter().all(|&s| s == 64),
-            "dense data balances: {sizes:?}"
+            ShardedTable::build(
+                curve,
+                vec![(Point::new([16, 0]), 0u32)],
+                DiskModel::ssd(),
+                2
+            )
+            .is_err(),
+            "out-of-universe builds are rejected"
         );
-        let p = Point::new([3, 9]);
-        assert_eq!(t.get(p).unwrap().map(|g| g.cloned()), Some(3009));
-        assert_eq!(t.get(p).unwrap().map(|g| g.value), Some(3009));
-        assert_eq!(t.update(p, 1).unwrap(), Some(3009));
-        assert_eq!(t.delete(p).unwrap(), Some(1));
-        assert!(t.get(p).unwrap().is_none());
-        assert_eq!(t.len(), 255);
-        assert!(t.insert(Point::new([16, 0]), 0).is_err());
-        // Query reflects the writes, matching a fresh single table.
-        let q = RectQuery::new([2, 8], [4, 4]).unwrap();
-        let expect: Vec<u32> = SfcTable::build(
-            Onion2D::new(side).unwrap(),
-            dense_records(side)
-                .into_iter()
-                .filter(|&(pt, _)| pt != p)
-                .collect(),
-            DiskModel::ssd(),
-        )
-        .unwrap()
-        .query_rect(&q, &QueryOptions::default())
-        .unwrap()
-        .records
-        .iter()
-        .map(|r| r.value)
-        .collect();
-        let got: Vec<u32> = t
-            .query_rect(&q, &QueryOptions::default())
-            .unwrap()
-            .records
-            .iter()
-            .map(|r| r.value)
-            .collect();
-        assert_eq!(got, expect);
+        for shards in [1usize, 4] {
+            let mut t: ShardedTable<Onion2D, u32, 2> =
+                ShardedTable::build(curve, Vec::new(), DiskModel::ssd(), shards).unwrap();
+            assert!(t.is_empty());
+            // Reverse submission order: incremental inserts must land
+            // exactly where a bulk build would put them.
+            let mut model = Model::new(Vec::new());
+            for (p, v) in dense_records(side).into_iter().rev() {
+                t.insert(p, v).unwrap();
+                model.insert(p, v);
+            }
+            assert_eq!(t.len(), 256);
+            let all = RectQuery::new([0, 0], [side, side]).unwrap();
+            assert_eq!(
+                rows(&t.query_rect(&all, &QueryOptions::default()).unwrap()),
+                model.query(&curve, &all)
+            );
+            let sizes = t.shard_sizes();
+            assert_eq!(sizes.len(), shards);
+            assert!(
+                sizes.iter().all(|&s| s == 256 / shards),
+                "dense data balances: {sizes:?}"
+            );
+            let p = Point::new([3, 9]);
+            assert_eq!(t.get(p).unwrap().map(|g| g.cloned()), Some(3009));
+            assert_eq!(t.update(p, 1).unwrap(), Some(3009), "update returns old");
+            assert_eq!(t.get(p).unwrap().map(|g| g.value), Some(1));
+            assert_eq!(t.delete(p).unwrap(), Some(1));
+            assert!(t.get(p).unwrap().is_none());
+            assert_eq!(t.delete(p).unwrap(), None, "second delete is a no-op");
+            assert_eq!(t.len(), 255);
+            // Out-of-universe writes are rejected and change nothing.
+            let outside = Point::new([16, 0]);
+            assert!(t.insert(outside, 0).is_err());
+            assert!(t.delete(outside).is_err());
+            assert!(t.update(outside, 0).is_err());
+            assert_eq!(t.len(), 255);
+            assert_eq!(
+                t.get(Point::new([20, 0])).err(),
+                Some(SfcError::PointOutOfBounds {
+                    point: "(20, 0)".into(),
+                    side: 16
+                })
+            );
+            // Queries reflect the writes.
+            model.delete(p);
+            let q = RectQuery::new([2, 8], [4, 4]).unwrap();
+            assert_eq!(
+                rows(&t.query_rect(&q, &QueryOptions::default()).unwrap()),
+                model.query(&curve, &q)
+            );
+            // Update on a vacant cell inserts.
+            assert_eq!(t.update(p, 42).unwrap(), None);
+            assert_eq!(t.get(p).unwrap().map(|g| g.value), Some(42));
+            assert_eq!(t.len(), 256);
+        }
     }
 
     #[test]
@@ -1827,17 +1729,18 @@ mod tests {
         )
         .unwrap();
         let q = RectQuery::new([1, 1], [30, 30]).unwrap();
-        let (res, per_shard) = t.query_rect_with_shard_stats(&q).unwrap();
-        assert_eq!(per_shard.len(), 5);
+        let res = t.query_rect(&q, &QueryOptions::default()).unwrap();
+        assert_eq!(res.shard_io.len(), 5);
         let mut sum = IoStats::default();
-        for s in &per_shard {
+        for s in &res.shard_io {
             sum.absorb(*s);
         }
         assert_eq!(sum, res.io);
-        assert!(per_shard.iter().filter(|s| s.seeks > 0).count() > 1);
+        assert!(res.shard_io.iter().filter(|s| s.seeks > 0).count() > 1);
         // Critical path (max shard) is below the serial sum for a query
         // spanning multiple shards.
-        let max = per_shard
+        let max = res
+            .shard_io
             .iter()
             .map(|s| s.time_us(t.model()))
             .fold(0.0f64, f64::max);
@@ -2032,6 +1935,49 @@ mod tests {
     }
 
     #[test]
+    fn set_retention_shrinks_a_populated_window() {
+        let mut t = ShardedTable::build(
+            Onion2D::new(8).unwrap(),
+            dense_records(8),
+            DiskModel::ssd(),
+            2,
+        )
+        .unwrap();
+        let p = Point::new([0, 0]);
+        for e in 1..=6u32 {
+            t.apply_batch(vec![BatchOp::Update(p, e)]).unwrap();
+        }
+        assert_eq!(t.retained_epochs(), vec![0, 1, 2, 3, 4, 5, 6]);
+        // The epoch bound drops the oldest versions first.
+        t.set_retention(RetentionPolicy {
+            epochs: 3,
+            bytes: u64::MAX,
+        });
+        assert_eq!(t.retained_epochs(), vec![3, 4, 5, 6]);
+        // Every version holds the 64 records of the 8x8 grid.
+        let version_bytes =
+            64 * (std::mem::size_of::<Record<2, u32>>() + std::mem::size_of::<u64>()) as u64;
+        t.set_retention(RetentionPolicy {
+            epochs: 3,
+            bytes: 2 * version_bytes,
+        });
+        assert_eq!(
+            t.retained_epochs(),
+            vec![4, 5, 6],
+            "byte bound, oldest first"
+        );
+        t.set_retention(RetentionPolicy {
+            epochs: 3,
+            bytes: 0,
+        });
+        assert_eq!(t.retained_epochs(), vec![6], "the current version stays");
+        assert!(t.snapshot_at(5).is_none());
+        let q = RectQuery::new([0, 0], [1, 1]).unwrap();
+        let current = t.snapshot_at(6).expect("current epoch always pinnable");
+        assert_eq!(current.query_rect(&q).unwrap().records[0].value, 6);
+    }
+
+    #[test]
     fn planned_queries_return_exact_rows_with_fewer_seeks() {
         let side = 32u32;
         let model = DiskModel {
@@ -2039,42 +1985,53 @@ mod tests {
             seek_us: 8_000.0, // seek-heavy: the planner should coalesce
             transfer_us: 10.0,
         };
-        let t = ShardedTable::build_paged(
-            Onion2D::new(side).unwrap(),
-            dense_records(side),
-            model,
-            4,
-            256,
-        )
-        .unwrap();
-        let planner = Planner::new(model);
-        for (lo, len) in [
-            ([2u32, 3u32], [9u32, 7u32]),
-            ([0, 15], [32, 2]),
-            ([7, 7], [3, 3]),
-        ] {
-            let q = RectQuery::new(lo, len).unwrap();
-            let exact = t.query_rect(&q, &QueryOptions::default()).unwrap();
-            let planned = t.query_rect(&q, &QueryOptions::planned(&planner)).unwrap();
-            let plan = planned
-                .plan
-                .clone()
-                .expect("planned query carries its plan");
-            assert_eq!(planned.records, exact.records, "{q:?} {}", plan.explain());
-            assert!(plan.ranges.len() <= plan.clusters);
-            assert!(
-                planned.io.time_us(t.model()) <= exact.io.time_us(t.model()) + 1e-9,
-                "planned must not cost more under the model: {}",
-                plan.explain()
-            );
+        for shards in [1usize, 4] {
+            let t = ShardedTable::build_paged(
+                Onion2D::new(side).unwrap(),
+                dense_records(side),
+                model,
+                shards,
+                256,
+            )
+            .unwrap();
+            assert!((t.density() - 1.0).abs() < 1e-9, "dense table");
+            let planner = Planner::new(model);
+            for (lo, len) in [
+                ([2u32, 3u32], [9u32, 7u32]),
+                ([0, 15], [32, 2]),
+                ([7, 7], [3, 3]),
+                ([0, 0], [32, 32]),
+            ] {
+                let q = RectQuery::new(lo, len).unwrap();
+                let exact = t.query_rect(&q, &QueryOptions::default()).unwrap();
+                assert!(exact.plan.is_none());
+                let planned = t.query_rect(&q, &QueryOptions::planned(&planner)).unwrap();
+                let plan = planned
+                    .plan
+                    .clone()
+                    .expect("planned query carries its plan");
+                assert_eq!(planned.records, exact.records, "{q:?} {}", plan.explain());
+                assert_eq!(planned.io.entries, exact.io.entries);
+                assert!(plan.ranges.len() <= plan.clusters);
+                if shards == 1 {
+                    assert_eq!(planned.io.seeks, plan.ranges.len() as u64);
+                }
+                assert!(
+                    planned.io.time_us(t.model()) <= exact.io.time_us(t.model()) + 1e-9,
+                    "planned must not cost more under the model: {}",
+                    plan.explain()
+                );
+            }
+            assert_eq!(planner.observed(), 4, "executed plans feed the planner");
+            // The explain entry point plans without scanning.
+            let q = RectQuery::new([1, 1], [20, 20]).unwrap();
+            let plan = t.plan_rect(&q, &planner).unwrap();
+            assert!(!plan.explain().is_empty());
+            assert_eq!(planner.observed(), 4);
+            assert!(t
+                .plan_rect(&RectQuery::new([20, 20], [20, 20]).unwrap(), &planner)
+                .is_err());
         }
-        assert!(planner.observed() >= 3, "executed plans feed the planner");
-        // The explain entry point plans without scanning.
-        let q = RectQuery::new([1, 1], [20, 20]).unwrap();
-        let observed_before = planner.observed();
-        let plan = t.plan_rect(&q, &planner).unwrap();
-        assert!(!plan.explain().is_empty());
-        assert_eq!(planner.observed(), observed_before);
     }
 
     #[test]
@@ -2085,20 +2042,92 @@ mod tests {
             seek_us: 8_000.0,
             transfer_us: 100.0,
         };
-        let t = ShardedTable::build_paged(
-            Onion2D::new(side).unwrap(),
-            dense_records(side),
-            model,
-            4,
-            64,
-        )
-        .unwrap();
-        let q = RectQuery::new([0, 0], [16, 16]).unwrap();
-        let cold = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        let warm = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        assert_eq!(cold.records, warm.records);
-        assert!(cold.io.pages > 0);
-        assert_eq!(warm.io.pages, 0, "every shard pool warm");
-        assert_eq!(warm.io.cache_hits, cold.io.pages);
+        for shards in [1usize, 4] {
+            for q in [
+                RectQuery::new([0, 0], [16, 16]).unwrap(),
+                RectQuery::new([2, 2], [8, 8]).unwrap(),
+            ] {
+                // A fresh table per query, so every query starts cold.
+                let t = ShardedTable::build_paged(
+                    Onion2D::new(side).unwrap(),
+                    dense_records(side),
+                    model,
+                    shards,
+                    64,
+                )
+                .unwrap();
+                let cold = t.query_rect(&q, &QueryOptions::default()).unwrap();
+                let warm = t.query_rect(&q, &QueryOptions::default()).unwrap();
+                assert_eq!(cold.records, warm.records);
+                assert!(cold.io.pages > 0, "cold pool transfers pages");
+                assert_eq!(warm.io.pages, 0, "every shard pool warm");
+                assert_eq!(warm.io.cache_hits, cold.io.pages + cold.io.cache_hits);
+                // Warm queries cost only seeks under the model.
+                assert!(warm.io.time_us(t.model()) < cold.io.time_us(t.model()));
+            }
+        }
+    }
+
+    #[test]
+    fn knn_matches_bruteforce() {
+        for shards in [1usize, 3] {
+            let t = ShardedTable::build(
+                Onion2D::new(16).unwrap(),
+                dense_records(16),
+                DiskModel::hdd(),
+                shards,
+            )
+            .unwrap();
+            for center in [Point::new([0, 0]), Point::new([8, 8]), Point::new([15, 3])] {
+                for k in [1usize, 4, 10] {
+                    let got: Vec<u64> = t
+                        .knn(center, k)
+                        .unwrap()
+                        .iter()
+                        .map(|&(_, d2)| d2)
+                        .collect();
+                    // Brute-force distances over the dense grid.
+                    let mut all: Vec<u64> = dense_records(16)
+                        .iter()
+                        .map(|(p, _)| {
+                            let dx = u64::from(p.0[0].abs_diff(center.0[0]));
+                            let dy = u64::from(p.0[1].abs_diff(center.0[1]));
+                            dx * dx + dy * dy
+                        })
+                        .collect();
+                    all.sort_unstable();
+                    all.truncate(k);
+                    assert_eq!(got, all, "shards {shards} center {center} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn knn_on_sparse_table() {
+        let records = vec![
+            (Point::new([1, 1]), 0u32),
+            (Point::new([60, 60]), 1),
+            (Point::new([10, 12]), 2),
+            (Point::new([11, 12]), 3),
+        ];
+        for shards in [1usize, 4] {
+            let t = ShardedTable::build(
+                Onion2D::new(64).unwrap(),
+                records.clone(),
+                DiskModel::ssd(),
+                shards,
+            )
+            .unwrap();
+            let got = t.knn(Point::new([10, 10]), 2).unwrap();
+            let vals: Vec<u32> = got.iter().map(|(r, _)| r.value).collect();
+            assert_eq!(vals, vec![2, 3], "shards {shards}");
+            // Asking for more neighbors than records returns all of them.
+            assert_eq!(t.knn(Point::new([10, 10]), 99).unwrap().len(), 4);
+            // k = 0 is a no-op.
+            assert!(t.knn(Point::new([1, 1]), 0).unwrap().is_empty());
+            // Out-of-bounds centers are rejected.
+            assert!(t.knn(Point::new([64, 0]), 1).is_err());
+        }
     }
 }

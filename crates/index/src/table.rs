@@ -1,106 +1,43 @@
-//! The table layer: `SfcTable`, a spatial table organized by a
-//! space-filling curve over a pluggable storage [`Backend`].
+//! The row types of the table layer: [`Record`]s, the [`ValueGuard`]
+//! point lookups return, and the [`QueryOptions`] / [`QueryResult`] pair
+//! of [`ShardedTable::query_rect`](crate::ShardedTable::query_rect).
 //!
-//! Records are keyed by their cell's curve index; rectangle queries are
+//! Records are keyed by their cell's curve index; a rectangle query is
 //! decomposed into the curve's cluster ranges (`sfc-clustering`) and
-//! answered with one backend range scan per cluster. The number of scans
-//! *is* the paper's clustering number, so the choice of curve directly
-//! controls the number of seeks.
-//!
-//! The table is `Send + Sync` (for thread-safe curves, values, and
-//! backends): queries borrow decomposition buffers from a
-//! [`ScratchPool`] instead of the old single-threaded `RefCell` scratch,
-//! so any number of threads can query one table concurrently while the
-//! sharding layer adds curve-aware parallelism on top.
+//! answered with one backend range scan per cluster, so the number of
+//! scans *is* the paper's clustering number and the choice of curve
+//! directly controls the number of seeks.
 
-use crate::backend::{Backend, MemoryBackend, PagedBackend};
 use crate::btree::EntryGuard;
-use crate::disk::{DiskModel, IoStats};
+use crate::disk::IoStats;
 use crate::plan::{Planner, QueryPlan};
-use crate::stored::{FileBackend, StoreConfig};
-use crate::wal::WalCodec;
 use onion_core::{Point, SfcError, SpaceFillingCurve};
-use sfc_clustering::{coalesce_ranges, coalesce_to_budget, ClusterScratch, RectQuery, ScratchPool};
-use std::path::Path;
 
-/// How a rectangle query's key ranges are derived from its exact cluster
-/// decomposition, when no adaptive planner is driving the choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RangeMode {
-    /// Scan the exact cluster ranges: seeks per query = the paper's
-    /// clustering number, no read amplification.
-    #[default]
-    Exact,
-    /// Coalesce ranges separated by gaps of at most `max_gap` keys before
-    /// scanning — the seek-vs-read-amplification trade of Asano et al.
-    /// (paper reference \[15\]). Scanned non-matching records are filtered
-    /// out; `io.entries` counts everything touched, so amplification is
-    /// `io.entries / records.len()`.
-    Coalesced {
-        /// Largest gap (in curve keys) absorbed into a scan.
-        max_gap: u64,
-    },
-    /// Coalesce the smallest gaps first until at most `max_ranges` pieces
-    /// remain — a fixed seek budget instead of a fixed gap threshold.
-    Budget {
-        /// Maximum number of ranges (seeks) to scan; `0` acts as `1`.
-        max_ranges: usize,
-    },
-}
-
-/// Options selecting how [`SfcTable::query_rect`] /
-/// [`ShardedTable::query_rect`](crate::ShardedTable::query_rect) derive
-/// and execute a query's range decomposition — the single entry point
-/// that subsumes the former `query_rect` / `query_rect_planned` /
-/// `query_rect_coalesced` trio.
+/// Options selecting how [`ShardedTable::query_rect`](crate::ShardedTable::query_rect)
+/// derives a query's range decomposition.
 ///
-/// `QueryOptions::default()` is the exact, unplanned scan (the old
-/// one-argument `query_rect`). With [`Self::planned`], the adaptive
-/// planner chooses the budget from its live cost model and `mode` is
-/// ignored; the chosen [`QueryPlan`] comes back in
-/// [`QueryResult::plan`].
+/// `QueryOptions::default()` scans the exact cluster ranges: seeks per
+/// query = the paper's clustering number, no read amplification. With
+/// [`Self::planned`], the adaptive planner chooses the coalescing budget
+/// from its live cost model; the chosen [`QueryPlan`] comes back in
+/// [`QueryResult::plan`]. The rows are identical either way.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryOptions<'p> {
     /// Adaptive planner to cost and budget the decomposition (and to feed
-    /// realized I/O stats back into). Takes precedence over `mode`.
+    /// realized I/O stats back into); `None` scans the exact ranges.
     pub planner: Option<&'p Planner>,
-    /// Fixed range-derivation mode used when `planner` is `None`.
-    pub mode: RangeMode,
 }
 
 impl<'p> QueryOptions<'p> {
-    /// Exact decomposition, no planner — `QueryOptions::default()`.
-    pub fn exact() -> Self {
-        Self::default()
-    }
-
     /// Route the query through `planner`'s adaptive cost model.
     pub fn planned(planner: &'p Planner) -> Self {
         Self {
             planner: Some(planner),
-            mode: RangeMode::Exact,
-        }
-    }
-
-    /// Coalesce gaps of at most `max_gap` keys before scanning.
-    pub fn coalesced(max_gap: u64) -> Self {
-        Self {
-            planner: None,
-            mode: RangeMode::Coalesced { max_gap },
-        }
-    }
-
-    /// Coalesce down to at most `max_ranges` scan ranges.
-    pub fn budget(max_ranges: usize) -> Self {
-        Self {
-            planner: None,
-            mode: RangeMode::Budget { max_ranges },
         }
     }
 }
 
-/// A pinned point-lookup result (what [`SfcTable::get`],
-/// [`crate::ShardedTable::get`] and
+/// A pinned point-lookup result (what [`crate::ShardedTable::get`] and
 /// [`crate::TableSnapshot::get`] return): dereferences to the stored
 /// [`Record`] without copying it. For in-memory backends the guard holds
 /// the B+-tree leaf page of the version it was read from, so it remains
@@ -144,28 +81,33 @@ pub struct Record<const D: usize, V> {
     pub value: V,
 }
 
-/// Result of a rectangle query against an [`SfcTable`].
+/// Result of a rectangle query against a
+/// [`ShardedTable`](crate::ShardedTable) or one of its snapshots.
 #[derive(Clone, Debug)]
 pub struct QueryResult<const D: usize, V> {
     /// Matching records, in curve-key order.
     pub records: Vec<Record<D, V>>,
-    /// Number of contiguous key ranges scanned (the clustering number of
-    /// the query under the table's curve; for a sharded table, after
-    /// splitting at shard boundaries).
+    /// Number of contiguous key ranges scanned: the clustering number of
+    /// the query under the table's curve (or the plan's coalesced count),
+    /// after splitting at shard boundaries.
     pub ranges_scanned: u64,
-    /// Simulated I/O statistics: one seek per range, one page per backend
-    /// leaf transferred, plus buffer-pool hits for paged backends.
+    /// I/O statistics summed over the shards: one seek per range, one page
+    /// per backend leaf transferred, plus buffer-pool hits and measured
+    /// reads for backends that have them.
     pub io: IoStats,
+    /// Each shard's own share of `io`, indexed by shard (zeros for shards
+    /// the query did not touch). With one disk per shard, the query's
+    /// parallel latency is the largest per-shard `time_us`.
+    pub shard_io: Vec<IoStats>,
     /// The plan the adaptive planner chose, when the query ran with
-    /// [`QueryOptions::planned`]; `None` for fixed-mode scans.
+    /// [`QueryOptions::planned`]; `None` for exact scans.
     pub plan: Option<QueryPlan>,
 }
 
 /// Validates `records` against `curve`'s universe and keys them with one
 /// [`SpaceFillingCurve::fill_indices`] batch call, so the curve's per-call
 /// setup (and, for `dyn` curves, virtual dispatch) is paid once for the
-/// whole load rather than once per record. Shared by the table and
-/// sharding layers.
+/// whole load rather than once per record.
 pub(crate) fn keyed_records<const D: usize, C: SpaceFillingCurve<D>, V>(
     curve: &C,
     records: Vec<(Point<D>, V)>,
@@ -190,831 +132,4 @@ pub(crate) fn keyed_records<const D: usize, C: SpaceFillingCurve<D>, V>(
         .collect();
     keyed.sort_by_key(|&(k, _)| k);
     Ok(keyed)
-}
-
-/// A spatial table whose rows are ordered by an SFC, stored in a
-/// [`Backend`] (in-memory B+-tree by default, paged/cached via
-/// [`PagedBackend`]).
-///
-/// Rectangle-query decomposition borrows buffers from a [`ScratchPool`],
-/// so shared references can run queries from many threads at once; writes
-/// (`insert`/`delete`/`update`) take `&mut self` like any Rust collection.
-pub struct SfcTable<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
-    curve: C,
-    backend: B,
-    model: DiskModel,
-    scratch: ScratchPool<D>,
-    // `V` only occurs inside `B` (as `Backend<Record<D, V>>`); the `fn`
-    // wrapper keeps the marker from affecting auto traits or variance.
-    _values: std::marker::PhantomData<fn() -> V>,
-}
-
-impl<const D: usize, C: SpaceFillingCurve<D>, V: Clone> SfcTable<C, V, D> {
-    /// Builds a table over `curve` from a batch of records (bulk load into
-    /// the default in-memory backend).
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe.
-    pub fn build(
-        curve: C,
-        records: Vec<(Point<D>, V)>,
-        model: DiskModel,
-    ) -> Result<Self, SfcError> {
-        let keyed = keyed_records(&curve, records)?;
-        Ok(SfcTable::from_parts(
-            curve,
-            MemoryBackend::bulk_load(keyed),
-            model,
-        ))
-    }
-
-    /// Creates an empty table with the default in-memory backend.
-    pub fn new(curve: C, model: DiskModel) -> Self {
-        SfcTable::from_parts(curve, MemoryBackend::new(), model)
-    }
-}
-
-impl<const D: usize, C: SpaceFillingCurve<D>, V: Clone>
-    SfcTable<C, V, D, PagedBackend<Record<D, V>>>
-{
-    /// Builds a table whose backend runs page accesses through an LRU
-    /// buffer pool of `pool_pages` pages: repeated queries over warm
-    /// regions stop paying transfer costs, and per-query [`IoStats`]
-    /// report the hit/miss split.
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe.
-    pub fn build_paged(
-        curve: C,
-        records: Vec<(Point<D>, V)>,
-        model: DiskModel,
-        pool_pages: usize,
-    ) -> Result<Self, SfcError> {
-        let keyed = keyed_records(&curve, records)?;
-        let backend = PagedBackend::bulk_load(keyed, model, pool_pages);
-        Ok(SfcTable::from_parts(curve, backend, model))
-    }
-
-    /// Creates an empty paged table (see [`Self::build_paged`]).
-    pub fn new_paged(curve: C, model: DiskModel, pool_pages: usize) -> Self {
-        SfcTable::from_parts(curve, PagedBackend::new(model, pool_pages), model)
-    }
-}
-
-impl<const D: usize, C, V> SfcTable<C, V, D, FileBackend<Record<D, V>>>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone,
-    Record<D, V>: WalCodec,
-{
-    /// Builds a genuinely disk-resident table: records are bulk-built into
-    /// an immutable [`SegmentTree`](crate::SegmentTree) file under `dir`
-    /// (fronted by an LRU page cache of `cfg.pool_pages` pages), and later
-    /// writes land in an in-memory overlay until the backend is compacted.
-    /// Query [`IoStats`] report the *measured* `real_reads` / `real_seeks`
-    /// next to the simulated counters.
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe, or segment I/O
-    /// fails.
-    pub fn build_stored(
-        curve: C,
-        records: Vec<(Point<D>, V)>,
-        model: DiskModel,
-        dir: &Path,
-        cfg: StoreConfig,
-    ) -> Result<Self, SfcError> {
-        let keyed = keyed_records(&curve, records)?;
-        let backend = FileBackend::create(dir, "table", cfg, keyed)?;
-        Ok(SfcTable::from_parts(curve, backend, model))
-    }
-
-    /// Creates an empty disk-resident table (see [`Self::build_stored`]).
-    ///
-    /// # Errors
-    /// If the empty base segment cannot be written.
-    pub fn new_stored(
-        curve: C,
-        model: DiskModel,
-        dir: &Path,
-        cfg: StoreConfig,
-    ) -> Result<Self, SfcError> {
-        let backend = FileBackend::create(dir, "table", cfg, Vec::new())?;
-        Ok(SfcTable::from_parts(curve, backend, model))
-    }
-}
-
-impl<const D: usize, C, V, B> SfcTable<C, V, D, B>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone,
-    B: Backend<Record<D, V>>,
-{
-    /// Assembles a table from an already-loaded backend (the generic
-    /// constructor behind [`Self::build`] and custom backends).
-    pub fn from_parts(curve: C, backend: B, model: DiskModel) -> Self {
-        SfcTable {
-            curve,
-            backend,
-            model,
-            scratch: ScratchPool::new(),
-            _values: std::marker::PhantomData,
-        }
-    }
-
-    /// The curve ordering this table.
-    pub fn curve(&self) -> &C {
-        &self.curve
-    }
-
-    /// The disk cost model used for simulated timings.
-    pub fn model(&self) -> &DiskModel {
-        &self.model
-    }
-
-    /// The storage backend (stats, invariant checks).
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Number of stored records.
-    pub fn len(&self) -> usize {
-        self.backend.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.backend.is_empty()
-    }
-
-    /// Inserts a record (index maintenance riding the backend's splits).
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    pub fn insert(&mut self, point: Point<D>, value: V) -> Result<(), SfcError> {
-        let key = self.curve.index_of(point)?;
-        self.backend.insert(key, Record { point, value });
-        Ok(())
-    }
-
-    /// Removes the record at `point`, returning its payload (or `None` if
-    /// the cell is vacant).
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    pub fn delete(&mut self, point: Point<D>) -> Result<Option<V>, SfcError> {
-        let key = self.curve.index_of(point)?;
-        Ok(self.backend.remove(key).map(|rec| rec.value))
-    }
-
-    /// Replaces the payload at `point` in place, returning the previous
-    /// one; inserts (and returns `None`) if the cell is vacant.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    pub fn update(&mut self, point: Point<D>, value: V) -> Result<Option<V>, SfcError> {
-        let key = self.curve.index_of(point)?;
-        if let Some(rec) = self.backend.get_mut(key) {
-            Ok(Some(std::mem::replace(&mut rec.value, value)))
-        } else {
-            self.backend.insert(key, Record { point, value });
-            Ok(None)
-        }
-    }
-
-    /// Point lookup. The returned [`ValueGuard`] pins the record without
-    /// copying it (in-memory backends) or owns the decoded record
-    /// (disk-resident backends); it dereferences to the [`Record`].
-    pub fn get(&self, p: Point<D>) -> Result<Option<ValueGuard<D, V>>, SfcError> {
-        let key = self.curve.index_of(p)?;
-        Ok(self.backend.get_pinned(key)?.map(ValueGuard::new))
-    }
-
-    /// Batch point lookup: keys every probe with one
-    /// [`SpaceFillingCurve::fill_indices`] call (the sanctioned bulk
-    /// kernel), then answers each against the backend.
-    ///
-    /// # Errors
-    /// If any probe lies outside the curve's universe.
-    pub fn get_batch(&self, points: &[Point<D>]) -> Result<Vec<Option<V>>, SfcError> {
-        let universe = self.curve.universe();
-        for &p in points {
-            if !universe.contains(p) {
-                return Err(SfcError::PointOutOfBounds {
-                    point: p.to_string(),
-                    side: universe.side(),
-                });
-            }
-        }
-        let mut keys: Vec<u64> = Vec::with_capacity(points.len());
-        self.curve.fill_indices(points, &mut keys);
-        keys.into_iter()
-            .map(|k| Ok(self.backend.get_pinned(k)?.map(|r| r.value.clone())))
-            .collect()
-    }
-
-    /// Answers a rectangle query. `opts` selects the execution strategy —
-    /// exact cluster ranges (the default: seeks per query = the paper's
-    /// clustering number), gap-coalesced or seek-budgeted scans
-    /// ([`RangeMode`]), or the adaptive planner
-    /// ([`QueryOptions::planned`], which returns its [`QueryPlan`] in
-    /// [`QueryResult::plan`]). Whatever the strategy, the returned rows
-    /// are identical: only the seek/read-amplification trade moves.
-    ///
-    /// # Errors
-    /// If the query does not fit inside the universe.
-    pub fn query_rect(
-        &self,
-        q: &RectQuery<D>,
-        opts: &QueryOptions<'_>,
-    ) -> Result<QueryResult<D, V>, SfcError> {
-        if let Some(planner) = opts.planner {
-            return self.query_planned_inner(q, planner).map(|(mut r, plan)| {
-                r.plan = Some(plan);
-                r
-            });
-        }
-        match opts.mode {
-            RangeMode::Exact => {
-                let mut scratch = self.scratch.checkout();
-                self.query_with_scratch(q, &mut scratch)
-            }
-            RangeMode::Coalesced { max_gap } => {
-                self.query_coalesced_inner(q, |ranges| coalesce_ranges(ranges, max_gap))
-            }
-            RangeMode::Budget { max_ranges } => {
-                self.query_coalesced_inner(q, |ranges| coalesce_to_budget(ranges, max_ranges))
-            }
-        }
-    }
-
-    /// Answers many rectangle queries with one scratch checkout: the
-    /// batched twin of [`Self::query_rect`], amortizing pool traffic the
-    /// way `fill_indices` amortizes per-call curve setup.
-    ///
-    /// # Errors
-    /// If any query does not fit inside the universe.
-    pub fn query_rect_batch(
-        &self,
-        queries: &[RectQuery<D>],
-    ) -> Result<Vec<QueryResult<D, V>>, SfcError> {
-        let mut scratch = self.scratch.checkout();
-        queries
-            .iter()
-            .map(|q| self.query_with_scratch(q, &mut scratch))
-            .collect()
-    }
-
-    fn query_with_scratch(
-        &self,
-        q: &RectQuery<D>,
-        scratch: &mut ClusterScratch<D>,
-    ) -> Result<QueryResult<D, V>, SfcError> {
-        self.check_fits(q)?;
-        let ranges = scratch.ranges_of(&self.curve, q);
-        let mut records = Vec::new();
-        let stats = self.backend.scan_ranges(ranges, &mut |_, rec| {
-            debug_assert!(q.contains(rec.point));
-            records.push(rec.clone());
-        })?;
-        let io = IoStats {
-            seeks: ranges.len() as u64,
-            pages: stats.pages,
-            entries: records.len() as u64,
-            cache_hits: stats.cache_hits,
-            real_reads: stats.real_reads,
-            real_seeks: stats.real_seeks,
-        };
-        Ok(QueryResult {
-            ranges_scanned: ranges.len() as u64,
-            records,
-            io,
-            plan: None,
-        })
-    }
-
-    /// Record density of the table: stored records per curve cell, the
-    /// `density` input of the planner's cost model (how many entries a
-    /// scanned key span is expected to yield).
-    pub fn density(&self) -> f64 {
-        crate::plan::record_density(self.backend.len(), self.curve.universe().cell_count())
-    }
-
-    /// Plans a rectangle query without executing it — the `EXPLAIN` entry
-    /// point. The returned [`QueryPlan`] carries the chosen ranges and the
-    /// cost-model numbers behind them ([`QueryPlan::explain`]).
-    ///
-    /// # Errors
-    /// If the query does not fit inside the universe.
-    pub fn plan_rect(&self, q: &RectQuery<D>, planner: &Planner) -> Result<QueryPlan, SfcError> {
-        self.check_fits(q)?;
-        let mut scratch = self.scratch.checkout();
-        let full = scratch.ranges_of(&self.curve, q);
-        Ok(planner.plan_ranges(full, self.density()))
-    }
-
-    /// The planner path behind [`Self::query_rect`]: plan, scan the
-    /// planned ranges (filtering out absorbed non-query records), feed the
-    /// realized [`IoStats`] back into the planner.
-    fn query_planned_inner(
-        &self,
-        q: &RectQuery<D>,
-        planner: &Planner,
-    ) -> Result<(QueryResult<D, V>, QueryPlan), SfcError> {
-        let plan = self.plan_rect(q, planner)?;
-        let mut records = Vec::new();
-        let mut io = IoStats {
-            seeks: plan.ranges.len() as u64,
-            ..IoStats::default()
-        };
-        let started = std::time::Instant::now();
-        let stats = self
-            .backend
-            .scan_ranges(&plan.ranges, &mut |_, rec: &Record<D, V>| {
-                if q.contains(rec.point) {
-                    records.push(rec.clone());
-                }
-            })?;
-        let wall_us = started.elapsed().as_secs_f64() * 1e6;
-        io.pages = stats.pages;
-        io.cache_hits = stats.cache_hits;
-        io.entries = records.len() as u64;
-        io.real_reads = stats.real_reads;
-        io.real_seeks = stats.real_seeks;
-        planner.observe(&io);
-        if io.real_reads > 0 {
-            planner.observe_latency(io.real_seeks, io.real_reads, wall_us);
-        }
-        Ok((
-            QueryResult {
-                ranges_scanned: plan.ranges.len() as u64,
-                records,
-                io,
-                plan: None,
-            },
-            plan,
-        ))
-    }
-
-    /// The fixed-coalescing path behind [`Self::query_rect`]: `merge`
-    /// shrinks the exact decomposition, the scan filters out records from
-    /// absorbed gap cells, and `io.entries` counts everything touched.
-    fn query_coalesced_inner(
-        &self,
-        q: &RectQuery<D>,
-        merge: impl FnOnce(&[(u64, u64)]) -> Vec<(u64, u64)>,
-    ) -> Result<QueryResult<D, V>, SfcError> {
-        self.check_fits(q)?;
-        let ranges = {
-            let mut scratch = self.scratch.checkout();
-            merge(scratch.ranges_of(&self.curve, q))
-        };
-        let mut records = Vec::new();
-        let mut touched = 0u64;
-        let stats = self.backend.scan_ranges(&ranges, &mut |_, rec| {
-            touched += 1;
-            if q.contains(rec.point) {
-                records.push(rec.clone());
-            }
-        })?;
-        let io = IoStats {
-            seeks: ranges.len() as u64,
-            pages: stats.pages,
-            entries: touched,
-            cache_hits: stats.cache_hits,
-            real_reads: stats.real_reads,
-            real_seeks: stats.real_seeks,
-        };
-        Ok(QueryResult {
-            records,
-            ranges_scanned: ranges.len() as u64,
-            io,
-            plan: None,
-        })
-    }
-
-    /// Answers a rectangle query through the adaptive planner.
-    ///
-    /// # Errors
-    /// If the query does not fit inside the universe.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `query_rect(q, &QueryOptions::planned(planner))`; the plan is in `QueryResult::plan`"
-    )]
-    pub fn query_rect_planned(
-        &self,
-        q: &RectQuery<D>,
-        planner: &Planner,
-    ) -> Result<(QueryResult<D, V>, QueryPlan), SfcError> {
-        self.query_planned_inner(q, planner)
-    }
-
-    /// Answers a rectangle query over a gap-coalesced decomposition.
-    ///
-    /// # Errors
-    /// If the query does not fit inside the universe.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `query_rect(q, &QueryOptions::coalesced(max_gap))`"
-    )]
-    pub fn query_rect_coalesced(
-        &self,
-        q: &RectQuery<D>,
-        max_gap: u64,
-    ) -> Result<QueryResult<D, V>, SfcError> {
-        self.query_coalesced_inner(q, |ranges| coalesce_ranges(ranges, max_gap))
-    }
-
-    /// The `k` records nearest to `center` in Euclidean distance — the
-    /// "multi-dimensional similarity searching" application of §I.
-    ///
-    /// Works by querying expanding Chebyshev windows around `center`
-    /// (radius doubling each round): once at least `k` hits lie within
-    /// Euclidean distance `r` of the center, no record outside the window
-    /// can be closer. Returns `(record, squared distance)` pairs sorted by
-    /// distance (ties broken by curve key order), with fewer than `k`
-    /// entries only if the table is smaller than `k`.
-    ///
-    /// # Errors
-    /// If `center` lies outside the universe.
-    pub fn knn(&self, center: Point<D>, k: usize) -> Result<Vec<(Record<D, V>, u64)>, SfcError> {
-        let side = self.curve.universe().side();
-        if !self.curve.universe().contains(center) {
-            return Err(SfcError::PointOutOfBounds {
-                point: center.to_string(),
-                side,
-            });
-        }
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let dist2 = |p: Point<D>| -> u64 {
-            (0..D)
-                .map(|d| {
-                    let delta = u64::from(p.0[d].abs_diff(center.0[d]));
-                    delta * delta
-                })
-                .sum()
-        };
-        let mut radius = 1u32;
-        loop {
-            let lo: [u32; D] = std::array::from_fn(|d| center.0[d].saturating_sub(radius));
-            let len: [u32; D] =
-                std::array::from_fn(|d| (center.0[d] + radius).min(side - 1) - lo[d] + 1);
-            let window = RectQuery::new(lo, len).expect("window is non-degenerate");
-            let res = self.query_rect(&window, &QueryOptions::default())?;
-            let mut hits: Vec<(Record<D, V>, u64)> = res
-                .records
-                .into_iter()
-                .map(|r| {
-                    let d2 = dist2(r.point);
-                    (r, d2)
-                })
-                .collect();
-            hits.sort_by_key(|&(_, d2)| d2);
-            let safe = u64::from(radius) * u64::from(radius);
-            let certain = hits.iter().take(k).filter(|&&(_, d2)| d2 <= safe).count();
-            let window_is_whole_universe = len.iter().all(|&l| l == side);
-            if certain >= k || window_is_whole_universe {
-                hits.truncate(k);
-                return Ok(hits);
-            }
-            radius = radius.saturating_mul(2);
-        }
-    }
-
-    fn check_fits(&self, q: &RectQuery<D>) -> Result<(), SfcError> {
-        let side = self.curve.universe().side();
-        if !q.fits_in(side) {
-            return Err(SfcError::PointOutOfBounds {
-                point: Point::new(q.hi()).to_string(),
-                side,
-            });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use onion_core::Onion2D;
-
-    fn table() -> SfcTable<Onion2D, u32, 2> {
-        let curve = Onion2D::new(16).unwrap();
-        let mut records = Vec::new();
-        for x in 0..16u32 {
-            for y in 0..16u32 {
-                records.push((Point::new([x, y]), x * 100 + y));
-            }
-        }
-        SfcTable::build(curve, records, DiskModel::hdd()).unwrap()
-    }
-
-    #[test]
-    fn build_and_point_lookup() {
-        let t = table();
-        assert_eq!(t.len(), 256);
-        assert_eq!(
-            t.get(Point::new([3, 7])).unwrap().map(|g| g.value),
-            Some(307)
-        );
-        assert_eq!(
-            t.get(Point::new([20, 0])).err(),
-            Some(SfcError::PointOutOfBounds {
-                point: "(20, 0)".into(),
-                side: 16
-            })
-        );
-    }
-
-    #[test]
-    fn rect_query_returns_exactly_the_rect() {
-        let t = table();
-        let q = RectQuery::new([2, 3], [5, 4]).unwrap();
-        let res = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        assert_eq!(res.records.len() as u64, q.volume());
-        assert!(res.records.iter().all(|r| q.contains(r.point)));
-        // Seeks equal the clustering number of the query.
-        let expected = sfc_clustering::clustering_number(t.curve(), &q);
-        assert_eq!(res.ranges_scanned, expected);
-        assert_eq!(res.io.seeks, expected);
-        assert_eq!(res.io.entries, q.volume());
-        assert!(res.io.pages >= expected, "each range touches >= 1 page");
-        assert_eq!(res.io.cache_hits, 0, "memory backend has no pool");
-    }
-
-    #[test]
-    fn incremental_inserts_match_bulk_build() {
-        let curve = Onion2D::new(16).unwrap();
-        let mut incremental: SfcTable<Onion2D, u32, 2> = SfcTable::new(curve, DiskModel::ssd());
-        for x in (0..16u32).rev() {
-            for y in 0..16u32 {
-                incremental.insert(Point::new([x, y]), x * 100 + y).unwrap();
-            }
-        }
-        let bulk = table();
-        let q = RectQuery::new([4, 4], [7, 9]).unwrap();
-        let mut a: Vec<u32> = incremental
-            .query_rect(&q, &QueryOptions::default())
-            .unwrap()
-            .records
-            .iter()
-            .map(|r| r.value)
-            .collect();
-        let mut b: Vec<u32> = bulk
-            .query_rect(&q, &QueryOptions::default())
-            .unwrap()
-            .records
-            .iter()
-            .map(|r| r.value)
-            .collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(incremental.len(), 256);
-    }
-
-    #[test]
-    fn insert_rejects_out_of_bounds() {
-        let curve = Onion2D::new(8).unwrap();
-        let mut t: SfcTable<Onion2D, u32, 2> = SfcTable::new(curve, DiskModel::hdd());
-        assert!(t.insert(Point::new([8, 0]), 1).is_err());
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn delete_and_update_round_trip() {
-        let mut t = table();
-        let p = Point::new([5, 5]);
-        assert_eq!(t.update(p, 9999).unwrap(), Some(505), "update returns old");
-        assert_eq!(t.get(p).unwrap().map(|g| g.value), Some(9999));
-        assert_eq!(t.delete(p).unwrap(), Some(9999));
-        assert!(t.get(p).unwrap().is_none());
-        assert_eq!(t.delete(p).unwrap(), None, "second delete is a no-op");
-        assert_eq!(t.len(), 255);
-        // Update on a vacant cell inserts.
-        assert_eq!(t.update(p, 42).unwrap(), None);
-        assert_eq!(t.get(p).unwrap().map(|g| g.value), Some(42));
-        assert_eq!(t.len(), 256);
-        // Deleted records no longer appear in rectangle queries.
-        let q = RectQuery::new([5, 5], [1, 1]).unwrap();
-        t.delete(p).unwrap();
-        assert!(t
-            .query_rect(&q, &QueryOptions::default())
-            .unwrap()
-            .records
-            .is_empty());
-        // Out-of-bounds writes are rejected.
-        assert!(t.delete(Point::new([99, 0])).is_err());
-        assert!(t.update(Point::new([99, 0]), 0).is_err());
-    }
-
-    #[test]
-    fn sparse_table_returns_subset() {
-        let curve = Onion2D::new(16).unwrap();
-        let records = vec![
-            (Point::new([0, 0]), 1u32),
-            (Point::new([5, 5]), 2),
-            (Point::new([15, 15]), 3),
-            (Point::new([5, 6]), 4),
-        ];
-        let t = SfcTable::build(curve, records, DiskModel::ssd()).unwrap();
-        let q = RectQuery::new([4, 4], [4, 4]).unwrap();
-        let res = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        let mut vals: Vec<u32> = res.records.iter().map(|r| r.value).collect();
-        vals.sort();
-        assert_eq!(vals, vec![2, 4]);
-    }
-
-    #[test]
-    fn rejects_out_of_bounds_build() {
-        let curve = Onion2D::new(8).unwrap();
-        let res = SfcTable::build(curve, vec![(Point::new([8, 0]), 0u32)], DiskModel::hdd());
-        assert!(res.is_err());
-    }
-
-    #[test]
-    fn full_universe_query_is_one_seek() {
-        let t = table();
-        let q = RectQuery::new([0, 0], [16, 16]).unwrap();
-        let res = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        assert_eq!(res.ranges_scanned, 1);
-        assert_eq!(res.io.seeks, 1);
-        assert_eq!(res.records.len(), 256);
-    }
-
-    #[test]
-    fn simulated_time_uses_model() {
-        let t = table();
-        let q = RectQuery::new([1, 1], [6, 6]).unwrap();
-        let res = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        let time = res.io.time_us(t.model());
-        assert!(time > 0.0);
-    }
-
-    #[test]
-    fn batch_queries_match_individual_queries() {
-        let t = table();
-        let queries = [
-            RectQuery::new([2, 3], [5, 4]).unwrap(),
-            RectQuery::new([0, 0], [16, 16]).unwrap(),
-            RectQuery::new([7, 7], [2, 2]).unwrap(),
-        ];
-        let batch = t.query_rect_batch(&queries).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (q, res) in queries.iter().zip(&batch) {
-            let single = t.query_rect(q, &QueryOptions::default()).unwrap();
-            assert_eq!(res.records, single.records, "{q:?}");
-            assert_eq!(res.io, single.io, "{q:?}");
-        }
-        // A bad query anywhere in the batch fails the whole batch.
-        let bad = [RectQuery::new([10, 10], [10, 10]).unwrap()];
-        assert!(t.query_rect_batch(&bad).is_err());
-    }
-
-    #[test]
-    fn get_batch_matches_get() {
-        let t = table();
-        let probes = [Point::new([3, 7]), Point::new([0, 0]), Point::new([15, 15])];
-        let got = t.get_batch(&probes).unwrap();
-        assert_eq!(got, vec![Some(307), Some(0), Some(1515)]);
-        assert!(t.get_batch(&[Point::new([16, 0])]).is_err());
-        // Vacant cells come back as None.
-        let sparse: SfcTable<Onion2D, u32, 2> =
-            SfcTable::new(Onion2D::new(16).unwrap(), DiskModel::ssd());
-        assert_eq!(sparse.get_batch(&probes).unwrap(), vec![None, None, None]);
-    }
-
-    #[test]
-    fn paged_table_reports_cache_hits() {
-        let curve = Onion2D::new(16).unwrap();
-        let mut records = Vec::new();
-        for x in 0..16u32 {
-            for y in 0..16u32 {
-                records.push((Point::new([x, y]), x * 100 + y));
-            }
-        }
-        let model = DiskModel {
-            page_size: 16,
-            seek_us: 8_000.0,
-            transfer_us: 100.0,
-        };
-        let t = SfcTable::build_paged(curve, records, model, 64).unwrap();
-        let q = RectQuery::new([2, 2], [8, 8]).unwrap();
-        let cold = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        assert!(cold.io.pages > 0, "cold pool transfers pages");
-        let warm = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        assert_eq!(warm.records, cold.records);
-        assert_eq!(warm.io.pages, 0, "warm pool absorbs every page");
-        assert_eq!(warm.io.cache_hits, cold.io.pages + cold.io.cache_hits);
-        // Warm queries cost only seeks under the model.
-        assert!(warm.io.time_us(t.model()) < cold.io.time_us(t.model()));
-    }
-
-    #[test]
-    fn coalesced_query_returns_same_records_with_fewer_seeks() {
-        let t = table();
-        let q = RectQuery::new([2, 2], [10, 5]).unwrap();
-        let exact = t.query_rect(&q, &QueryOptions::default()).unwrap();
-        let merged = t.query_rect(&q, &QueryOptions::coalesced(16)).unwrap();
-        let key = |r: &Record<2, u32>| (r.point, r.value);
-        let mut a: Vec<_> = exact.records.iter().map(key).collect();
-        let mut b: Vec<_> = merged.records.iter().map(key).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "coalescing must not change the result set");
-        assert!(merged.io.seeks <= exact.io.seeks);
-        assert!(merged.io.entries >= exact.io.entries, "read amplification");
-        // An unbounded gap merges everything into one seek.
-        let one = t
-            .query_rect(&q, &QueryOptions::coalesced(u64::MAX))
-            .unwrap();
-        assert_eq!(one.io.seeks, 1);
-    }
-
-    #[test]
-    fn planned_table_query_matches_exact_query() {
-        let curve = Onion2D::new(16).unwrap();
-        let mut records = Vec::new();
-        for x in 0..16u32 {
-            for y in 0..16u32 {
-                records.push((Point::new([x, y]), x * 100 + y));
-            }
-        }
-        let model = DiskModel {
-            page_size: 16,
-            seek_us: 8_000.0,
-            transfer_us: 100.0,
-        };
-        let t = SfcTable::build_paged(curve, records, model, 64).unwrap();
-        assert!((t.density() - 1.0).abs() < 1e-9, "dense table");
-        let planner = crate::Planner::new(model);
-        for (lo, len) in [
-            ([2u32, 3u32], [5u32, 4u32]),
-            ([0, 0], [16, 16]),
-            ([9, 1], [3, 12]),
-        ] {
-            let q = RectQuery::new(lo, len).unwrap();
-            let exact = t.query_rect(&q, &QueryOptions::default()).unwrap();
-            let planned = t.query_rect(&q, &QueryOptions::planned(&planner)).unwrap();
-            let plan = planned
-                .plan
-                .clone()
-                .expect("planned query carries its plan");
-            assert_eq!(planned.records, exact.records, "{}", plan.explain());
-            assert_eq!(planned.io.seeks, plan.ranges.len() as u64);
-            assert_eq!(planned.io.entries, exact.io.entries);
-        }
-        assert!(planner.observed() == 3);
-        assert!(t
-            .plan_rect(&RectQuery::new([10, 10], [10, 10]).unwrap(), &planner)
-            .is_err());
-    }
-
-    #[test]
-    fn knn_matches_bruteforce() {
-        let t = table();
-        for center in [Point::new([0, 0]), Point::new([8, 8]), Point::new([15, 3])] {
-            for k in [1usize, 4, 10] {
-                let got = t.knn(center, k).unwrap();
-                assert_eq!(got.len(), k);
-                // Brute force distances over the dense grid.
-                let mut all: Vec<u64> = (0..16u32)
-                    .flat_map(|x| (0..16u32).map(move |y| (x, y)))
-                    .map(|(x, y)| {
-                        let dx = u64::from(x.abs_diff(center.0[0]));
-                        let dy = u64::from(y.abs_diff(center.0[1]));
-                        dx * dx + dy * dy
-                    })
-                    .collect();
-                all.sort_unstable();
-                let expect: Vec<u64> = all.into_iter().take(k).collect();
-                let got_d: Vec<u64> = got.iter().map(|&(_, d2)| d2).collect();
-                assert_eq!(got_d, expect, "center {center} k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn knn_on_sparse_table() {
-        let curve = Onion2D::new(64).unwrap();
-        let records = vec![
-            (Point::new([1, 1]), 0u32),
-            (Point::new([60, 60]), 1),
-            (Point::new([10, 12]), 2),
-            (Point::new([11, 12]), 3),
-        ];
-        let t = SfcTable::build(curve, records, DiskModel::ssd()).unwrap();
-        let got = t.knn(Point::new([10, 10]), 2).unwrap();
-        let vals: Vec<u32> = got.iter().map(|(r, _)| r.value).collect();
-        assert_eq!(vals, vec![2, 3]);
-        // Asking for more neighbors than records returns all of them.
-        let all = t.knn(Point::new([10, 10]), 99).unwrap();
-        assert_eq!(all.len(), 4);
-        // k = 0 is a no-op.
-        assert!(t.knn(Point::new([1, 1]), 0).unwrap().is_empty());
-        // Out-of-bounds centers are rejected.
-        assert!(t.knn(Point::new([64, 0]), 1).is_err());
-    }
 }

@@ -1,12 +1,17 @@
 //! Engine-level properties of the layered storage engine:
 //!
-//! * the table and sharding layers are `Send + Sync` (checked at compile
-//!   time) and actually serve concurrent readers;
+//! * the table types are `Send + Sync` (checked at compile time) and
+//!   actually serve concurrent readers;
 //! * insert/delete sequences preserve every B+-tree structural invariant
 //!   and agree with a naive sorted-multiset model;
-//! * sharded queries return exactly the single-table results for **every**
-//!   registry curve, across shard counts, backends, and write traffic.
+//! * tables answer exactly like an independent model (`model/mod.rs`: a
+//!   `Vec` of rows filtered and ordered by the curve) for **every**
+//!   registry curve, across shard counts, backends, single-record writes
+//!   and batched epoch writes.
 
+mod model;
+
+use model::Model;
 use onion_core::Point;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,19 +19,20 @@ use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, CURVE_NAMES};
 use sfc_clustering::{RectQuery, ScratchPool};
 use sfc_index::{
-    BPlusTree, BatchOp, DiskModel, MemoryBackend, PagedBackend, QueryOptions, Record, SfcTable,
-    ShardedTable,
+    BPlusTree, BatchOp, DiskModel, MemoryBackend, PagedBackend, QueryOptions, Record, ShardedTable,
 };
 use sfc_workloads::zipf_points;
 
+/// A query result's rows as `(point, value)` pairs, the model's shape.
+fn pairs<V: Clone>(records: &[Record<2, V>]) -> Vec<(Point<2>, V)> {
+    records.iter().map(|r| (r.point, r.value.clone())).collect()
+}
+
 /// Compile-time `Send + Sync` assertions: the engine's whole read path must
-/// be shareable across threads. (This is the satellite guarantee that the
-/// old `RefCell`-scratch table could not provide.)
+/// be shareable across threads.
 #[test]
 fn engine_types_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SfcTable<onion_core::Onion2D, u64, 2>>();
-    assert_send_sync::<SfcTable<onion_core::Onion2D, u64, 2, PagedBackend<Record<2, u64>>>>();
     assert_send_sync::<ShardedTable<onion_core::Onion2D, u64, 2>>();
     assert_send_sync::<ShardedTable<onion_core::Onion2D, u64, 2, PagedBackend<Record<2, u64>>>>();
     assert_send_sync::<MemoryBackend<u64>>();
@@ -35,62 +41,50 @@ fn engine_types_are_send_and_sync() {
     assert_send_sync::<ScratchPool<2>>();
     // Registry curves are handed out thread-safe, so dyn-curve tables are
     // shareable too.
-    assert_send_sync::<SfcTable<sfc_baselines::DynCurve<2>, u64, 2>>();
     assert_send_sync::<ShardedTable<sfc_baselines::DynCurve<2>, u64, 2>>();
 }
 
 /// Concurrent readers on one shared table: every thread sees the full,
-/// correct result set.
+/// correct result set, at one shard and at several.
 #[test]
 fn concurrent_queries_on_shared_table() {
     let side = 32u32;
+    let curve = onion_core::Onion2D::new(side).unwrap();
     let mut records = Vec::new();
     for x in 0..side {
         for y in 0..side {
             records.push((Point::new([x, y]), x * 1000 + y));
         }
     }
-    let table = SfcTable::build(
-        onion_core::Onion2D::new(side).unwrap(),
-        records,
-        DiskModel::ssd(),
-    )
-    .unwrap();
+    let model = Model::new(records.clone());
     let queries = [
         RectQuery::new([0, 0], [32, 32]).unwrap(),
         RectQuery::new([3, 5], [9, 11]).unwrap(),
         RectQuery::new([20, 0], [12, 32]).unwrap(),
         RectQuery::new([31, 31], [1, 1]).unwrap(),
     ];
-    let expected: Vec<Vec<Record<2, u32>>> = queries
-        .iter()
-        .map(|q| {
-            table
-                .query_rect(q, &QueryOptions::default())
-                .unwrap()
-                .records
-        })
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
-                for (q, expect) in queries.iter().zip(&expected) {
-                    let got = table
-                        .query_rect(q, &QueryOptions::default())
-                        .unwrap()
-                        .records;
-                    assert_eq!(&got, expect);
-                }
-            });
-        }
-    });
+    let expected: Vec<Vec<(Point<2>, u32)>> =
+        queries.iter().map(|q| model.query(&curve, q)).collect();
+    for shards in [1usize, 3] {
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::ssd(), shards).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for (q, expect) in queries.iter().zip(&expected) {
+                        let got = table.query_rect(q, &QueryOptions::default()).unwrap();
+                        assert_eq!(&pairs(&got.records), expect, "shards={shards} {q:?}");
+                    }
+                });
+            }
+        });
+    }
 }
 
-/// Paged sharded tables return the same rows as a plain single table for
-/// every registry curve — the backend changes the cost model, the shards
-/// change the execution, neither may change the answers.
+/// Paged sharded tables return the model's rows for every registry curve,
+/// cold and warm — the backend changes the cost model, the shards change
+/// the execution, neither may change the answers.
 #[test]
-fn paged_sharded_equals_single_for_every_registry_curve() {
+fn paged_sharded_matches_model_for_every_registry_curve() {
     let side = 16u32;
     let mut rng = StdRng::seed_from_u64(7);
     let records: Vec<(Point<2>, u64)> = zipf_points::<2, _>(side, 400, 0.8, &mut rng)
@@ -99,7 +93,8 @@ fn paged_sharded_equals_single_for_every_registry_curve() {
         .enumerate()
         .map(|(i, p)| (p, i as u64))
         .collect();
-    let model = DiskModel {
+    let model = Model::new(records.clone());
+    let disk = DiskModel {
         page_size: 16,
         seek_us: 8_000.0,
         transfer_us: 100.0,
@@ -110,16 +105,12 @@ fn paged_sharded_equals_single_for_every_registry_curve() {
         RectQuery::new([0, 14], [16, 2]).unwrap(),
     ];
     for name in CURVE_NAMES {
-        let single =
-            SfcTable::build(curve_2d(name, side).unwrap(), records.clone(), model).unwrap();
+        let curve = curve_2d(name, side).unwrap();
         let paged_sharded =
-            ShardedTable::build_paged(curve_2d(name, side).unwrap(), records.clone(), model, 4, 32)
+            ShardedTable::build_paged(curve_2d(name, side).unwrap(), records.clone(), disk, 4, 32)
                 .unwrap();
         for q in &queries {
-            let expect = single
-                .query_rect(q, &QueryOptions::default())
-                .unwrap()
-                .records;
+            let expect = model.query(&curve, q);
             // Cold and warm pools must both return the exact rows.
             let cold = paged_sharded
                 .query_rect(q, &QueryOptions::default())
@@ -127,8 +118,8 @@ fn paged_sharded_equals_single_for_every_registry_curve() {
             let warm = paged_sharded
                 .query_rect(q, &QueryOptions::default())
                 .unwrap();
-            assert_eq!(cold.records, expect, "{name} cold {q:?}");
-            assert_eq!(warm.records, expect, "{name} warm {q:?}");
+            assert_eq!(pairs(&cold.records), expect, "{name} cold {q:?}");
+            assert_eq!(pairs(&warm.records), expect, "{name} warm {q:?}");
             assert!(
                 warm.io.cache_hits >= cold.io.cache_hits,
                 "{name} warm run hits the pools at least as often {q:?}"
@@ -167,14 +158,13 @@ proptest! {
         prop_assert_eq!(got, model);
     }
 
-    /// For every registry curve: a sharded table answers rectangle queries
-    /// exactly like the unsharded table, before and after write traffic,
-    /// across shard counts — including on Zipf-skewed data where shards are
-    /// badly imbalanced.
+    /// For every registry curve: a table answers rectangle queries
+    /// exactly like the model, single and batched, across shard counts —
+    /// including on Zipf-skewed data where shards are badly imbalanced.
     #[test]
-    fn sharded_equals_single_for_every_registry_curve(
+    fn sharded_matches_model_for_every_registry_curve(
         seed in any::<u64>(),
-        shards in 2usize..7,
+        shards in 1usize..7,
     ) {
         let side = 16u32; // power of two: every registry curve accepts it
         let mut rng = StdRng::seed_from_u64(seed);
@@ -184,13 +174,9 @@ proptest! {
             .enumerate()
             .map(|(i, p)| (p, i as u64))
             .collect();
+        let model = Model::new(records.clone());
         for name in CURVE_NAMES {
-            let single = SfcTable::build(
-                curve_2d(name, side).unwrap(),
-                records.clone(),
-                DiskModel::hdd(),
-            )
-            .unwrap();
+            let curve = curve_2d(name, side).unwrap();
             let sharded = ShardedTable::build(
                 curve_2d(name, side).unwrap(),
                 records.clone(),
@@ -198,7 +184,7 @@ proptest! {
                 shards,
             )
             .unwrap();
-            prop_assert_eq!(sharded.len(), single.len());
+            prop_assert_eq!(sharded.len(), model.len());
             let queries = [
                 RectQuery::new([0, 0], [side, side]).unwrap(),
                 RectQuery::from_corners(
@@ -207,36 +193,33 @@ proptest! {
                 ),
                 RectQuery::new([0, 0], [1, 1]).unwrap(),
             ];
-            for q in &queries {
-                let a = single.query_rect(q, &QueryOptions::default()).unwrap();
-                let b = sharded.query_rect(q, &QueryOptions::default()).unwrap();
+            let batch = sharded.query_rect_batch(&queries).unwrap();
+            for (q, batched) in queries.iter().zip(&batch) {
+                let expect = model.query(&curve, q);
+                let res = sharded.query_rect(q, &QueryOptions::default()).unwrap();
                 prop_assert_eq!(
-                    &a.records, &b.records,
+                    &pairs(&res.records), &expect,
                     "{} shards={} {:?}", name, shards, q
                 );
-                prop_assert_eq!(a.io.entries, b.io.entries);
-            }
-            let batch = sharded.query_rect_batch(&queries).unwrap();
-            for (q, res) in queries.iter().zip(&batch) {
+                prop_assert_eq!(res.io.entries, expect.len() as u64);
                 prop_assert_eq!(
-                    &res.records,
-                    &single.query_rect(q, &QueryOptions::default()).unwrap().records,
+                    &pairs(&batched.records), &expect,
                     "batch {} {:?}", name, q
                 );
             }
         }
     }
 
-    /// Write traffic routes identically through both layers for every
-    /// registry curve: after the same inserts/deletes/updates, sharded and
-    /// single tables stay equal.
+    /// Single-record writes follow the model for every registry curve:
+    /// the same inserts/deletes/updates return the same displaced values
+    /// and leave the same rows and point reads, at any shard count.
     #[test]
-    fn writes_keep_sharded_and_single_in_sync(seed in any::<u64>(), shards in 2usize..6) {
+    fn writes_match_model_for_every_registry_curve(seed in any::<u64>(), shards in 1usize..6) {
         let side = 16u32;
         for name in CURVE_NAMES {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut single: SfcTable<_, u64, 2> =
-                SfcTable::new(curve_2d(name, side).unwrap(), DiskModel::ssd());
+            let curve = curve_2d(name, side).unwrap();
+            let mut model: Model<2, u64> = Model::new(Vec::new());
             let mut sharded: ShardedTable<_, u64, 2> = ShardedTable::build(
                 curve_2d(name, side).unwrap(),
                 Vec::new(),
@@ -249,37 +232,39 @@ proptest! {
                 match rng.random_range(0..4u32) {
                     0 => {
                         prop_assert_eq!(
-                            single.delete(p).unwrap(),
                             sharded.delete(p).unwrap(),
+                            model.delete(p),
                             "{} delete", name
                         );
                     }
                     1 => {
                         prop_assert_eq!(
-                            single.update(p, step).unwrap(),
                             sharded.update(p, step).unwrap(),
+                            model.update(p, step),
                             "{} update", name
                         );
                     }
                     _ => {
-                        single.insert(p, step).unwrap();
                         sharded.insert(p, step).unwrap();
+                        model.insert(p, step);
                     }
                 }
+                prop_assert_eq!(sharded.get(p).unwrap().map(|g| g.cloned()), model.get(p));
             }
-            prop_assert_eq!(single.len(), sharded.len());
+            prop_assert_eq!(sharded.len(), model.len());
             let q = RectQuery::new([0, 0], [side, side]).unwrap();
             prop_assert_eq!(
-                single.query_rect(&q, &QueryOptions::default()).unwrap().records,
-                sharded.query_rect(&q, &QueryOptions::default()).unwrap().records,
+                pairs(&sharded.query_rect(&q, &QueryOptions::default()).unwrap().records),
+                model.query(&curve, &q),
                 "{}", name
             );
         }
     }
 
     /// The paged backend changes the cost accounting, never the answers:
-    /// query results match the memory backend's, and replaying a workload
-    /// converts transfers into cache hits without touching results.
+    /// query results match the memory backend's and the model's, and
+    /// replaying a workload converts transfers into cache hits without
+    /// touching results.
     #[test]
     fn paged_backend_answers_match_memory_backend(seed in any::<u64>()) {
         let side = 32u32;
@@ -290,17 +275,16 @@ proptest! {
             .enumerate()
             .map(|(i, p)| (p, i as u64))
             .collect();
-        let model = DiskModel { page_size: 32, seek_us: 8_000.0, transfer_us: 100.0 };
-        let mem = SfcTable::build(
-            curve_2d("onion", side).unwrap(),
-            records.clone(),
-            model,
-        )
-        .unwrap();
-        let paged = SfcTable::build_paged(
+        let model = Model::new(records.clone());
+        let curve = curve_2d("onion", side).unwrap();
+        let disk = DiskModel { page_size: 32, seek_us: 8_000.0, transfer_us: 100.0 };
+        let mem = ShardedTable::build(curve_2d("onion", side).unwrap(), records.clone(), disk, 1)
+            .unwrap();
+        let paged = ShardedTable::build_paged(
             curve_2d("onion", side).unwrap(),
             records,
-            model,
+            disk,
+            1,
             128,
         )
         .unwrap();
@@ -312,6 +296,7 @@ proptest! {
             let a = mem.query_rect(&q, &QueryOptions::default()).unwrap();
             let cold = paged.query_rect(&q, &QueryOptions::default()).unwrap();
             let warm = paged.query_rect(&q, &QueryOptions::default()).unwrap();
+            prop_assert_eq!(pairs(&a.records), model.query(&curve, &q), "{:?}", q);
             prop_assert_eq!(&a.records, &cold.records, "{:?}", q);
             prop_assert_eq!(&a.records, &warm.records, "{:?}", q);
             prop_assert_eq!(a.io.seeks, cold.io.seeks);
@@ -324,16 +309,15 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// The parallel epoch apply is observationally identical to the
-    /// serial reference: for every registry curve and 1/2/5 shards, a
-    /// batch large enough to cross `apply_batch`'s thread threshold
-    /// returns the same displaced payloads (in submission order) and
-    /// lands both tables on the same record count and full-scan state as
-    /// [`ShardedTable::apply_batch_serial`] — including adversarial
-    /// same-point op chains, whose submission order parallelism must
-    /// never reorder.
+    /// Batched epoch writes follow the model: for every registry curve and
+    /// 1/2/5 shards, a batch large enough to cross `apply_batch`'s thread
+    /// threshold (on a multi-core host) returns the displaced payloads the
+    /// model's in-order writes return (in submission order) and lands on
+    /// the model's record count and full-scan rows — including
+    /// adversarial same-point op chains, whose submission order
+    /// parallelism must never reorder.
     #[test]
-    fn parallel_apply_matches_serial_for_every_curve(seed in any::<u64>()) {
+    fn parallel_apply_matches_model_for_every_curve(seed in any::<u64>()) {
         let side = 16u32;
         let mut rng = StdRng::seed_from_u64(seed);
         // Well above the 1024-op parallel threshold, with heavy same-point
@@ -351,36 +335,41 @@ proptest! {
                 }
             })
             .collect();
+        let mut model: Model<2, u64> = Model::new(Vec::new());
+        let expected: Vec<Option<u64>> = ops
+            .iter()
+            .map(|op| match *op {
+                BatchOp::Insert(p, v) => {
+                    model.insert(p, v);
+                    None
+                }
+                BatchOp::Update(p, v) => model.update(p, v),
+                BatchOp::Delete(p) => model.delete(p),
+            })
+            .collect();
+        let q = RectQuery::new([0, 0], [side, side]).unwrap();
         for name in CURVE_NAMES {
+            let curve = curve_2d(name, side).unwrap();
             for shards in [1usize, 2, 5] {
-                let parallel: ShardedTable<_, u64, 2> = ShardedTable::build(
+                let table: ShardedTable<_, u64, 2> = ShardedTable::build(
                     curve_2d(name, side).unwrap(),
                     Vec::new(),
                     DiskModel::ssd(),
                     shards,
                 )
                 .unwrap();
-                let serial: ShardedTable<_, u64, 2> = ShardedTable::build(
-                    curve_2d(name, side).unwrap(),
-                    Vec::new(),
-                    DiskModel::ssd(),
-                    shards,
-                )
-                .unwrap();
-                let par_results = parallel.apply_batch_parallel(ops.clone()).unwrap();
-                let ser_results = serial.apply_batch_serial(ops.clone()).unwrap();
+                let results = table.apply_batch(ops.clone()).unwrap();
                 prop_assert_eq!(
-                    &par_results,
-                    &ser_results,
+                    &results,
+                    &expected,
                     "{} at {} shards: displaced payloads",
                     name,
                     shards
                 );
-                prop_assert_eq!(parallel.len(), serial.len(), "{} record count", name);
-                let q = RectQuery::new([0, 0], [side, side]).unwrap();
+                prop_assert_eq!(table.len(), model.len(), "{} record count", name);
                 prop_assert_eq!(
-                    parallel.query_rect(&q, &QueryOptions::default()).unwrap().records,
-                    serial.query_rect(&q, &QueryOptions::default()).unwrap().records,
+                    pairs(&table.query_rect(&q, &QueryOptions::default()).unwrap().records),
+                    model.query(&curve, &q),
                     "{} at {} shards: full-scan state",
                     name,
                     shards

@@ -1,16 +1,20 @@
 //! Backend-equivalence suite for the disk-resident [`FileBackend`]: for
 //! every registry curve and several shard counts, a file-backed sharded
-//! table must return byte-identical query results to the in-memory and
-//! paged backends — the storage medium may never change an answer. Also
-//! covers snapshot restore into a *different* shard count and a mutation
-//! stream exercising the segment-overlay write path.
+//! table must return the rows of an independent model (`model/mod.rs`)
+//! and of the in-memory backend — the storage medium may never change an
+//! answer. Also covers batched queries' measured I/O, snapshot restore
+//! into a *different* shard count, and a mutation stream exercising the
+//! segment-overlay write path.
 
+mod model;
+
+use model::Model;
 use onion_core::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, CURVE_NAMES};
 use sfc_clustering::RectQuery;
-use sfc_index::{BatchOp, DiskModel, QueryOptions, Record, SfcTable, ShardedTable, StoreConfig};
+use sfc_index::{BatchOp, DiskModel, QueryOptions, Record, ShardedTable, StoreConfig};
 use sfc_workloads::zipf_points;
 use std::path::PathBuf;
 
@@ -57,17 +61,22 @@ fn queries(side: u32) -> Vec<RectQuery<2>> {
     ]
 }
 
+/// A query result's rows as `(point, value)` pairs, the model's shape.
+fn pairs(records: &[Record<2, u64>]) -> Vec<(Point<2>, u64)> {
+    records.iter().map(|r| (r.point, r.value)).collect()
+}
+
 /// The core equivalence matrix: every registry curve × 1/2/5 shards,
-/// memory vs paged vs file-backed, identical records for every query.
+/// model vs memory vs file-backed, identical records for every query.
 #[test]
 fn file_backend_matches_memory_for_every_registry_curve_and_shard_count() {
     let dir = test_dir("stored-equivalence");
     let side = 16u32;
     let records = dataset(11, side, 320);
+    let reference = Model::new(records.clone());
     let qs = queries(side);
     for name in CURVE_NAMES {
-        let single =
-            SfcTable::build(curve_2d(name, side).unwrap(), records.clone(), model()).unwrap();
+        let curve = curve_2d(name, side).unwrap();
         for shards in [1usize, 2, 5] {
             let mem = ShardedTable::build(
                 curve_2d(name, side).unwrap(),
@@ -87,16 +96,25 @@ fn file_backend_matches_memory_for_every_registry_curve_and_shard_count() {
             .unwrap();
             assert_eq!(stored.len(), records.len());
             for q in &qs {
-                let expect = single
-                    .query_rect(q, &QueryOptions::default())
-                    .unwrap()
-                    .records;
-                let from_mem = mem.query_rect(q, &QueryOptions::default()).unwrap().records;
+                let expect = reference.query(&curve, q);
+                let from_mem = mem.query_rect(q, &QueryOptions::default()).unwrap();
                 let cold = stored.query_rect(q, &QueryOptions::default()).unwrap();
                 let warm = stored.query_rect(q, &QueryOptions::default()).unwrap();
-                assert_eq!(from_mem, expect, "{name}/{shards} memory {q:?}");
-                assert_eq!(cold.records, expect, "{name}/{shards} stored cold {q:?}");
-                assert_eq!(warm.records, expect, "{name}/{shards} stored warm {q:?}");
+                assert_eq!(
+                    pairs(&from_mem.records),
+                    expect,
+                    "{name}/{shards} memory {q:?}"
+                );
+                assert_eq!(
+                    pairs(&cold.records),
+                    expect,
+                    "{name}/{shards} stored cold {q:?}"
+                );
+                assert_eq!(
+                    pairs(&warm.records),
+                    expect,
+                    "{name}/{shards} stored warm {q:?}"
+                );
             }
             // The file backend reports *real* I/O; simulated backends
             // must report none.
@@ -111,6 +129,54 @@ fn file_backend_matches_memory_for_every_registry_curve_and_shard_count() {
                 simulated.real_reads, 0,
                 "{name}/{shards} memory is simulated"
             );
+        }
+    }
+}
+
+/// Batched queries on a file-backed table report the same measured I/O
+/// as one-at-a-time queries: on a tight store every query of the batch
+/// really reads pages, and each result's stats (merged and per shard)
+/// equal those of the same query, issued in the same order, against an
+/// identically built table.
+#[test]
+fn batched_queries_report_measured_reads() {
+    let dir = test_dir("stored-batch-io");
+    let side = 16u32;
+    let records = dataset(53, side, 300);
+    let qs = vec![
+        RectQuery::new([0, 0], [side, side]).unwrap(),
+        RectQuery::new([2, 3], [7, 9]).unwrap(),
+        RectQuery::new([side - 4, 0], [4, side]).unwrap(),
+        RectQuery::new([0, 0], [6, 6]).unwrap(),
+    ];
+    for shards in [1usize, 3] {
+        let build = |tag: &str| {
+            ShardedTable::build_stored(
+                curve_2d("onion", side).unwrap(),
+                records.clone(),
+                model(),
+                shards,
+                &dir.join(format!("{tag}-{shards}")),
+                tight_store(),
+            )
+            .unwrap()
+        };
+        let batched = build("batch");
+        let single = build("single");
+        let batch = batched.query_rect_batch(&qs).unwrap();
+        for (q, res) in qs.iter().zip(&batch) {
+            let one = single.query_rect(q, &QueryOptions::default()).unwrap();
+            assert!(
+                res.io.real_reads > 0,
+                "{shards} shards {q:?}: batch reads pages"
+            );
+            assert_eq!(
+                res.io.real_reads, one.io.real_reads,
+                "{shards} shards {q:?}"
+            );
+            assert_eq!(res.io, one.io, "{shards} shards {q:?}");
+            assert_eq!(res.shard_io, one.shard_io, "{shards} shards {q:?}");
+            assert_eq!(res.records, one.records, "{shards} shards {q:?}");
         }
     }
 }

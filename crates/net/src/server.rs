@@ -1,8 +1,8 @@
 //! The blocking threaded server: an [`Engine`] put on a TCP listener.
 //!
 //! One accept thread, one handler thread per connection — the same
-//! thread-per-request shape the engine's own lock structure is built
-//! for (per-shard `RwLock`s, group-committing flushes), so N concurrent
+//! thread-per-request shape the engine is built for (lock-free reads of
+//! pinned epoch versions, group-committing flushes), so N concurrent
 //! connections exercise exactly the concurrency the engine proptests
 //! pin. Every connection speaks the framed protocol of
 //! [`frame`](crate::frame): preamble exchange, then

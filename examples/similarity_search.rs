@@ -1,12 +1,12 @@
 //! Similarity search demo — §I of the paper cites "multi-dimensional
-//! similarity searching" as an SFC application. `SfcTable::knn` answers
+//! similarity searching" as an SFC application. `ShardedTable::knn` answers
 //! k-nearest-neighbor queries with expanding window queries, each of which
 //! costs one seek per cluster; a curve with better clustering explores the
 //! neighborhood with less I/O.
 //!
 //! Run with `cargo run --release --example similarity_search`.
 
-use onion_curve::index::{DiskModel, IoStats, QueryOptions, SfcTable};
+use onion_curve::index::{DiskModel, IoStats, QueryOptions, ShardedTable};
 use onion_curve::workloads::clustered_points;
 use onion_curve::{Point, SpaceFillingCurve};
 use rand::rngs::StdRng;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut reference: Option<Vec<Vec<u64>>> = None;
     for name in ["onion", "hilbert", "z-order", "row-major"] {
         let curve = onion_curve::baselines::curve_2d(name, side)?;
-        let table = SfcTable::build(curve, records.clone(), DiskModel::hdd())?;
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1)?;
         let mut io = IoStats::default();
         let mut answers: Vec<Vec<u64>> = Vec::new();
         for &c in &centers {

@@ -8,7 +8,7 @@
 //! Run with `cargo run --release --example spatial_index`.
 
 use onion_curve::clustering::RectQuery;
-use onion_curve::index::{DiskModel, IoStats, QueryOptions, SfcTable};
+use onion_curve::index::{DiskModel, IoStats, QueryOptions, ShardedTable};
 use onion_curve::workloads::{clustered_points, uniform_points};
 use onion_curve::{Point, SpaceFillingCurve};
 use rand::rngs::StdRng;
@@ -22,7 +22,8 @@ fn run_workload(
 ) -> Result<(IoStats, f64), Box<dyn std::error::Error>> {
     let curve = sfc_baselines_curve(curve_name, side)?;
     let model = DiskModel::hdd();
-    let table = SfcTable::build(curve, records.to_vec(), model)?;
+    // One shard: the plain SFC-ordered table, one disk.
+    let table = ShardedTable::build(curve, records.to_vec(), model, 1)?;
     let mut total = IoStats::default();
     for q in queries {
         let res = table.query_rect(q, &QueryOptions::default())?;

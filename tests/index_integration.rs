@@ -1,16 +1,27 @@
 //! End-to-end index tests: rectangle queries through the B+-tree return
 //! exactly the right records under every curve, and the I/O accounting
-//! equals the clustering number.
+//! equals the clustering number. Expected rows come from brute-force
+//! filters and the independent table model in
+//! `crates/index/tests/model/mod.rs`, never from the table itself.
 
+#[path = "../crates/index/tests/model/mod.rs"]
+mod model;
+
+use model::Model;
 use onion_curve::baselines::{curve_2d, CURVE_NAMES};
 use onion_curve::clustering::{clustering_number, random_translations, RectQuery};
 use onion_curve::index::{
-    evaluate_partitioning, partition_universe, DiskModel, QueryOptions, SfcTable, ShardedTable,
+    evaluate_partitioning, partition_universe, DiskModel, QueryOptions, Record, ShardedTable,
 };
 use onion_curve::workloads::{clustered_points, grid_points, uniform_points, zipf_points};
 use onion_curve::{Point, SpaceFillingCurve};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A query result's rows as `(point, value)` pairs, the model's shape.
+fn pairs(records: &[Record<2, u64>]) -> Vec<(Point<2>, u64)> {
+    records.iter().map(|r| (r.point, r.value)).collect()
+}
 
 fn brute_force_hits(records: &[(Point<2>, u64)], q: &RectQuery<2>) -> Vec<u64> {
     let mut out: Vec<u64> = records
@@ -38,7 +49,7 @@ fn every_curve_answers_queries_identically() {
 
     for name in CURVE_NAMES {
         let curve = curve_2d(name, side).unwrap();
-        let table = SfcTable::build(curve, records.clone(), DiskModel::ssd()).unwrap();
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::ssd(), 1).unwrap();
         for q in &queries {
             let res = table.query_rect(q, &QueryOptions::default()).unwrap();
             let mut got: Vec<u64> = res.records.iter().map(|r| r.value).collect();
@@ -63,7 +74,7 @@ fn seeks_equal_clustering_number_for_dense_tables() {
     let queries = random_translations(side, [9u32, 14], 20, &mut rng).unwrap();
     for name in ["onion", "hilbert", "z-order"] {
         let curve = curve_2d(name, side).unwrap();
-        let table = SfcTable::build(curve, records.clone(), DiskModel::hdd()).unwrap();
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1).unwrap();
         for q in &queries {
             let res = table.query_rect(q, &QueryOptions::default()).unwrap();
             let curve_again = curve_2d(name, side).unwrap();
@@ -89,7 +100,7 @@ fn onion_needs_fewest_seeks_for_near_full_queries() {
     let mut seeks = std::collections::HashMap::new();
     for name in ["onion", "hilbert", "z-order", "row-major"] {
         let curve = curve_2d(name, side).unwrap();
-        let table = SfcTable::build(curve, records.clone(), DiskModel::hdd()).unwrap();
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1).unwrap();
         seeks.insert(
             name,
             table
@@ -170,8 +181,9 @@ fn buffer_pool_measures_page_working_sets() {
 
 #[test]
 fn sharded_engine_matches_single_table_end_to_end() {
-    // The full pipeline through the facade: skewed data, every curve, the
-    // sharded engine against the plain table, under mixed read traffic.
+    // The full pipeline through the facade: skewed data, several curves,
+    // a 6-shard table and a 1-shard table against the independent model,
+    // under mixed read traffic.
     let side = 64u32;
     let mut rng = StdRng::seed_from_u64(99);
     let records: Vec<(Point<2>, u64)> = zipf_points::<2, _>(side, 2500, 0.7, &mut rng)
@@ -180,41 +192,41 @@ fn sharded_engine_matches_single_table_end_to_end() {
         .enumerate()
         .map(|(i, p)| (p, i as u64))
         .collect();
+    let model = Model::new(records.clone());
     let queries = random_translations(side, [17u32, 11], 15, &mut rng).unwrap();
     for name in ["onion", "hilbert", "z-order"] {
-        let single = SfcTable::build(
-            curve_2d(name, side).unwrap(),
-            records.clone(),
-            DiskModel::hdd(),
-        )
-        .unwrap();
-        let sharded = ShardedTable::build(
-            curve_2d(name, side).unwrap(),
-            records.clone(),
-            DiskModel::hdd(),
-            6,
-        )
-        .unwrap();
+        let curve = curve_2d(name, side).unwrap();
+        let build = |shards| {
+            ShardedTable::build(
+                curve_2d(name, side).unwrap(),
+                records.clone(),
+                DiskModel::hdd(),
+                shards,
+            )
+            .unwrap()
+        };
+        let (single, sharded) = (build(1), build(6));
         // Zipf skew shows up as record imbalance across equal cell ranges.
         let sizes = sharded.shard_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), records.len());
         for q in &queries {
+            let expect = model.query(&curve, q);
             let a = single.query_rect(q, &QueryOptions::default()).unwrap();
             let b = sharded.query_rect(q, &QueryOptions::default()).unwrap();
-            assert_eq!(a.records, b.records, "{name} {q:?}");
-            // Splitting at shard boundaries never loses or duplicates I/O
-            // entries, and total seeks can only grow.
-            assert_eq!(a.io.entries, b.io.entries, "{name} {q:?}");
+            assert_eq!(pairs(&a.records), expect, "{name} single {q:?}");
+            assert_eq!(pairs(&b.records), expect, "{name} sharded {q:?}");
+            // One shard seeks once per cluster; splitting at shard
+            // boundaries never loses or duplicates entries, and total
+            // seeks can only grow.
+            assert_eq!(a.io.seeks, clustering_number(&curve, q), "{name} {q:?}");
+            assert_eq!(b.io.entries, expect.len() as u64, "{name} {q:?}");
             assert!(b.io.seeks >= a.io.seeks, "{name} {q:?}");
         }
         let batch = sharded.query_rect_batch(&queries).unwrap();
         for (q, res) in queries.iter().zip(&batch) {
             assert_eq!(
-                res.records,
-                single
-                    .query_rect(q, &QueryOptions::default())
-                    .unwrap()
-                    .records,
+                pairs(&res.records),
+                model.query(&curve, q),
                 "{name} batch {q:?}"
             );
         }
@@ -233,7 +245,7 @@ fn clustered_data_changes_volumes_not_correctness() {
         .collect();
     let q = RectQuery::new([10, 10], [30, 30]).unwrap();
     let curve = curve_2d("onion", side).unwrap();
-    let table = SfcTable::build(curve, records.clone(), DiskModel::hdd()).unwrap();
+    let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1).unwrap();
     let res = table.query_rect(&q, &QueryOptions::default()).unwrap();
     let mut got: Vec<u64> = res.records.iter().map(|r| r.value).collect();
     got.sort_unstable();
