@@ -68,8 +68,8 @@ use crate::engine::{Engine, EngineConfig};
 use onion_core::{SfcError, SpaceFillingCurve};
 use sfc_index::wal::encode_epoch_payload_into;
 use sfc_index::{
-    read_snapshot, write_snapshot, Backend, BatchOp, DiskModel, FileBackend, PageStore,
-    PagedBackend, Record, ShardedTable, StoreConfig, StoreFactory, Wal, WalCodec,
+    read_snapshot, write_snapshot, Backend, BatchOp, DiskModel, FileBackend, PageStore, Record,
+    ShardedTable, StoreConfig, StoreFactory, Wal, WalCodec,
 };
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -547,32 +547,6 @@ where
     }
 }
 
-impl<const D: usize, C, V> Engine<C, V, D, PagedBackend<Record<D, V>>>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone + Send + Sync + WalCodec,
-{
-    /// [`Engine::open`] over paged (buffer-pooled) shard backends; see
-    /// [`ShardedTable::build_paged`] for the `pool_pages` knob.
-    ///
-    /// # Errors
-    /// As for [`Engine::open`].
-    ///
-    /// # Panics
-    /// If `shard_count` is zero.
-    pub fn open_paged(
-        dir: impl AsRef<Path>,
-        curve: C,
-        model: DiskModel,
-        shard_count: usize,
-        pool_pages: usize,
-        config: EngineConfig,
-    ) -> Result<Self, SfcError> {
-        let table = ShardedTable::build_paged(curve, Vec::new(), model, shard_count, pool_pages)?;
-        Self::open_with(dir.as_ref(), table, config)
-    }
-}
-
 impl<const D: usize, C, V> Engine<C, V, D, FileBackend<Record<D, V>>>
 where
     C: SpaceFillingCurve<D>,
@@ -584,8 +558,8 @@ where
     /// `dir/segments/`, rebuilt from `snapshot + WAL suffix` on open and
     /// re-materialized by [`Engine::checkpoint`] (which compacts the
     /// shards' write overlays into fresh segments after truncating the
-    /// log). Queries report measured `real_reads` / `real_seeks` next to
-    /// the simulated counters.
+    /// log). Queries report leaf-cache hits and the measured
+    /// `real_reads` / `real_seeks`.
     ///
     /// # Errors
     /// As for [`Engine::open`], plus segment build I/O failures.

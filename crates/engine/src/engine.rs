@@ -487,7 +487,8 @@ pub struct Engine<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
     /// cover their writes instead of queueing up fsyncs of their own.
     flush_q: FlushQueue,
     /// Durable state (WAL handle, data directory, frame encoder) — `Some`
-    /// only for engines built by [`Engine::open`]/[`Engine::open_paged`].
+    /// only for engines built by [`Engine::open`], [`Engine::open_stored`]
+    /// or [`Engine::open_stored_with`].
     /// When present, [`Engine::flush`] commits each epoch to the log
     /// before any shard mutates; see the [`durable`](crate) docs.
     pub(crate) durability: Option<crate::durable::Durability<D, V>>,
@@ -553,7 +554,8 @@ where
         &self.planner
     }
 
-    /// The disk model pricing this engine's simulated I/O.
+    /// The disk model pricing this engine's modelled I/O times and its
+    /// planner's default cost coefficients.
     pub fn model(&self) -> &DiskModel {
         self.table.model()
     }

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use sfc_baselines::{curve_2d, CURVE_NAMES};
 use sfc_clustering::RectQuery;
 use sfc_engine::{Engine, EngineConfig, Op, Reply};
-use sfc_index::{DiskModel, PagedBackend, Record, ShardedTable};
+use sfc_index::{DiskModel, FileBackend, Record, ShardedTable};
 use sfc_workloads::{mixed_op_stream, OpMix, StreamOp};
 use std::collections::HashMap;
 
@@ -26,7 +26,7 @@ use std::collections::HashMap;
 fn engine_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine<onion_core::Onion2D, u64, 2>>();
-    assert_send_sync::<Engine<onion_core::Onion2D, u64, 2, PagedBackend<Record<2, u64>>>>();
+    assert_send_sync::<Engine<onion_core::Onion2D, u64, 2, FileBackend<Record<2, u64>>>>();
     assert_send_sync::<Engine<sfc_baselines::DynCurve<2>, u64, 2>>();
 }
 
@@ -206,8 +206,7 @@ proptest! {
 
     /// Epoch batching is semantically invisible: the same single stream
     /// produces the same epoch-boundary state whether applied op-by-op
-    /// (epoch size 1) or in one giant epoch — across paged and memory
-    /// backends.
+    /// (epoch size 1) or in one giant epoch.
     #[test]
     fn epoch_size_never_changes_boundary_state(seed in any::<u64>(), epoch_ops in 1usize..64) {
         let side = 16u32;

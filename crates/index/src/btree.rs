@@ -436,10 +436,10 @@ impl<V> BPlusTree<V> {
     /// *read* leaf page's node id to `on_page` before its entries reach
     /// `visit`.
     ///
-    /// This is the storage-backend primitive: page ids let a buffer-pool
-    /// simulation decide which touched pages actually cost a transfer, and
-    /// the whole scan is `&self` with per-call accounting, so concurrent
-    /// scans of a shared tree never contend.
+    /// This is the storage-backend primitive: page ids let the caller
+    /// account for every touched page, and the whole scan is `&self` with
+    /// per-call accounting, so concurrent scans of a shared tree never
+    /// contend.
     ///
     /// A page is reported only when the scan loop examines at least one
     /// of its keys as scan data. The *landing* leaf — where the descent
@@ -618,8 +618,8 @@ impl<V> BPlusTree<V> {
 /// a file, so the guard also has an owned representation
 /// ([`EntryGuard::owned`]): the value is decoded once at read time and the
 /// guard carries it. Either way the caller sees one stable `Deref<Target
-/// = V>` — the representational split is exactly the simulated/real
-/// storage split, hidden behind one read API.
+/// = V>` — the representational split is exactly the in-memory/
+/// disk-resident storage split, hidden behind one read API.
 #[derive(Debug)]
 pub struct EntryGuard<V> {
     repr: GuardRepr<V>,

@@ -1,16 +1,15 @@
-//! An LRU buffer pool simulator.
+//! An LRU buffer pool over page identifiers.
 //!
 //! Disk seeks are the paper's headline cost, but real systems also cache
 //! pages: a curve that clusters queries into few ranges touches fewer
 //! distinct pages, so repeated workloads hit the buffer pool more often.
-//! This simulator counts hits/misses for a stream of page accesses, letting
-//! experiments compare curve layouts under a bounded cache.
+//! The pool counts hits/misses for a stream of page accesses and decides
+//! residency for the [`SegmentTree`](crate::SegmentTree) leaf cache; it
+//! also lets experiments compare curve layouts under a bounded cache.
 //!
 //! Every access is `O(1)`: recency is an intrusive doubly-linked list
-//! threaded through a slot arena, with a hash map from page id to slot.
-//! (The previous implementation rescanned the whole map with `min_by_key`
-//! on each eviction, making every miss `O(capacity)` — ruinous now that the
-//! paged storage backend consults the pool on each leaf touched.)
+//! threaded through a slot arena, with a hash map from page id to slot, so
+//! a leaf cache can consult the pool on each leaf a scan touches.
 
 use std::collections::HashMap;
 
@@ -44,11 +43,6 @@ pub struct LruBufferPool {
 }
 
 impl LruBufferPool {
-    /// Maximum number of resident pages this pool was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Creates a pool holding at most `capacity` pages (`capacity ≥ 1`).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache needs at least one page");
@@ -143,7 +137,7 @@ impl LruBufferPool {
         self.hits
     }
 
-    /// Cache misses so far (each miss is a simulated disk page read).
+    /// Cache misses so far (each miss is a page read from the medium).
     pub fn misses(&self) -> u64 {
         self.misses
     }

@@ -1,17 +1,25 @@
-//! A simulated disk with explicit seek accounting.
+//! The paper's I/O cost model and the one statistics record every scan
+//! layer returns.
 //!
 //! The paper's motivation (§I): "the clustering number measures the number
 //! of disk seeks that need to be performed in the retrieval. Since a disk
 //! seek is an expensive operation, a smaller clustering number means better
 //! performance." This module makes that cost model concrete: a range query
 //! over SFC-ordered data costs one seek per cluster plus sequential page
-//! transfers.
+//! transfers, priced by a [`DiskModel`] over the counters of an
+//! [`IoStats`].
 
 /// Cost model of a spinning disk (or any medium with a random-access
-/// penalty). Times are in microseconds.
+/// penalty): the default seek and transfer rates the
+/// [`Planner`](crate::Planner) prices decompositions with until it has
+/// measured enough real reads, and the rates [`IoStats::time_us`] applies.
+/// Times are in microseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiskModel {
-    /// Entries per page.
+    /// Entries per page: the planner's estimate of how many stored
+    /// entries one transferred page holds. Storage does not read it — a
+    /// [`FileBackend`](crate::FileBackend)'s pages hold as many entries
+    /// as fit its [`StoreConfig::page_size`](crate::StoreConfig) bytes.
     pub page_size: usize,
     /// Cost of repositioning to a non-adjacent page (seek + rotational
     /// latency).
@@ -41,32 +49,39 @@ impl DiskModel {
     }
 }
 
-/// Accumulated I/O statistics of queries: the simulated counters (seeks,
-/// pages priced by a [`DiskModel`]) plus, for queries served by a real
-/// file-backed store, the *measured* counterparts.
+/// I/O statistics of a scan, a query, or any sum of them — the one record
+/// [`SegmentTree::scan`](crate::SegmentTree::scan) and
+/// [`Backend::scan`](crate::Backend::scan) return and
+/// [`QueryResult::io`](crate::QueryResult::io) carries.
+///
+/// Storage layers fill in the page counters (`pages`, `cache_hits`,
+/// `real_reads`, `real_seeks`); the table layer, which knows how many
+/// ranges a query split into and which visited entries it keeps, fills in
+/// `seeks` and `entries`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IoStats {
     /// Number of seeks performed (one per contiguous key range scanned).
     pub seeks: u64,
-    /// Number of pages transferred from the medium (buffer-pool misses, for
-    /// backends with a pool; every touched page otherwise).
+    /// Number of pages transferred from the medium (leaf-cache misses, for
+    /// backends with a cache; every touched page otherwise).
     pub pages: u64,
-    /// Number of entries returned.
+    /// Number of entries returned — not entries visited: planned scans
+    /// that absorb gap cells visit entries outside the query and drop them.
     pub entries: u64,
-    /// Pages served from the buffer pool instead of the medium (always zero
-    /// for pool-less backends).
+    /// Pages served from the leaf cache instead of the medium (always zero
+    /// for cache-less backends).
     pub cache_hits: u64,
-    /// Pages physically read from a real page store — zero for simulated
+    /// Pages physically read from a real page store — zero for in-memory
     /// backends, measured for [`FileBackend`](crate::FileBackend).
     pub real_reads: u64,
-    /// Non-contiguous physical fetches actually issued — zero for
-    /// simulated backends.
+    /// Non-contiguous physical fetches actually issued (the first fetch of
+    /// a scan counts as one) — zero for in-memory backends.
     pub real_seeks: u64,
 }
 
 impl IoStats {
-    /// Total simulated time under a disk model. Buffer-pool hits are free:
-    /// only seeks and transferred pages cost time.
+    /// Total modelled time under a disk model. Cache hits are free: only
+    /// seeks and transferred pages cost time.
     pub fn time_us(&self, model: &DiskModel) -> f64 {
         self.seeks as f64 * model.seek_us + self.pages as f64 * model.transfer_us
     }
@@ -82,140 +97,9 @@ impl IoStats {
     }
 }
 
-/// A simulated disk holding entries sorted by key, packed into fixed-size
-/// pages. Range scans touch `ceil(span / page_size)`-ish pages and cost one
-/// seek each.
-#[derive(Debug)]
-pub struct SimulatedDisk<V> {
-    /// Sorted (key, value) entries.
-    entries: Vec<(u64, V)>,
-    model: DiskModel,
-}
-
-impl<V> SimulatedDisk<V> {
-    /// Builds a disk image from entries sorted ascending by key.
-    ///
-    /// # Panics
-    /// If the input is not sorted.
-    pub fn new(entries: Vec<(u64, V)>, model: DiskModel) -> Self {
-        assert!(
-            entries.windows(2).all(|w| w[0].0 <= w[1].0),
-            "disk image requires sorted input"
-        );
-        SimulatedDisk { entries, model }
-    }
-
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the disk holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The disk model in force.
-    pub fn model(&self) -> &DiskModel {
-        &self.model
-    }
-
-    /// Scans one inclusive key range, returning the touched entries' slice
-    /// bounds and the I/O cost: 1 seek + the pages overlapped by the range.
-    pub fn scan_range(&self, lo: u64, hi: u64) -> (std::ops::Range<usize>, IoStats) {
-        let start = self.entries.partition_point(|e| e.0 < lo);
-        let end = self.entries.partition_point(|e| e.0 <= hi);
-        if start == end {
-            // Nothing stored in the range: still one seek to discover that
-            // (the index descent lands on a page).
-            return (
-                start..end,
-                IoStats {
-                    seeks: 1,
-                    pages: 1,
-                    ..IoStats::default()
-                },
-            );
-        }
-        let first_page = start / self.model.page_size;
-        let last_page = (end - 1) / self.model.page_size;
-        (
-            start..end,
-            IoStats {
-                seeks: 1,
-                pages: (last_page - first_page + 1) as u64,
-                entries: (end - start) as u64,
-                ..IoStats::default()
-            },
-        )
-    }
-
-    /// Runs a multi-range query (e.g. the cluster decomposition of a
-    /// rectangle) and returns combined stats.
-    pub fn scan_ranges(&self, ranges: &[(u64, u64)]) -> IoStats {
-        let mut total = IoStats::default();
-        for &(lo, hi) in ranges {
-            let (_, s) = self.scan_range(lo, hi);
-            total.absorb(s);
-        }
-        total
-    }
-
-    /// Access to an entry by position (test helper).
-    pub fn entry(&self, pos: usize) -> &(u64, V) {
-        &self.entries[pos]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn disk() -> SimulatedDisk<u32> {
-        let entries: Vec<(u64, u32)> = (0..1000u64).map(|k| (k * 2, k as u32)).collect();
-        SimulatedDisk::new(
-            entries,
-            DiskModel {
-                page_size: 100,
-                seek_us: 1000.0,
-                transfer_us: 10.0,
-            },
-        )
-    }
-
-    #[test]
-    fn single_range_costs_one_seek() {
-        let d = disk();
-        let (r, s) = d.scan_range(0, 198); // keys 0,2,..,198 → 100 entries
-        assert_eq!(r, 0..100);
-        assert_eq!(s.seeks, 1);
-        assert_eq!(s.pages, 1);
-        assert_eq!(s.entries, 100);
-    }
-
-    #[test]
-    fn range_spanning_pages_transfers_more() {
-        let d = disk();
-        let (_, s) = d.scan_range(0, 398); // 200 entries → 2 pages
-        assert_eq!(s.pages, 2);
-        assert_eq!(s.seeks, 1);
-    }
-
-    #[test]
-    fn multi_range_query_sums_seeks() {
-        let d = disk();
-        let stats = d.scan_ranges(&[(0, 18), (500, 518), (1500, 1518)]);
-        assert_eq!(stats.seeks, 3);
-        assert_eq!(stats.entries, 30);
-    }
-
-    #[test]
-    fn empty_range_still_costs_a_probe() {
-        let d = disk();
-        let (_, s) = d.scan_range(1, 1); // odd keys don't exist
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.seeks, 1);
-    }
 
     #[test]
     fn time_reflects_model() {
@@ -230,11 +114,5 @@ mod tests {
             transfer_us: 1.0,
         };
         assert_eq!(stats.time_us(&m), 205.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn rejects_unsorted_input() {
-        let _ = SimulatedDisk::new(vec![(5u64, ()), (1, ())], DiskModel::hdd());
     }
 }

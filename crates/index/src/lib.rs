@@ -8,12 +8,11 @@
 //! * **Storage backends** — the [`Backend`] trait over key-ordered storage,
 //!   with [`MemoryBackend`] (a from-scratch [`BPlusTree`]: bulk load,
 //!   inserts with splits, lazy removal, linked-leaf range scans, invariant
-//!   checker), [`PagedBackend`] (the tree's leaves treated as
-//!   [`SimulatedDisk`]-style pages behind an [`LruBufferPool`], so cache
-//!   effects show up in query stats), and [`FileBackend`] (genuinely
-//!   disk-resident: an immutable bulk-built [`SegmentTree`] file on a
-//!   [`PageStore`] plus an in-memory write overlay, reporting *measured*
-//!   seek/read counters next to the simulated ones);
+//!   checker) and [`FileBackend`] (the paged read path: an immutable
+//!   bulk-built [`SegmentTree`] file on a [`PageStore`] behind an
+//!   [`LruBufferPool`] leaf cache, plus an in-memory write overlay). Every
+//!   scan layer returns one [`IoStats`] record: pages, leaf-cache hits and
+//!   *measured* reads and seeks, priced by a [`DiskModel`];
 //! * **Page stores** — the [`PageStore`] trait ([`store`] module):
 //!   explicit page-granular read/write/sync against a real medium, with
 //!   [`FileStore`] as the file implementation and an injection seam for
@@ -86,15 +85,15 @@ mod stored;
 mod table;
 pub mod wal;
 
-pub use backend::{Backend, MemoryBackend, PagedBackend, ScanStats};
+pub use backend::{Backend, MemoryBackend};
 pub use btree::{BPlusTree, EntryGuard, RangeIter, DEFAULT_NODE_CAPACITY};
 pub use cache::LruBufferPool;
-pub use disk::{DiskModel, IoStats, SimulatedDisk};
+pub use disk::{DiskModel, IoStats};
 pub use partition::{
     evaluate_partitioning, owner_of, partition_universe, try_owner_of, Partition, PartitionMetrics,
 };
 pub use plan::{record_density, PlanStrategy, Planner, QueryPlan};
-pub use segment::{SegmentScanStats, SegmentTree, SEGMENT_MAGIC};
+pub use segment::{SegmentTree, SEGMENT_MAGIC};
 pub use shard::{BatchOp, RetentionPolicy, ShardedTable, TableSnapshot, TableVersion};
 pub use store::{FileStore, PageStore, StoreStats};
 pub use stored::{FileBackend, StoreConfig, StoreFactory};

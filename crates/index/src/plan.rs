@@ -26,8 +26,10 @@
 //!
 //! where
 //!
-//! * `seek_us`, `transfer_us`, `page_size` come from the table's
-//!   [`DiskModel`];
+//! * `seek_us` and `transfer_us` are the model's two coefficients: the
+//!   table's [`DiskModel`] gives their defaults, and measurement refines
+//!   them (below); `page_size` is the [`DiskModel`]'s entries-per-page
+//!   estimate;
 //! * `density` is the table's record density (records per curve cell), so
 //!   spans are converted into expected stored entries before paging;
 //! * `+ B` charges each piece its landing page probe;
@@ -38,6 +40,14 @@
 //!   and pushes the planner toward fewer, larger ranges; a cold or
 //!   thrashing pool makes read amplification expensive and pushes it back
 //!   toward the exact decomposition.
+//!
+//! This is the planner's one cost formula. Its coefficients start at the
+//! [`DiskModel`] defaults; once enough queries served by a real page store
+//! have reported their wall-clock latency
+//! ([`observe_latency`](Planner::observe_latency)), a decayed
+//! least-squares fit `wall_us ≈ seek_us·real_seeks +
+//! transfer_us·real_reads` replaces them
+//! ([`measured_costs`](Planner::measured_costs)).
 //!
 //! The planner minimizes `cost(B)` over all `B ∈ 1..=R` in `O(R log R)`
 //! (sorting the gaps dominates), then materializes the chosen budget via
@@ -95,9 +105,9 @@ pub struct QueryPlan {
     pub extra_cells: u64,
     /// Cache-hit rate fed into the cost model when this plan was made.
     pub hit_rate: f64,
-    /// Estimated cost of the full decomposition, in simulated µs.
+    /// Estimated cost of the full decomposition, in modelled µs.
     pub est_full_us: f64,
-    /// Estimated cost of the chosen ranges, in simulated µs.
+    /// Estimated cost of the chosen ranges, in modelled µs.
     pub est_chosen_us: f64,
     /// Observed per-shard latency skew (critical path ÷ mean) at plan
     /// time; `1.0` for unsharded execution or before any feedback.
@@ -233,8 +243,8 @@ pub struct Planner {
     skew_milli: AtomicU64,
     /// Number of observed queries.
     observed: AtomicU64,
-    /// Measured-latency fit over real-I/O queries (the second cost-model
-    /// arm, next to the simulated [`DiskModel`] one).
+    /// Measured-latency fit over real-I/O queries, refining the cost
+    /// model's [`DiskModel`] default coefficients.
     calibration: Mutex<Calibration>,
 }
 
@@ -305,7 +315,7 @@ impl Planner {
     /// explained `wall_us` microseconds of scan time. Once
     /// [`Self::measured_costs`] has enough mass, planning prices budgets
     /// with these *measured* per-seek/per-page rates instead of the
-    /// simulated [`DiskModel`] — the table layers call this automatically
+    /// [`DiskModel`] defaults — the table layers call this automatically
     /// for planned queries served by a real page store.
     pub fn observe_latency(&self, seeks: u64, pages: u64, wall_us: f64) {
         if (seeks == 0 && pages == 0) || !wall_us.is_finite() || wall_us < 0.0 {
@@ -317,7 +327,7 @@ impl Planner {
 
     /// The measured `(seek_us, transfer_us)` rates fitted from
     /// [`Self::observe_latency`] feedback, or `None` while the planner is
-    /// still running on the simulated [`DiskModel`] (too few decayed
+    /// still pricing with the [`DiskModel`] defaults (too few decayed
     /// samples to trust a fit).
     pub fn measured_costs(&self) -> Option<(f64, f64)> {
         self.calibration
@@ -327,7 +337,7 @@ impl Planner {
     }
 
     /// The `(seek_us, transfer_us)` pair pricing plans right now: the
-    /// measured fit when calibrated, the simulated model otherwise.
+    /// measured fit when calibrated, the [`DiskModel`] defaults otherwise.
     fn cost_rates(&self) -> (f64, f64) {
         self.measured_costs()
             .unwrap_or((self.model.seek_us, self.model.transfer_us))
@@ -416,8 +426,8 @@ impl Planner {
 
     /// `cost(B)` of the module docs: seeks plus discounted transfers for a
     /// plan of `budget` ranges covering `cells + extra` cells, priced at
-    /// `rates = (seek_us, transfer_us)` — the simulated model's constants
-    /// or the measured fit, per [`Self::cost_rates`]. Density may exceed 1
+    /// `rates = (seek_us, transfer_us)` — the [`DiskModel`] defaults or
+    /// the measured fit, per [`Self::cost_rates`]. Density may exceed 1
     /// (duplicate records per cell are allowed), in which case a scanned
     /// span yields proportionally more entries.
     fn estimate_us(

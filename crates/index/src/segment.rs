@@ -32,6 +32,7 @@
 //! read time rather than decoded into garbage.
 
 use crate::cache::LruBufferPool;
+use crate::disk::IoStats;
 use crate::store::{FileStore, PageStore};
 use crate::wal::{crc32, storage_err, WalCodec, WalCursor};
 use onion_core::SfcError;
@@ -46,23 +47,6 @@ const PAGE_HEADER: usize = 8;
 
 /// Byte overhead of one leaf entry before its value bytes: key + length.
 const ENTRY_HEADER: usize = 12;
-
-/// Statistics of one segment scan, in the same vocabulary as
-/// [`ScanStats`](crate::ScanStats) plus the measured read counter.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SegmentScanStats {
-    /// Leaf pages decoded from the medium (leaf-cache misses).
-    pub pages: u64,
-    /// Leaf pages served by the resident leaf cache.
-    pub cache_hits: u64,
-    /// Pages physically read from the [`PageStore`] (equals `pages` for
-    /// a segment scan; distinct so callers summing mixed backends keep
-    /// the real/simulated split).
-    pub real_reads: u64,
-    /// Non-contiguous physical page fetches within this scan (the first
-    /// fetch counts as one).
-    pub real_seeks: u64,
-}
 
 /// One decoded leaf held by the resident cache.
 type Leaf<V> = Arc<Vec<(u64, V)>>;
@@ -266,7 +250,16 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
         let leaf_count = u64::from_le_bytes(page[12..20].try_into().expect("8 bytes"));
         let entry_count = u64::from_le_bytes(page[20..28].try_into().expect("8 bytes"));
         let fence_pages = u64::from_le_bytes(page[28..36].try_into().expect("8 bytes"));
+        // The header's counts come from disk: bound them by the pages the
+        // store really holds before allocating or reading with them.
+        let pages_needed = leaf_count
+            .checked_add(fence_pages)
+            .and_then(|n| n.checked_add(1));
+        if pages_needed.is_none_or(|n| n > store.page_count()) {
+            return Err(corrupt("leaf and fence page counts exceed the store"));
+        }
 
+        let keys_per_page = (page_size - PAGE_HEADER) / 8;
         let mut fences = Vec::with_capacity(leaf_count as usize);
         for fp in 0..fence_pages {
             store
@@ -277,6 +270,9 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
                 return Err(corrupt("fence page checksum mismatch"));
             }
             let count = u32::from_le_bytes(page[4..8].try_into().expect("4 bytes")) as usize;
+            if count > keys_per_page {
+                return Err(corrupt("fence page key count exceeds the page"));
+            }
             for i in 0..count {
                 let at = PAGE_HEADER + i * 8;
                 fences.push(u64::from_le_bytes(
@@ -328,6 +324,13 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
             });
         }
         let count = u32::from_le_bytes(page[4..8].try_into().expect("4 bytes")) as usize;
+        // Every entry takes at least its header, so a larger count is
+        // corrupt — and must not size the allocation below.
+        if count > (page_size - PAGE_HEADER) / ENTRY_HEADER {
+            return Err(SfcError::Storage {
+                context: format!("segment leaf page {leaf} entry count {count} exceeds the page"),
+            });
+        }
         let mut cur = WalCursor::new(&page[PAGE_HEADER..]);
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
@@ -470,7 +473,10 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
     /// Scans keys in `lo..=hi` ascending, calling
     /// `visit(key, value, dup_idx)` for each entry, where `dup_idx`
     /// counts that key's copies from the oldest (0-based). Returns the
-    /// scan's page statistics.
+    /// scan's page counters: `pages` and `real_reads` both count leaf
+    /// pages read from the store (leaf-cache misses), `cache_hits` the
+    /// leaves the cache served, and `real_seeks` the non-contiguous
+    /// fetches among the reads (the first counts as one).
     ///
     /// # Errors
     /// On I/O failure or a corrupt page.
@@ -479,8 +485,8 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
         lo: u64,
         hi: u64,
         visit: &mut dyn FnMut(u64, &V, u32),
-    ) -> Result<SegmentScanStats, SfcError> {
-        let mut stats = SegmentScanStats::default();
+    ) -> Result<IoStats, SfcError> {
+        let mut stats = IoStats::default();
         if lo > hi || self.fences.is_empty() {
             return Ok(stats);
         }

@@ -8,7 +8,7 @@
 //! placed in the shard owning their curve key, a rectangle query's cluster
 //! ranges are split at shard boundaries, and the per-shard pieces are
 //! scanned concurrently under [`std::thread::scope`] — each shard modelling
-//! an independent disk/worker, so a query's simulated latency is the
+//! an independent disk/worker, so a query's modelled latency is the
 //! *slowest* shard's I/O, not the sum.
 //!
 //! Skewed data stresses this design exactly as it does real systems: the
@@ -17,7 +17,7 @@
 //! [`ShardedTable::shard_sizes`] and the per-shard stats every query
 //! returns in [`QueryResult::shard_io`].
 
-use crate::backend::{Backend, MemoryBackend, PagedBackend};
+use crate::backend::{Backend, MemoryBackend};
 use crate::disk::{DiskModel, IoStats};
 use crate::partition::{partition_universe, Partition};
 use crate::plan::{Planner, QueryPlan};
@@ -216,36 +216,8 @@ where
         model: DiskModel,
         shard_count: usize,
     ) -> Result<Self, SfcError> {
-        Self::build_with(curve, records, model, shard_count, |chunk, _| {
-            MemoryBackend::bulk_load(chunk)
-        })
-    }
-}
-
-impl<const D: usize, C, V> ShardedTable<C, V, D, PagedBackend<Record<D, V>>>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone,
-{
-    /// Builds a sharded table whose shards each front their pages with an
-    /// LRU buffer pool of `pool_pages` pages: repeated queries over warm
-    /// regions stop paying transfer costs, and per-query [`IoStats`]
-    /// report the hit/miss split.
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe.
-    ///
-    /// # Panics
-    /// If `shard_count` is zero.
-    pub fn build_paged(
-        curve: C,
-        records: Vec<(Point<D>, V)>,
-        model: DiskModel,
-        shard_count: usize,
-        pool_pages: usize,
-    ) -> Result<Self, SfcError> {
-        Self::build_with(curve, records, model, shard_count, |chunk, model| {
-            PagedBackend::bulk_load(chunk, model, pool_pages)
+        Self::build_with(curve, records, model, shard_count, |_, chunk| {
+            Ok(MemoryBackend::bulk_load(chunk))
         })
     }
 }
@@ -261,8 +233,7 @@ where
     /// `dir/shard<i>.g<N>.seg` (fronted by an LRU page cache of
     /// `cfg.pool_pages` pages), and later writes land in an in-memory
     /// overlay until [`Self::compact_shards`]. Query [`IoStats`] report
-    /// the *measured* `real_reads` / `real_seeks` next to the simulated
-    /// counters.
+    /// leaf-cache hits and the *measured* `real_reads` / `real_seeks`.
     ///
     /// # Errors
     /// If any point lies outside the curve's universe, or segment I/O
@@ -278,7 +249,7 @@ where
         dir: &Path,
         cfg: StoreConfig,
     ) -> Result<Self, SfcError> {
-        Self::try_build_with(curve, records, model, shard_count, |idx, chunk, _| {
+        Self::build_with(curve, records, model, shard_count, |idx, chunk| {
             FileBackend::create(dir, &format!("shard{idx}"), cfg, chunk)
         })
     }
@@ -309,7 +280,7 @@ where
         cfg: StoreConfig,
         factory: StoreFactory<S>,
     ) -> Result<Self, SfcError> {
-        Self::try_build_with(curve, records, model, shard_count, |idx, chunk, _| {
+        Self::build_with(curve, records, model, shard_count, |idx, chunk| {
             FileBackend::create_with(dir, &format!("shard{idx}"), cfg, factory.clone(), chunk)
         })
     }
@@ -323,28 +294,14 @@ where
 {
     /// Generic build: keys and sorts the records once, cuts them at the
     /// partition boundaries of [`partition_universe`], and bulk-loads each
-    /// shard's chunk through `make_backend`.
+    /// shard's chunk through `make_backend`, which also receives the shard
+    /// index so disk-resident shards can claim distinct files.
     fn build_with(
         curve: C,
         records: Vec<(Point<D>, V)>,
         model: DiskModel,
         shard_count: usize,
-        make_backend: impl Fn(Vec<(u64, Record<D, V>)>, DiskModel) -> B,
-    ) -> Result<Self, SfcError> {
-        Self::try_build_with(curve, records, model, shard_count, |_, chunk, model| {
-            Ok(make_backend(chunk, model))
-        })
-    }
-
-    /// The fallible twin of `build_with`, for backends whose construction
-    /// performs real I/O; `make_backend` also receives the shard index so
-    /// disk-resident shards can claim distinct files.
-    fn try_build_with(
-        curve: C,
-        records: Vec<(Point<D>, V)>,
-        model: DiskModel,
-        shard_count: usize,
-        make_backend: impl Fn(usize, Vec<(u64, Record<D, V>)>, DiskModel) -> Result<B, SfcError>,
+        make_backend: impl Fn(usize, Vec<(u64, Record<D, V>)>) -> Result<B, SfcError>,
     ) -> Result<Self, SfcError> {
         assert!(shard_count >= 1, "need at least one shard");
         let parts = partition_universe(&curve, shard_count);
@@ -355,11 +312,7 @@ where
         // remainder: split it off partition by partition.
         for (rev_idx, part) in parts.iter().enumerate().rev() {
             let cut = keyed.partition_point(|&(k, _)| k < part.lo);
-            shards.push(Arc::new(make_backend(
-                rev_idx,
-                keyed.split_off(cut),
-                model,
-            )?));
+            shards.push(Arc::new(make_backend(rev_idx, keyed.split_off(cut))?));
         }
         shards.reverse();
         debug_assert!(keyed.is_empty());
@@ -538,7 +491,8 @@ where
         &self.curve
     }
 
-    /// The disk cost model used for simulated timings (per shard).
+    /// The disk cost model pricing [`IoStats::time_us`] timings (per
+    /// shard) and the planner's default coefficients.
     pub fn model(&self) -> &DiskModel {
         &self.model
     }
@@ -1533,11 +1487,8 @@ fn scan_shard<const D: usize, V: Clone, B: Backend<Record<D, V>>>(
     })?;
     Ok(IoStats {
         seeks: ranges.len() as u64,
-        pages: stats.pages,
         entries: (records.len() - before) as u64,
-        cache_hits: stats.cache_hits,
-        real_reads: stats.real_reads,
-        real_seeks: stats.real_seeks,
+        ..stats
     })
 }
 
@@ -1975,97 +1926,6 @@ mod tests {
         let q = RectQuery::new([0, 0], [1, 1]).unwrap();
         let current = t.snapshot_at(6).expect("current epoch always pinnable");
         assert_eq!(current.query_rect(&q).unwrap().records[0].value, 6);
-    }
-
-    #[test]
-    fn planned_queries_return_exact_rows_with_fewer_seeks() {
-        let side = 32u32;
-        let model = DiskModel {
-            page_size: 16,
-            seek_us: 8_000.0, // seek-heavy: the planner should coalesce
-            transfer_us: 10.0,
-        };
-        for shards in [1usize, 4] {
-            let t = ShardedTable::build_paged(
-                Onion2D::new(side).unwrap(),
-                dense_records(side),
-                model,
-                shards,
-                256,
-            )
-            .unwrap();
-            assert!((t.density() - 1.0).abs() < 1e-9, "dense table");
-            let planner = Planner::new(model);
-            for (lo, len) in [
-                ([2u32, 3u32], [9u32, 7u32]),
-                ([0, 15], [32, 2]),
-                ([7, 7], [3, 3]),
-                ([0, 0], [32, 32]),
-            ] {
-                let q = RectQuery::new(lo, len).unwrap();
-                let exact = t.query_rect(&q, &QueryOptions::default()).unwrap();
-                assert!(exact.plan.is_none());
-                let planned = t.query_rect(&q, &QueryOptions::planned(&planner)).unwrap();
-                let plan = planned
-                    .plan
-                    .clone()
-                    .expect("planned query carries its plan");
-                assert_eq!(planned.records, exact.records, "{q:?} {}", plan.explain());
-                assert_eq!(planned.io.entries, exact.io.entries);
-                assert!(plan.ranges.len() <= plan.clusters);
-                if shards == 1 {
-                    assert_eq!(planned.io.seeks, plan.ranges.len() as u64);
-                }
-                assert!(
-                    planned.io.time_us(t.model()) <= exact.io.time_us(t.model()) + 1e-9,
-                    "planned must not cost more under the model: {}",
-                    plan.explain()
-                );
-            }
-            assert_eq!(planner.observed(), 4, "executed plans feed the planner");
-            // The explain entry point plans without scanning.
-            let q = RectQuery::new([1, 1], [20, 20]).unwrap();
-            let plan = t.plan_rect(&q, &planner).unwrap();
-            assert!(!plan.explain().is_empty());
-            assert_eq!(planner.observed(), 4);
-            assert!(t
-                .plan_rect(&RectQuery::new([20, 20], [20, 20]).unwrap(), &planner)
-                .is_err());
-        }
-    }
-
-    #[test]
-    fn paged_sharded_table_warms_up() {
-        let side = 16u32;
-        let model = DiskModel {
-            page_size: 16,
-            seek_us: 8_000.0,
-            transfer_us: 100.0,
-        };
-        for shards in [1usize, 4] {
-            for q in [
-                RectQuery::new([0, 0], [16, 16]).unwrap(),
-                RectQuery::new([2, 2], [8, 8]).unwrap(),
-            ] {
-                // A fresh table per query, so every query starts cold.
-                let t = ShardedTable::build_paged(
-                    Onion2D::new(side).unwrap(),
-                    dense_records(side),
-                    model,
-                    shards,
-                    64,
-                )
-                .unwrap();
-                let cold = t.query_rect(&q, &QueryOptions::default()).unwrap();
-                let warm = t.query_rect(&q, &QueryOptions::default()).unwrap();
-                assert_eq!(cold.records, warm.records);
-                assert!(cold.io.pages > 0, "cold pool transfers pages");
-                assert_eq!(warm.io.pages, 0, "every shard pool warm");
-                assert_eq!(warm.io.cache_hits, cold.io.pages + cold.io.cache_hits);
-                // Warm queries cost only seeks under the model.
-                assert!(warm.io.time_us(t.model()) < cold.io.time_us(t.model()));
-            }
-        }
     }
 
     #[test]

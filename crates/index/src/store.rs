@@ -1,18 +1,14 @@
 //! Real page-granular storage: the [`PageStore`] trait and its
 //! file-backed implementation, [`FileStore`].
 //!
-//! Everything below the `Backend` trait so far has *simulated* its I/O —
-//! [`SimulatedDisk`](crate::SimulatedDisk) and
-//! [`PagedBackend`](crate::PagedBackend) count pages and price them with a
-//! [`DiskModel`](crate::DiskModel), but no byte ever leaves RAM except
-//! through the WAL and snapshot files. `PageStore` is the missing bottom
-//! layer: explicit read/write/sync of fixed-size pages against a real
-//! medium, with **measured** counters (`reads`, `writes`, `seeks`,
-//! `syncs`) instead of modeled ones. The
-//! [`SegmentTree`](crate::SegmentTree) persists its leaves through this
-//! trait, and [`FileBackend`](crate::FileBackend) stacks the whole table
-//! on top — which is what lets the planner's cost model grow a
-//! measured-latency arm next to the simulated one.
+//! `PageStore` is the bottom layer of the paged read path: explicit
+//! read/write/sync of fixed-size pages against a real medium, with
+//! **measured** counters (`reads`, `writes`, `seeks`, `syncs`) instead of
+//! modeled ones. The [`SegmentTree`](crate::SegmentTree) persists its
+//! leaves through this trait, and [`FileBackend`](crate::FileBackend)
+//! stacks the whole table on top — which is what lets the planner refine
+//! its [`DiskModel`](crate::DiskModel) default rates with measured
+//! latency.
 //!
 //! The trait is deliberately tiny (five I/O methods plus introspection)
 //! so that test harnesses can interpose: `sfc-workloads`' `FaultStore`

@@ -1,6 +1,6 @@
-//! The disk-resident storage backend: an immutable [`SegmentTree`] base
-//! plus an in-memory write overlay, behind the same [`Backend`] trait the
-//! simulated backends implement.
+//! The disk-resident storage backend — the one paged read path: an
+//! immutable [`SegmentTree`] base plus an in-memory write overlay, behind
+//! the same [`Backend`] trait the in-memory backend implements.
 //!
 //! A [`FileBackend`] is a miniature log-structured tree of exactly two
 //! levels:
@@ -33,8 +33,9 @@
 //! never trusted, which is what keeps the recovery contract (state equals
 //! a prefix of flush-acknowledged epochs) independent of segment fate.
 
-use crate::backend::{Backend, ScanStats};
+use crate::backend::Backend;
 use crate::btree::{BPlusTree, EntryGuard, DEFAULT_NODE_CAPACITY};
+use crate::disk::IoStats;
 use crate::segment::SegmentTree;
 use crate::store::{FileStore, PageStore};
 use crate::wal::{storage_err, WalCodec};
@@ -222,16 +223,17 @@ impl<V: WalCodec + Clone, S: PageStore> FileBackend<V, S> {
 
     /// Merges base and overlay over `lo..=hi` in key order — base copies
     /// of a key (oldest first) before overlay copies, dead/promoted base
-    /// copies skipped. Returns combined page statistics.
+    /// copies skipped. Returns the segment's page statistics plus the
+    /// overlay leaves touched.
     fn merged_scan(
         &self,
         lo: u64,
         hi: u64,
         visit: &mut dyn FnMut(u64, &V),
-    ) -> Result<ScanStats, SfcError> {
+    ) -> Result<IoStats, SfcError> {
         let mut it = self.overlay.range(lo, hi);
         let mut pending = it.next();
-        let seg = self.base.scan(lo, hi, &mut |k, v, dup| {
+        let mut stats = self.base.scan(lo, hi, &mut |k, v, dup| {
             while let Some((ok, ov)) = pending {
                 if ok < k {
                     visit(ok, ov);
@@ -248,12 +250,8 @@ impl<V: WalCodec + Clone, S: PageStore> FileBackend<V, S> {
             visit(ok, ov);
             pending = it.next();
         }
-        Ok(ScanStats {
-            pages: seg.pages + it.pages(),
-            cache_hits: seg.cache_hits,
-            real_reads: seg.real_reads,
-            real_seeks: seg.real_seeks,
-        })
+        stats.pages += it.pages();
+        Ok(stats)
     }
 
     /// Streams the merged live contents in persist order, bypassing the
@@ -395,12 +393,7 @@ impl<V: WalCodec + Clone, S: PageStore> Backend<V> for FileBackend<V, S> {
         self.overlay.remove(key)
     }
 
-    fn scan(
-        &self,
-        lo: u64,
-        hi: u64,
-        visit: &mut dyn FnMut(u64, &V),
-    ) -> Result<ScanStats, SfcError> {
+    fn scan(&self, lo: u64, hi: u64, visit: &mut dyn FnMut(u64, &V)) -> Result<IoStats, SfcError> {
         self.merged_scan(lo, hi, visit)
     }
 

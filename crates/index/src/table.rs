@@ -92,8 +92,9 @@ pub struct QueryResult<const D: usize, V> {
     /// after splitting at shard boundaries.
     pub ranges_scanned: u64,
     /// I/O statistics summed over the shards: one seek per range, one page
-    /// per backend leaf transferred, plus buffer-pool hits and measured
-    /// reads for backends that have them.
+    /// per backend leaf transferred, plus leaf-cache hits and measured
+    /// reads for backends that have them; `entries` counts the records
+    /// returned.
     pub io: IoStats,
     /// Each shard's own share of `io`, indexed by shard (zeros for shards
     /// the query did not touch). With one disk per shard, the query's

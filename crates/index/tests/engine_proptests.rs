@@ -6,8 +6,9 @@
 //!   and agree with a naive sorted-multiset model;
 //! * tables answer exactly like an independent model (`model/mod.rs`: a
 //!   `Vec` of rows filtered and ordered by the curve) for **every**
-//!   registry curve, across shard counts, backends, single-record writes
-//!   and batched epoch writes.
+//!   registry curve, across shard counts, single-record writes and
+//!   batched epoch writes (the file-backed backend's equivalence suite
+//!   lives in `stored_backend_tests.rs`).
 
 mod model;
 
@@ -19,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, CURVE_NAMES};
 use sfc_clustering::{RectQuery, ScratchPool};
 use sfc_index::{
-    BPlusTree, BatchOp, DiskModel, MemoryBackend, PagedBackend, QueryOptions, Record, ShardedTable,
+    BPlusTree, BatchOp, DiskModel, FileBackend, MemoryBackend, QueryOptions, Record, ShardedTable,
 };
 use sfc_workloads::zipf_points;
 
@@ -34,9 +35,9 @@ fn pairs<V: Clone>(records: &[Record<2, V>]) -> Vec<(Point<2>, V)> {
 fn engine_types_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedTable<onion_core::Onion2D, u64, 2>>();
-    assert_send_sync::<ShardedTable<onion_core::Onion2D, u64, 2, PagedBackend<Record<2, u64>>>>();
+    assert_send_sync::<ShardedTable<onion_core::Onion2D, u64, 2, FileBackend<Record<2, u64>>>>();
     assert_send_sync::<MemoryBackend<u64>>();
-    assert_send_sync::<PagedBackend<u64>>();
+    assert_send_sync::<FileBackend<u64>>();
     assert_send_sync::<BPlusTree<u64>>();
     assert_send_sync::<ScratchPool<2>>();
     // Registry curves are handed out thread-safe, so dyn-curve tables are
@@ -77,54 +78,6 @@ fn concurrent_queries_on_shared_table() {
                 });
             }
         });
-    }
-}
-
-/// Paged sharded tables return the model's rows for every registry curve,
-/// cold and warm — the backend changes the cost model, the shards change
-/// the execution, neither may change the answers.
-#[test]
-fn paged_sharded_matches_model_for_every_registry_curve() {
-    let side = 16u32;
-    let mut rng = StdRng::seed_from_u64(7);
-    let records: Vec<(Point<2>, u64)> = zipf_points::<2, _>(side, 400, 0.8, &mut rng)
-        .points
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (p, i as u64))
-        .collect();
-    let model = Model::new(records.clone());
-    let disk = DiskModel {
-        page_size: 16,
-        seek_us: 8_000.0,
-        transfer_us: 100.0,
-    };
-    let queries = [
-        RectQuery::new([0, 0], [side, side]).unwrap(),
-        RectQuery::new([3, 5], [9, 8]).unwrap(),
-        RectQuery::new([0, 14], [16, 2]).unwrap(),
-    ];
-    for name in CURVE_NAMES {
-        let curve = curve_2d(name, side).unwrap();
-        let paged_sharded =
-            ShardedTable::build_paged(curve_2d(name, side).unwrap(), records.clone(), disk, 4, 32)
-                .unwrap();
-        for q in &queries {
-            let expect = model.query(&curve, q);
-            // Cold and warm pools must both return the exact rows.
-            let cold = paged_sharded
-                .query_rect(q, &QueryOptions::default())
-                .unwrap();
-            let warm = paged_sharded
-                .query_rect(q, &QueryOptions::default())
-                .unwrap();
-            assert_eq!(pairs(&cold.records), expect, "{name} cold {q:?}");
-            assert_eq!(pairs(&warm.records), expect, "{name} warm {q:?}");
-            assert!(
-                warm.io.cache_hits >= cold.io.cache_hits,
-                "{name} warm run hits the pools at least as often {q:?}"
-            );
-        }
     }
 }
 
@@ -258,51 +211,6 @@ proptest! {
                 model.query(&curve, &q),
                 "{}", name
             );
-        }
-    }
-
-    /// The paged backend changes the cost accounting, never the answers:
-    /// query results match the memory backend's and the model's, and
-    /// replaying a workload converts transfers into cache hits without
-    /// touching results.
-    #[test]
-    fn paged_backend_answers_match_memory_backend(seed in any::<u64>()) {
-        let side = 32u32;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let points = zipf_points::<2, _>(side, 500, 0.6, &mut rng).points;
-        let records: Vec<(Point<2>, u64)> = points
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (p, i as u64))
-            .collect();
-        let model = Model::new(records.clone());
-        let curve = curve_2d("onion", side).unwrap();
-        let disk = DiskModel { page_size: 32, seek_us: 8_000.0, transfer_us: 100.0 };
-        let mem = ShardedTable::build(curve_2d("onion", side).unwrap(), records.clone(), disk, 1)
-            .unwrap();
-        let paged = ShardedTable::build_paged(
-            curve_2d("onion", side).unwrap(),
-            records,
-            disk,
-            1,
-            128,
-        )
-        .unwrap();
-        for _ in 0..8 {
-            let q = RectQuery::from_corners(
-                Point::new([rng.random_range(0..side), rng.random_range(0..side)]),
-                Point::new([rng.random_range(0..side), rng.random_range(0..side)]),
-            );
-            let a = mem.query_rect(&q, &QueryOptions::default()).unwrap();
-            let cold = paged.query_rect(&q, &QueryOptions::default()).unwrap();
-            let warm = paged.query_rect(&q, &QueryOptions::default()).unwrap();
-            prop_assert_eq!(pairs(&a.records), model.query(&curve, &q), "{:?}", q);
-            prop_assert_eq!(&a.records, &cold.records, "{:?}", q);
-            prop_assert_eq!(&a.records, &warm.records, "{:?}", q);
-            prop_assert_eq!(a.io.seeks, cold.io.seeks);
-            // The replay is fully absorbed by a pool larger than the table.
-            prop_assert_eq!(warm.io.pages, 0, "{:?}", q);
-            prop_assert_eq!(warm.io.cache_hits, cold.io.pages + cold.io.cache_hits);
         }
     }
 }

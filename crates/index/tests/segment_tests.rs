@@ -1,12 +1,13 @@
 //! Integration tests of the bulk-built [`SegmentTree`] durable format:
 //! equivalence with the live [`BPlusTree`] over random key sets
 //! (duplicates included), survival across reopen from the raw file,
-//! rejection of unsorted input and oversized entries, and corruption
-//! detection through the per-page checksums.
+//! rejection of unsorted input and oversized entries, corruption
+//! detection through the per-page checksums, and rejection of crafted
+//! pages whose checksums are valid but whose counts are not.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sfc_index::{BPlusTree, FileStore, PageStore, SegmentTree, DEFAULT_NODE_CAPACITY};
+use sfc_index::{crc32, BPlusTree, FileStore, PageStore, SegmentTree, DEFAULT_NODE_CAPACITY};
 use std::path::{Path, PathBuf};
 
 /// A fresh per-test directory under cargo's target tmpdir (inside the
@@ -223,4 +224,66 @@ fn wrong_magic_and_page_size_are_rejected_on_open() {
     let junk = dir.join("junk.seg");
     std::fs::write(&junk, vec![0u8; 512]).unwrap();
     assert!(SegmentTree::<u64>::open(FileStore::open(&junk, 128).unwrap(), 4).is_err());
+}
+
+/// Overwrites bytes of one page of a segment file at `at` and re-seals
+/// the page's checksum (the header's over bytes 8..36, a leaf or fence
+/// page's over everything after it), so only a bounds check on the
+/// crafted count can reject the page.
+fn craft_page(path: &Path, page_size: usize, page: u64, at: usize, bytes: &[u8]) {
+    let mut file = std::fs::read(path).unwrap();
+    let start = page as usize * page_size;
+    let p = &mut file[start..start + page_size];
+    p[at..at + bytes.len()].copy_from_slice(bytes);
+    if page == 0 {
+        let crc = crc32(&p[8..36]);
+        p[36..40].copy_from_slice(&crc.to_le_bytes());
+    } else {
+        let crc = crc32(&p[4..]);
+        p[..4].copy_from_slice(&crc.to_le_bytes());
+    }
+    std::fs::write(path, file).unwrap();
+}
+
+#[test]
+fn crafted_counts_are_rejected_without_panicking_or_over_allocating() {
+    let dir = test_dir("segment-crafted");
+    let es: Vec<(u64, u64)> = (0..20u64).map(|k| (k, k * 7)).collect();
+    let pristine = dir.join("pristine.seg");
+    {
+        let store = FileStore::create(&pristine, 128).unwrap();
+        SegmentTree::build(store, 4, es.iter().copied()).unwrap();
+    }
+    // 20-byte entries: 6 per 128-byte leaf, so 4 leaves (pages 1..=4) and
+    // one fence page (page 5) behind the header.
+    let fresh = |name: &str| {
+        let path = dir.join(name);
+        std::fs::copy(&pristine, &path).unwrap();
+        path
+    };
+    let open = |path: &Path| SegmentTree::<u64>::open(FileStore::open(path, 128).unwrap(), 4);
+    assert_eq!(open(&pristine).unwrap().len(), 20);
+
+    // A fence page claiming more keys than it holds.
+    let path = fresh("fence-count.seg");
+    craft_page(&path, 128, 5, 4, &1000u32.to_le_bytes());
+    assert!(open(&path).is_err(), "fence count past the page");
+
+    // A header claiming more leaves than the file holds.
+    let path = fresh("leaf-count.seg");
+    craft_page(&path, 128, 0, 12, &(u64::MAX / 4).to_le_bytes());
+    assert!(open(&path).is_err(), "leaf count past the store");
+
+    // A leaf count whose sum with the header and fence pages overflows.
+    let path = fresh("leaf-count-overflow.seg");
+    craft_page(&path, 128, 0, 12, &u64::MAX.to_le_bytes());
+    assert!(open(&path).is_err(), "page count sum overflows");
+
+    // A leaf claiming u32::MAX entries: open reads no leaf, so reads of
+    // that leaf must fail before sizing a buffer by the count.
+    let path = fresh("entry-count.seg");
+    craft_page(&path, 128, 1, 4, &u32::MAX.to_le_bytes());
+    let seg = open(&path).unwrap();
+    assert!(seg.scan(0, u64::MAX, &mut |_, _, _| {}).is_err());
+    assert!(seg.get(0).is_err());
 }

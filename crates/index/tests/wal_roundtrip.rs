@@ -5,8 +5,8 @@
 use onion_core::{Onion2D, Point};
 use sfc_clustering::RectQuery;
 use sfc_index::{
-    read_snapshot, write_snapshot, BatchOp, DiskModel, QueryOptions, Record, ShardedTable, Wal,
-    WAL_MAGIC,
+    read_snapshot, write_snapshot, BatchOp, DiskModel, QueryOptions, Record, ShardedTable,
+    StoreConfig, Wal, WAL_MAGIC,
 };
 use std::path::PathBuf;
 
@@ -265,8 +265,8 @@ fn snapshot_round_trips_across_shard_counts_and_backends() {
                 .records
         })
         .collect();
-    // Restore into different shard counts and the paged backend: same
-    // records, same order, every time.
+    // Restore into different shard counts and the file-backed backend:
+    // same records, same order, every time.
     for shards in [1usize, 2, 5] {
         let target: ShardedTable<Onion2D, u64, 2> = ShardedTable::build(
             Onion2D::new(side).unwrap(),
@@ -288,23 +288,24 @@ fn snapshot_round_trips_across_shard_counts_and_backends() {
             );
         }
     }
-    let paged = ShardedTable::build_paged(
+    let stored = ShardedTable::build_stored(
         Onion2D::new(side).unwrap(),
         Vec::new(),
         DiskModel::ssd(),
         2,
-        64,
+        &dir.join("segments"),
+        StoreConfig::default(),
     )
     .unwrap();
-    paged.restore_entries(entries).unwrap();
+    stored.restore_entries(entries).unwrap();
     for (q, expect) in queries.iter().zip(&reference) {
         assert_eq!(
-            &paged
+            &stored
                 .query_rect(q, &QueryOptions::default())
                 .unwrap()
                 .records,
             expect,
-            "paged"
+            "stored"
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -1,12 +1,14 @@
-//! The serving layer end to end: an `Engine` over a Zipf-skewed paged
-//! sharded table, driven by concurrent mixed op-streams, with the adaptive
-//! planner explaining its decisions as its live statistics warm up.
+//! The serving layer end to end: an `Engine` over a Zipf-skewed,
+//! file-backed sharded table, driven by concurrent mixed op-streams, with
+//! the adaptive planner explaining its decisions as its live statistics —
+//! among them the shards' leaf-cache hit rate — warm up.
 //!
-//! Run with `cargo run --release --example serving_engine`.
+//! Run with `cargo run --release --example serving_engine`. The table's
+//! segment files live in a temporary directory removed at exit.
 
 use onion_curve::clustering::RectQuery;
 use onion_curve::engine::{Engine, EngineConfig, Op};
-use onion_curve::index::{DiskModel, ShardedTable};
+use onion_curve::index::{DiskModel, ShardedTable, StoreConfig};
 use onion_curve::workloads::{mixed_op_stream, zipf_points, OpMix};
 use onion_curve::{Onion2D, Point};
 use rand::rngs::StdRng;
@@ -21,12 +23,17 @@ fn main() {
         .enumerate()
         .map(|(i, p)| (p, i as u64))
         .collect();
-    let table = ShardedTable::build_paged(
+    let dir = std::env::temp_dir().join(format!("sfc-serving-engine-{}", std::process::id()));
+    let table = ShardedTable::build_stored(
         Onion2D::new(side).unwrap(),
         records,
         DiskModel::hdd(),
         4,
-        1 << 9,
+        &dir,
+        StoreConfig {
+            page_size: 4096,
+            pool_pages: 1 << 9,
+        },
     )
     .unwrap();
     println!(
@@ -83,7 +90,9 @@ fn main() {
         engine.planner().shard_skew(),
         engine.planner().observed()
     );
-    // The same query, planned warm: the pool feedback discounts transfers,
-    // so the plan leans further toward fewer seeks.
+    // The same query, planned warm: the cache feedback discounts
+    // transfers, so the plan leans further toward fewer seeks.
     println!("warm plan:  {}", engine.explain(&q).unwrap().explain());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
