@@ -163,9 +163,7 @@ impl Conn {
     }
 
     fn send<const D: usize, V: WalCodec>(&mut self, req: &Request<D, V>) -> Result<(), SfcError> {
-        self.buf.clear();
-        req.encode(&mut self.buf);
-        write_frame(&mut self.stream, &self.buf)
+        write_frame(&mut self.stream, &mut self.buf, req)
     }
 
     fn recv<const D: usize, V: WalCodec>(
@@ -181,7 +179,7 @@ impl Conn {
                 })
             }
         };
-        let mut cur = WalCursor::new(&payload);
+        let mut cur = WalCursor::new(payload);
         Response::decode(&mut cur)
             .map(Some)
             .ok_or(SfcError::Storage {
@@ -263,7 +261,14 @@ impl Remote {
         let idempotent = req.is_idempotent();
         let verb = req.verb();
         let conn = self.ensure_conn()?;
-        let mut outcome = conn.send(req).and_then(|()| conn.recv_response(deadline));
+        let mut outcome = match conn.send(req) {
+            // The frame writer refused the request (over MAX_FRAME)
+            // before sending a byte: the server saw nothing, so the
+            // error is final for every verb and the connection stays
+            // clean for the next request.
+            Err(e) if !e.is_transport() => return Err(e),
+            sent => sent.and_then(|()| conn.recv_response(deadline)),
+        };
         if let Err(e) = &outcome {
             if e.is_transport() {
                 // A server refusing admission answers with one typed
@@ -378,9 +383,12 @@ where
     /// verb: the time budget is already spent.
     ///
     /// # Errors
-    /// On transport failure after retries are exhausted. A server-side
-    /// failure arrives as [`Response::Error`], not as `Err` — the typed
-    /// helpers unwrap it.
+    /// On transport failure after retries are exhausted, or with a
+    /// typed [`SfcError::Storage`] for a request whose encoding exceeds
+    /// [`MAX_FRAME`](crate::MAX_FRAME): that one is refused before any
+    /// byte is sent, so it is never ambiguous. A server-side failure
+    /// (including a response over `MAX_FRAME`) arrives as
+    /// [`Response::Error`], not as `Err` — the typed helpers unwrap it.
     pub fn request(&mut self, req: Request<D, V>) -> Result<Response<D, V>, SfcError> {
         match &mut self.transport {
             Transport::Local(engine) => Ok(respond(engine, req)),

@@ -17,15 +17,24 @@
 //! ```
 //!
 //! — byte-for-byte the WAL's frame layout, with the same slicing-by-8
-//! [`crc32`] over the payload. Payloads are [`WalCodec`](sfc_index::WalCodec)-encoded
+//! [`crc32`] over the payload. Payloads are [`WalCodec`]-encoded
 //! [`Request`](crate::Request)/[`Response`](crate::Response) values. A
 //! frame longer than [`MAX_FRAME`] is rejected before allocation (a
 //! corrupt or hostile length prefix cannot balloon memory), and a
 //! checksum mismatch poisons the connection — unlike the WAL's torn
 //! *tail*, a torn *middle* of a live stream has no honest recovery.
+//!
+//! Each frame leaves in one `write`, like the WAL's appends:
+//! `write_frame` (the one writer, for client and server alike)
+//! assembles header and payload in the connection's reused buffer.
+//! With `TCP_NODELAY`, a header written on its own goes out as a
+//! segment of its own, and the peer wakes for it, finds no whole frame
+//! and sleeps again — two wake-ups per frame where one suffices. The
+//! frame reader likewise sets the socket's read timeout only when it
+//! changes, not before every read.
 
 use onion_core::SfcError;
-use sfc_index::crc32;
+use sfc_index::{crc32, WalCodec};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -114,39 +123,80 @@ pub(crate) fn read_hello(
     Ok(())
 }
 
-/// Writes one `[len][crc32][payload]` frame.
-pub(crate) fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), SfcError> {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    stream
-        .write_all(&header)
-        .and_then(|()| stream.write_all(payload))
-        .map_err(|e| lost_err("write frame", e))
+/// Encodes `msg` and writes it as one `[len][crc32][payload]` frame with
+/// a single `write_all`: the message is encoded into `buf` (the
+/// connection's reused buffer) behind 8 reserved header bytes, whose
+/// length and checksum are then filled in.
+///
+/// # Errors
+/// [`SfcError::Storage`], naming the size and [`MAX_FRAME`], if the
+/// payload is over `MAX_FRAME`; nothing has been written then and the
+/// stream is still at a frame boundary. [`SfcError::ConnectionLost`] if
+/// the write fails, after which some of the frame may have been sent.
+pub(crate) fn write_frame<W: Write, M: WalCodec>(
+    out: &mut W,
+    buf: &mut Vec<u8>,
+    msg: &M,
+) -> Result<(), SfcError> {
+    buf.clear();
+    buf.extend_from_slice(&[0u8; 8]);
+    msg.encode(buf);
+    let len = buf.len() - 8;
+    if len as u64 > MAX_FRAME as u64 {
+        // Give back the oversize allocation: the connection lives on.
+        *buf = Vec::new();
+        return Err(SfcError::Storage {
+            context: format!("frame payload of {len} bytes exceeds MAX_FRAME ({MAX_FRAME} bytes)"),
+        });
+    }
+    let crc = crc32(&buf[8..]);
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[4..8].copy_from_slice(&crc.to_le_bytes());
+    out.write_all(buf).map_err(|e| lost_err("write frame", e))
 }
 
 /// One step of [`FrameReader::poll`].
-pub(crate) enum PollFrame {
-    /// A complete, checksum-verified payload.
-    Frame(Vec<u8>),
+pub(crate) enum PollFrame<'a> {
+    /// A complete, checksum-verified payload, lent until the next poll.
+    Frame(&'a [u8]),
     /// The timeout elapsed with no complete frame; poll again.
     Idle,
     /// The peer closed the connection at a clean frame boundary.
     Closed,
 }
 
+/// Size of the reader's socket read buffer.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Incremental frame reader: accumulates raw socket bytes across
 /// [`poll`](Self::poll) calls and yields only complete, verified frames,
 /// so a read timeout can never strand the stream mid-header — partial
 /// bytes simply stay buffered for the next poll.
+///
+/// After construction the reader must be the only code that sets the
+/// socket's read timeout: it remembers the last one it set and skips
+/// the `setsockopt` while the caller keeps asking for the same one.
 pub(crate) struct FrameReader {
+    /// Received bytes, starting at the frame lent by the last poll.
     acc: Vec<u8>,
+    /// Length (header included) of the frame the last poll lent out;
+    /// dropped from `acc` when the next poll starts.
+    lent: usize,
+    /// Socket read buffer, allocated once per connection.
+    chunk: Box<[u8]>,
+    /// The read timeout last set on the socket; `None` until the first
+    /// poll sets one.
+    timeout: Option<Option<Duration>>,
 }
 
 impl FrameReader {
     pub(crate) fn new() -> Self {
-        FrameReader { acc: Vec::new() }
+        FrameReader {
+            acc: Vec::new(),
+            lent: 0,
+            chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            timeout: None,
+        }
     }
 
     /// Waits up to `timeout` for the next frame. `None` as `timeout`
@@ -155,16 +205,18 @@ impl FrameReader {
         &mut self,
         stream: &mut TcpStream,
         timeout: Option<Duration>,
-    ) -> Result<PollFrame, SfcError> {
+    ) -> Result<PollFrame<'_>, SfcError> {
         loop {
-            if let Some(payload) = self.try_extract()? {
-                return Ok(PollFrame::Frame(payload));
+            if let Some(len) = self.next_frame()? {
+                return Ok(PollFrame::Frame(&self.acc[8..8 + len]));
             }
-            stream
-                .set_read_timeout(timeout)
-                .map_err(|e| net_err("set read timeout", e))?;
-            let mut chunk = [0u8; 16 * 1024];
-            match stream.read(&mut chunk) {
+            if self.timeout != Some(timeout) {
+                stream
+                    .set_read_timeout(timeout)
+                    .map_err(|e| net_err("set read timeout", e))?;
+                self.timeout = Some(timeout);
+            }
+            match stream.read(&mut self.chunk) {
                 Ok(0) => {
                     // A close at a frame boundary is the peer's clean
                     // goodbye; a close with bytes buffered tore a frame in
@@ -181,7 +233,7 @@ impl FrameReader {
                         })
                     };
                 }
-                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.acc.extend_from_slice(&self.chunk[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -207,9 +259,14 @@ impl FrameReader {
         }
     }
 
-    /// Pops one complete frame off the accumulator, if one has fully
-    /// arrived; validates the length bound and the checksum.
-    fn try_extract(&mut self) -> Result<Option<Vec<u8>>, SfcError> {
+    /// Drops the frame lent by the last poll, then checks whether the
+    /// next one has fully arrived: validates the length bound and the
+    /// checksum, lends it, and returns its payload length. When the lent
+    /// frame was all that was buffered (the request/response case), the
+    /// drop is a truncate, not a copy.
+    fn next_frame(&mut self) -> Result<Option<usize>, SfcError> {
+        self.acc.drain(..self.lent);
+        self.lent = 0;
         if self.acc.len() < 8 {
             return Ok(None);
         }
@@ -223,27 +280,154 @@ impl FrameReader {
             return Ok(None);
         }
         let expect = u32::from_le_bytes(self.acc[4..8].try_into().expect("4 bytes"));
-        let payload = self.acc[8..8 + len].to_vec();
-        if crc32(&payload) != expect {
+        if crc32(&self.acc[8..8 + len]) != expect {
             return Err(SfcError::Storage {
                 context: "frame checksum mismatch".into(),
             });
         }
-        self.acc.drain(..8 + len);
-        Ok(Some(payload))
+        self.lent = 8 + len;
+        Ok(Some(len))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfc_index::WalCursor;
+    use std::net::TcpListener;
+
+    /// A message whose encoding is exactly its bytes, so a test can
+    /// frame any payload through the production writer.
+    struct Raw(Vec<u8>);
+
+    impl WalCodec for Raw {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0);
+        }
+        fn decode(cur: &mut WalCursor<'_>) -> Option<Self> {
+            Some(Raw(cur.take(cur.remaining())?.to_vec()))
+        }
+    }
+
+    /// A `Write` that records the length of every `write` call.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(data.len());
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        write_frame(&mut bytes, &mut Vec::new(), &Raw(payload.to_vec())).unwrap();
         bytes
+    }
+
+    /// The next buffered frame's payload, as `poll` would lend it.
+    fn pop(reader: &mut FrameReader) -> Result<Option<Vec<u8>>, SfcError> {
+        Ok(reader
+            .next_frame()?
+            .map(|len| reader.acc[8..8 + len].to_vec()))
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        let mut buf = Vec::new();
+        for len in [0usize, 24, 1 << 20] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut out = Recorder::default();
+            write_frame(&mut out, &mut buf, &Raw(payload.clone())).unwrap();
+            assert_eq!(out.writes, [8 + len], "a {len}-byte payload");
+            // The wire layout: [len: u32 LE][crc32: u32 LE][payload].
+            assert_eq!(out.bytes[..4], (len as u32).to_le_bytes());
+            assert_eq!(out.bytes[4..8], crc32(&payload).to_le_bytes());
+            assert_eq!(out.bytes[8..], payload);
+        }
+    }
+
+    #[test]
+    fn oversize_payload_is_refused_before_any_write() {
+        let mut out = Recorder::default();
+        let mut buf = Vec::new();
+        let msg = Raw(vec![0; MAX_FRAME as usize + 1]);
+        let err = write_frame(&mut out, &mut buf, &msg).unwrap_err();
+        let SfcError::Storage { context } = err else {
+            panic!("an oversize frame must be a storage error, got {err:?}");
+        };
+        assert!(context.contains("MAX_FRAME"), "{context}");
+        assert!(context.contains(&(MAX_FRAME + 1).to_string()), "{context}");
+        assert!(out.writes.is_empty(), "nothing may be sent");
+        assert_eq!(buf.capacity(), 0, "the oversize buffer is released");
+    }
+
+    #[test]
+    fn frame_split_across_two_reads_is_held_until_complete() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut receiver, _) = listener.accept().unwrap();
+        sender.set_nodelay(true).unwrap();
+        let bytes = framed(b"split payload");
+        let mut reader = FrameReader::new();
+        let wait = Some(Duration::from_millis(50));
+
+        sender.write_all(&bytes[..8]).unwrap();
+        assert!(matches!(
+            reader.poll(&mut receiver, wait).unwrap(),
+            PollFrame::Idle
+        ));
+        assert_eq!(reader.acc.len(), 8, "the header stays buffered");
+
+        sender.write_all(&bytes[8..]).unwrap();
+        match reader.poll(&mut receiver, wait).unwrap() {
+            PollFrame::Frame(payload) => assert_eq!(payload, b"split payload"),
+            _ => panic!("the completed frame must be yielded"),
+        }
+
+        drop(sender);
+        assert!(matches!(
+            reader.poll(&mut receiver, wait).unwrap(),
+            PollFrame::Closed
+        ));
+    }
+
+    #[test]
+    fn a_changed_read_timeout_takes_effect() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut receiver, _) = listener.accept().unwrap();
+        let mut reader = FrameReader::new();
+        let short = Some(Duration::from_millis(10));
+        for _ in 0..2 {
+            assert!(matches!(
+                reader.poll(&mut receiver, short).unwrap(),
+                PollFrame::Idle
+            ));
+        }
+        // The frame arrives long after the short timeout: a reader still
+        // on it would return `Idle` instead of waiting.
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            sender.write_all(&framed(b"late")).unwrap();
+            sender
+        });
+        match reader
+            .poll(&mut receiver, Some(Duration::from_secs(10)))
+            .unwrap()
+        {
+            PollFrame::Frame(payload) => assert_eq!(payload, b"late"),
+            _ => panic!("the longer timeout must be in force"),
+        }
+        drop(late.join().unwrap());
     }
 
     #[test]
@@ -253,17 +437,18 @@ mod tests {
             let mut reader = FrameReader::new();
             reader.acc.extend_from_slice(&bytes[..cut]);
             assert!(
-                matches!(reader.try_extract(), Ok(None)),
+                matches!(pop(&mut reader), Ok(None)),
                 "a frame cut at byte {cut} must stay buffered, not decode"
             );
         }
         let mut reader = FrameReader::new();
         reader.acc.extend_from_slice(&bytes);
         assert_eq!(
-            reader.try_extract().unwrap().as_deref(),
+            pop(&mut reader).unwrap().as_deref(),
             Some(b"torn-frame probe payload".as_slice())
         );
-        assert!(reader.acc.is_empty(), "a popped frame is fully drained");
+        assert!(matches!(pop(&mut reader), Ok(None)));
+        assert!(reader.acc.is_empty(), "a lent frame is fully drained");
     }
 
     #[test]
@@ -275,7 +460,7 @@ mod tests {
                 bytes[i] ^= flip;
                 let mut reader = FrameReader::new();
                 reader.acc.extend_from_slice(&bytes);
-                match reader.try_extract() {
+                match pop(&mut reader) {
                     // Corrupting the length prefix may leave the frame
                     // "incomplete" (a longer claimed length) — that is a
                     // safe stall, never a mis-decode.
@@ -295,7 +480,7 @@ mod tests {
         let mut reader = FrameReader::new();
         reader.acc.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         reader.acc.extend_from_slice(&[0u8; 4]);
-        let err = reader.try_extract().unwrap_err();
+        let err = pop(&mut reader).unwrap_err();
         let SfcError::Storage { context } = err else {
             panic!("oversize frame must be a storage error");
         };
@@ -308,20 +493,20 @@ mod tests {
         reader.acc.extend_from_slice(&framed(b"first"));
         reader.acc.extend_from_slice(&framed(b"second"));
         assert_eq!(
-            reader.try_extract().unwrap().as_deref(),
+            pop(&mut reader).unwrap().as_deref(),
             Some(b"first".as_slice())
         );
         assert_eq!(
-            reader.try_extract().unwrap().as_deref(),
+            pop(&mut reader).unwrap().as_deref(),
             Some(b"second".as_slice())
         );
-        assert!(matches!(reader.try_extract(), Ok(None)));
+        assert!(matches!(pop(&mut reader), Ok(None)));
     }
 
     #[test]
     fn empty_payload_frames_are_valid() {
         let mut reader = FrameReader::new();
         reader.acc.extend_from_slice(&framed(b""));
-        assert_eq!(reader.try_extract().unwrap().as_deref(), Some(&[] as &[u8]));
+        assert_eq!(pop(&mut reader).unwrap().as_deref(), Some(&[] as &[u8]));
     }
 }

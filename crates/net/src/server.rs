@@ -12,16 +12,16 @@
 //! the handler replays WAL catch-up frames, then forwards the engine's
 //! live epoch feed ([`Engine::subscribe_epochs`]) until the peer
 //! disconnects or the server shuts down. Everything else is strict
-//! request/response.
+//! request/response; a response too large for one frame (over
+//! [`MAX_FRAME`](crate::MAX_FRAME)) is answered with a typed
+//! [`Response::Error`] instead, and the connection serves on.
 //!
 //! Shutdown is cooperative: [`Server::shutdown`] (or drop) raises a
 //! flag, wakes the accept loop with a self-connection, and joins every
 //! handler — handlers poll their sockets with a short timeout, so none
 //! blocks past it.
 
-use crate::frame::{
-    net_err, read_hello, write_frame, write_hello, FrameReader, PollFrame, MAX_FRAME,
-};
+use crate::frame::{net_err, read_hello, write_frame, write_hello, FrameReader, PollFrame};
 use crate::proto::{Request, Response};
 use onion_core::{SfcError, SpaceFillingCurve};
 use sfc_engine::{Engine, FeedEvent, Op};
@@ -265,7 +265,7 @@ fn accept_loop<C, V, const D: usize>(
     C: SpaceFillingCurve<D> + Send + Sync + 'static,
     V: Clone + Send + Sync + WalCodec + 'static,
 {
-    let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stopping() {
         let Ok((stream, _)) = listener.accept() else {
             continue;
@@ -304,13 +304,20 @@ fn accept_loop<C, V, const D: usize>(
                 let _ = refuse_connection::<D, V>(stream, &shared);
             })
         };
-        handlers
-            .lock()
-            .expect("handler registry poisoned")
-            .push(handle);
+        reap_finished(&mut handlers);
+        handlers.push(handle);
     }
     drain(&shared);
-    for handle in handlers.into_inner().expect("handler registry poisoned") {
+    for handle in handlers {
+        let _ = handle.join();
+    }
+}
+
+/// Joins every handler thread that has exited, so the list holds only
+/// live connections' threads: an exited thread nobody joins keeps its
+/// stack mapped until the server shuts down.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    for handle in handlers.extract_if(.., |h| h.is_finished()) {
         let _ = handle.join();
     }
 }
@@ -345,7 +352,7 @@ fn refuse_connection<const D: usize, V: WalCodec>(
     write_hello(&mut stream)?;
     read_hello(&mut stream, Some(shared.config.preamble_timeout))?;
     let mut buf = Vec::new();
-    send(
+    write_frame(
         &mut stream,
         &mut buf,
         &Response::<D, V>::Error(SfcError::Unavailable {
@@ -390,12 +397,12 @@ where
             PollFrame::Closed => return Ok(()),
         };
         last_frame = Instant::now();
-        let mut cur = sfc_index::WalCursor::new(&payload);
+        let mut cur = sfc_index::WalCursor::new(payload);
         let Some(request) = Request::<D, V>::decode(&mut cur) else {
             // An undecodable request is answered, not fatal: the frame
             // checksum already passed, so the bytes arrived intact and
             // the peer merely spoke a verb this side does not know.
-            send(
+            write_frame(
                 &mut stream,
                 &mut buf,
                 &Response::<D, V>::Error(SfcError::Storage {
@@ -407,25 +414,16 @@ where
         if let Request::SubscribeEpochs { from } = request {
             return stream_epochs(stream, engine, &shared.stop, from);
         }
-        send(&mut stream, &mut buf, &respond(engine, request))?;
+        match write_frame(&mut stream, &mut buf, &respond(engine, request)) {
+            // A response over MAX_FRAME was refused before any byte
+            // left: answer with the typed error and keep serving.
+            Err(e) if !e.is_transport() => {
+                write_frame(&mut stream, &mut buf, &Response::<D, V>::Error(e))?
+            }
+            sent => sent?,
+        }
     }
     Ok(())
-}
-
-/// Encodes and frames one response.
-fn send<const D: usize, V: WalCodec>(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    response: &Response<D, V>,
-) -> Result<(), SfcError> {
-    buf.clear();
-    response.encode(buf);
-    if buf.len() as u64 > MAX_FRAME as u64 {
-        return Err(SfcError::Storage {
-            context: format!("response of {} bytes exceeds MAX_FRAME", buf.len()),
-        });
-    }
-    write_frame(stream, buf)
 }
 
 /// The replication tap: catch the subscriber up from the WAL, then
@@ -450,7 +448,7 @@ where
     // Acknowledge before anything else: once the subscriber sees this
     // frame, the live tap is registered and no later epoch can be lost —
     // a replica gates its transactor's writes on it.
-    send(
+    write_frame(
         &mut stream,
         &mut buf,
         &Response::<D, V>::Subscribed {
@@ -463,7 +461,7 @@ where
             Err(e) => {
                 // An in-memory transactor has no WAL to replay; tell the
                 // subscriber instead of silently skipping epochs.
-                send(&mut stream, &mut buf, &Response::<D, V>::Error(e))?;
+                write_frame(&mut stream, &mut buf, &Response::<D, V>::Error(e))?;
                 return Ok(());
             }
         };
@@ -472,7 +470,7 @@ where
             if frame.epoch > sub.start_epoch() {
                 break; // the live feed takes over from here
             }
-            send(
+            write_frame(
                 &mut stream,
                 &mut buf,
                 &Response::Epoch {
@@ -485,7 +483,7 @@ where
     }
     while !stop.load(Ordering::Acquire) {
         match sub.next_timeout(POLL_INTERVAL) {
-            Some(FeedEvent::Epoch(epoch, ops)) => send(
+            Some(FeedEvent::Epoch(epoch, ops)) => write_frame(
                 &mut stream,
                 &mut buf,
                 &Response::Epoch {
@@ -495,7 +493,7 @@ where
                 },
             )?,
             Some(FeedEvent::Lagged) => {
-                send(&mut stream, &mut buf, &Response::<D, V>::Lagged)?;
+                write_frame(&mut stream, &mut buf, &Response::<D, V>::Lagged)?;
                 return Ok(());
             }
             None => {
@@ -519,4 +517,30 @@ fn is_closed(stream: &TcpStream) -> bool {
     let closed = matches!(stream.peek(&mut probe), Ok(0));
     stream.set_nonblocking(false).ok();
     closed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reaping_keeps_only_unfinished_handlers() {
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        let live = std::thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let mut handlers = vec![live];
+        for _ in 0..100 {
+            let exited = std::thread::spawn(|| {});
+            while !exited.is_finished() {
+                std::thread::yield_now();
+            }
+            handlers.push(exited);
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "every exited handler is joined");
+        assert!(!handlers[0].is_finished());
+        drop(release);
+        handlers.pop().unwrap().join().unwrap();
+    }
 }

@@ -12,13 +12,18 @@
 //!   [`SfcError::Unavailable`] busy frame (pre-execution: nothing ran);
 //! * a clean close and a torn frame are distinct error classes;
 //! * idle connections are reaped, and shutdown drains within its
-//!   deadline even with connections open.
+//!   deadline even with connections open;
+//! * a request or response over `MAX_FRAME` is refused with a typed
+//!   error before any byte of it is sent, and the connection serves on.
 
 use onion_core::{Point, SfcError};
 use sfc_baselines::{curve_2d, DynCurve};
-use sfc_engine::{Engine, EngineConfig};
+use sfc_clustering::RectQuery;
+use sfc_engine::{Engine, EngineConfig, Op};
 use sfc_index::{DiskModel, ShardedTable};
-use sfc_net::{Client, NetConfig, RetryPolicy, Server, ServerConfig, NET_MAGIC, PROTOCOL_VERSION};
+use sfc_net::{
+    Client, NetConfig, RetryPolicy, Server, ServerConfig, MAX_FRAME, NET_MAGIC, PROTOCOL_VERSION,
+};
 use sfc_workloads::{ChaosInjector, ChaosProxy};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -408,4 +413,67 @@ fn shutdown_drains_within_its_deadline_with_connections_open() {
         "shutdown took {:?} with open connections",
         start.elapsed()
     );
+}
+
+fn mk_blob_engine(records: Vec<(Point<2>, Vec<u8>)>) -> Arc<Engine<DynCurve<2>, Vec<u8>, 2>> {
+    let curve = curve_2d("onion", SIDE).unwrap();
+    let table = ShardedTable::build(curve, records, DiskModel::ssd(), 1).unwrap();
+    Arc::new(Engine::new(table, EngineConfig::with_epoch_ops(1 << 20)))
+}
+
+/// Asserts a typed storage error naming `MAX_FRAME`.
+fn assert_oversize(err: &SfcError) {
+    let SfcError::Storage { context } = err else {
+        panic!("an oversize frame must be a typed storage error, got {err:?}");
+    };
+    assert!(context.contains("MAX_FRAME"), "{context}");
+}
+
+#[test]
+fn oversize_request_is_refused_before_sending() {
+    let engine = mk_blob_engine(Vec::new());
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let mut client = Client::<DynCurve<2>, Vec<u8>, 2>::connect_with(
+        &server.local_addr().to_string(),
+        fast_net(),
+    )
+    .unwrap();
+    let p = Point::new([1, 1]);
+    let err = client
+        .execute(Op::Update(p, vec![7; MAX_FRAME as usize + 1]))
+        .unwrap_err();
+    // Not `AmbiguousWrite`: no byte of the request left the client.
+    assert_oversize(&err);
+    assert_eq!(engine.stats().writes, 0, "the write was not admitted");
+
+    client.update(p, vec![7; 16]).unwrap();
+    client.flush().unwrap();
+    assert_eq!(client.get(p).unwrap(), Some(vec![7; 16]));
+    assert_eq!(engine.stats().writes, 1);
+    server.shutdown();
+}
+
+#[test]
+fn oversize_response_is_answered_typed_and_the_connection_serves_on() {
+    let half = MAX_FRAME as usize / 2 + 16;
+    let engine = mk_blob_engine(vec![
+        (Point::new([1, 1]), vec![1; half]),
+        (Point::new([2, 2]), vec![2; half]),
+        (Point::new([9, 9]), vec![9; 16]),
+    ]);
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let mut client = Client::<DynCurve<2>, Vec<u8>, 2>::connect_with(
+        &server.local_addr().to_string(),
+        fast_net(),
+    )
+    .unwrap();
+    let both = RectQuery::new([0, 0], [4, 4]).unwrap();
+    let err = client.query(both).unwrap_err();
+    assert_oversize(&err);
+    // A typed answer, not a transport failure: nothing was retried.
+    assert_eq!(engine.stats().queries, 1, "the query ran exactly once");
+
+    assert_eq!(client.get(Point::new([9, 9])).unwrap(), Some(vec![9; 16]));
+    assert_eq!(server.active_connections(), 1);
+    server.shutdown();
 }
