@@ -1320,6 +1320,39 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    // The page checksum: CRC-32 over 16 MiB of 4 KiB pages (4096 pages,
+    // as a leaf miss, a checkpoint or a snapshot would checksum them),
+    // slicing-by-8 (`crc32_portable`, the portable tier and pinned
+    // reference) vs the dispatched `crc32` — the carry-less-multiply fold
+    // on CPUs with `pclmulqdq` and `sse4.1`. Divide either side by 4096
+    // for the cost of one page. Under `SFC_PORTABLE_KERNELS` both sides
+    // run the table loop and the pair sits at ~1x.
+    {
+        let mut probe = 0x9E37_79B9_7F4A_7C15u64;
+        let pages: Vec<Vec<u8>> = (0..4096)
+            .map(|_| {
+                (0..4096)
+                    .map(|_| {
+                        probe = probe
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                        (probe >> 56) as u8
+                    })
+                    .collect()
+            })
+            .collect();
+        let sum_pages = |crc: fn(&[u8]) -> u32| {
+            pages.iter().fold(0u64, |acc, page| {
+                acc.wrapping_add(u64::from(crc(std::hint::black_box(page))))
+            })
+        };
+        comparisons.push(Comparison {
+            name: "index/crc32/page4k",
+            baseline_ns: Some(time_ns(reps, || sum_pages(sfc_index::crc32_portable))),
+            optimized_ns: time_ns(reps, || sum_pages(sfc_index::crc32)),
+        });
+    }
+
     // Real-I/O segment scans: one full curve-order scan of a 65k-entry
     // file-backed SFCSEG01 segment, through a 16-page buffer pool that
     // thrashes (every rep seeks, reads, and crc-checks real pages) vs a

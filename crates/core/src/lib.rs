@@ -55,3 +55,12 @@ pub use onion3d::{Onion3D, Segment3D};
 pub use onion_nd::OnionNd;
 pub use point::{NeighborIter, Point};
 pub use universe::{CellIter, Universe};
+
+/// Whether the `SFC_PORTABLE_KERNELS` environment variable (set to a
+/// non-empty value other than `0`) pins every runtime-dispatched kernel to
+/// its portable tier, whatever the CPU supports. The one parser of the
+/// override: the bit kernels in `sfc-baselines` and the CRC-32 in
+/// `sfc-index` each consult it once per process.
+pub fn portable_kernels_forced() -> bool {
+    std::env::var_os("SFC_PORTABLE_KERNELS").is_some_and(|v| !v.is_empty() && v != *"0")
+}

@@ -34,9 +34,7 @@ static DISPATCH: AtomicU8 = AtomicU8::new(DISPATCH_UNDECIDED);
 
 #[cold]
 fn decide_dispatch() -> u8 {
-    let forced =
-        std::env::var_os("SFC_PORTABLE_KERNELS").is_some_and(|v| !v.is_empty() && v != *"0");
-    let state = if !forced && accel::available() {
+    let state = if !onion_core::portable_kernels_forced() && accel::available() {
         DISPATCH_ACCELERATED
     } else {
         DISPATCH_PORTABLE

@@ -66,14 +66,16 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid` so the `prefetch` module alone can scope an
-// `allow` around the `_mm_prefetch` cache hint (which touches no memory);
+// `deny` rather than `forbid` so two modules alone can scope an `allow`:
+// `prefetch` around the `_mm_prefetch` cache hint (which touches no
+// memory), and `checksum` around its carry-less-multiply CRC-32 kernel;
 // every other module still rejects unsafe code outright.
 #![deny(unsafe_code)]
 
 mod backend;
 mod btree;
 mod cache;
+mod checksum;
 mod disk;
 mod partition;
 mod plan;
@@ -88,6 +90,7 @@ pub mod wal;
 pub use backend::{Backend, MemoryBackend};
 pub use btree::{BPlusTree, EntryGuard, RangeIter, DEFAULT_NODE_CAPACITY};
 pub use cache::LruBufferPool;
+pub use checksum::{crc32, crc32_portable};
 pub use disk::{DiskModel, IoStats};
 pub use partition::{
     evaluate_partitioning, owner_of, partition_universe, try_owner_of, Partition, PartitionMetrics,
@@ -99,6 +102,6 @@ pub use store::{FileStore, PageStore, StoreStats};
 pub use stored::{FileBackend, StoreConfig, StoreFactory};
 pub use table::{QueryOptions, QueryResult, Record, ValueGuard};
 pub use wal::{
-    crc32, decode_seq, encode_seq, read_snapshot, write_snapshot, EpochFrame, SnapshotContents,
-    Wal, WalCodec, WalCursor, SNAPSHOT_MAGIC, WAL_MAGIC,
+    decode_seq, encode_seq, read_snapshot, write_snapshot, EpochFrame, SnapshotContents, Wal,
+    WalCodec, WalCursor, SNAPSHOT_MAGIC, WAL_MAGIC,
 };

@@ -9,13 +9,13 @@
 //! hand it to the cache early with a non-binding `prefetcht0` hint and
 //! overlap the miss with the work on the current element.
 //!
-//! This is the only unsafe code in the crate, and it is unsafe in name
-//! only: `_mm_prefetch` performs no memory access, affects no
-//! architectural state, and is explicitly documented to be valid for any
-//! address, including null and dangling ones. On non-x86_64 targets the
-//! hint compiles to nothing. The crate root narrows `forbid(unsafe_code)`
-//! to `deny` solely so this module can scope an `allow` around the
-//! intrinsic; everything else still refuses unsafe code at compile time.
+//! This unsafe code is unsafe in name only: `_mm_prefetch` performs no
+//! memory access, affects no architectural state, and is explicitly
+//! documented to be valid for any address, including null and dangling
+//! ones. On non-x86_64 targets the hint compiles to nothing. The crate
+//! root narrows `forbid(unsafe_code)` to `deny` so this module and
+//! `checksum` (the CRC-32 kernel) can scope an `allow` around their
+//! intrinsics; everything else still refuses unsafe code at compile time.
 #![allow(unsafe_code)]
 
 /// Hints the cache hierarchy to load the line containing `p` (all levels,

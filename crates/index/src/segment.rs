@@ -32,9 +32,10 @@
 //! read time rather than decoded into garbage.
 
 use crate::cache::LruBufferPool;
+use crate::checksum::crc32;
 use crate::disk::IoStats;
 use crate::store::{FileStore, PageStore};
-use crate::wal::{crc32, storage_err, WalCodec, WalCursor};
+use crate::wal::{storage_err, WalCodec, WalCursor};
 use onion_core::SfcError;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -44,6 +45,10 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"SFCSEG01";
 
 /// Byte overhead of a leaf/fence page before its payload: crc32 + count.
 const PAGE_HEADER: usize = 8;
+
+/// Bytes of the header page's fields (magic through crc32) — the smallest
+/// page size a segment can be built or opened with.
+const MIN_PAGE_SIZE: usize = 40;
 
 /// Byte overhead of one leaf entry before its value bytes: key + length.
 const ENTRY_HEADER: usize = 12;
@@ -84,19 +89,15 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
     /// At most `pool_pages` decoded leaves are kept resident for reads.
     ///
     /// # Errors
-    /// If the input is unsorted, an encoded entry exceeds the page
-    /// capacity, or the store fails.
+    /// If the store's page size is below the 40-byte header, the input is
+    /// unsorted, an encoded entry exceeds the page capacity, or the store
+    /// fails.
     pub fn build(
         store: S,
         pool_pages: usize,
         entries: impl IntoIterator<Item = (u64, V)>,
     ) -> Result<Self, SfcError> {
-        let page_size = store.page_size();
-        if page_size < PAGE_HEADER + ENTRY_HEADER + 4 {
-            return Err(SfcError::Storage {
-                context: format!("segment page size {page_size} too small"),
-            });
-        }
+        let page_size = check_page_size(&store)?;
         let mut fences: Vec<u64> = Vec::new();
         let mut entry_count = 0u64;
         let mut page = vec![0u8; page_size];
@@ -226,9 +227,10 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
     /// reloading the fence index from its pages.
     ///
     /// # Errors
-    /// On I/O failure or a corrupt header/fence page.
+    /// If the store's page size is below the 40-byte header, on I/O
+    /// failure, or on a corrupt header/fence page.
     pub fn open(store: S, pool_pages: usize) -> Result<Self, SfcError> {
-        let page_size = store.page_size();
+        let page_size = check_page_size(&store)?;
         let corrupt = |what: &str| SfcError::Storage {
             context: format!("opening segment {}: {what}", store_name(&store)),
         };
@@ -559,4 +561,18 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
 /// Best-effort display name for error contexts.
 fn store_name<S: PageStore>(store: &S) -> String {
     store.path().display().to_string()
+}
+
+/// The store's page size, if it can hold the header page's fields.
+fn check_page_size<S: PageStore>(store: &S) -> Result<usize, SfcError> {
+    let page_size = store.page_size();
+    if page_size < MIN_PAGE_SIZE {
+        return Err(SfcError::Storage {
+            context: format!(
+                "segment {}: page size {page_size} is below the {MIN_PAGE_SIZE}-byte minimum",
+                store_name(store)
+            ),
+        });
+    }
+    Ok(page_size)
 }

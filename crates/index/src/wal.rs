@@ -67,6 +67,7 @@
 //! ```
 
 use crate::backend::Backend;
+use crate::checksum::crc32;
 use crate::plan::QueryPlan;
 use crate::shard::{BatchOp, ShardedTable};
 use crate::table::Record;
@@ -80,74 +81,6 @@ use std::path::{Path, PathBuf};
 pub const WAL_MAGIC: [u8; 8] = *b"SFCWAL01";
 /// Magic bytes opening a snapshot file (format version 01).
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SFCSNP01";
-
-// ---------------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup tables for the
-/// slicing-by-8 algorithm, built at compile time: `TABLES[0]` is the
-/// classic one-lookup-per-byte table (used for the tail), and
-/// `TABLES[k][i]` extends it by `k` zero bytes, so eight lookups advance
-/// the CRC over eight message bytes at once. Checksumming is the single
-/// biggest CPU cost of committing an epoch frame (the write itself is
-/// one buffered syscall), so the ~6x over byte-at-a-time shows up
-/// directly in `engine/wal_commit`.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE) of `bytes` — the frame checksum. Strong enough to catch
-/// torn writes and bit rot in a frame; not a cryptographic digest.
-/// Slicing-by-8: eight table lookups per eight bytes, with the classic
-/// per-byte update on the unaligned tail.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("4-byte slice")) ^ c;
-        let hi = u32::from_le_bytes(chunk[4..8].try_into().expect("4-byte slice"));
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---------------------------------------------------------------------------
 // Value codec
@@ -471,11 +404,14 @@ pub fn encode_seq<T: WalCodec>(items: &[T], buf: &mut Vec<u8>) {
 }
 
 /// Decodes a sequence written by [`encode_seq`]. The pre-allocation is
-/// clamped to the bytes actually remaining, so a hostile length prefix
-/// cannot force a huge reservation before the per-item decodes fail.
+/// clamped to as many elements as the remaining bytes could fill if each
+/// decoded into its full in-memory size, so a hostile length prefix can
+/// never reserve more than the frame's own bytes before the per-item
+/// decodes fail; a longer sequence grows the vector normally.
 pub fn decode_seq<T: WalCodec>(cur: &mut WalCursor<'_>) -> Option<Vec<T>> {
     let len = cur.u32()? as usize;
-    let mut out = Vec::with_capacity(len.min(cur.remaining()));
+    let fits = cur.remaining() / std::mem::size_of::<T>().max(1);
+    let mut out = Vec::with_capacity(len.min(fits));
     for _ in 0..len {
         out.push(T::decode(cur)?);
     }
@@ -542,10 +478,7 @@ pub fn encode_epoch_payload_into<const D: usize, V: WalCodec>(
     payload.clear();
     payload.reserve(16 + ops.len() * (1 + D * 4 + 8));
     epoch.encode(payload);
-    (ops.len() as u32).encode(payload);
-    for op in ops {
-        op.encode(payload);
-    }
+    encode_seq(ops, payload);
 }
 
 /// [`encode_epoch_payload_into`] into a fresh allocation.
@@ -563,11 +496,7 @@ pub fn encode_epoch_payload<const D: usize, V: WalCodec>(
 fn decode_epoch_payload<const D: usize, V: WalCodec>(payload: &[u8]) -> Option<EpochFrame<D, V>> {
     let mut cur = WalCursor::new(payload);
     let epoch = cur.u64()?;
-    let count = cur.u32()? as usize;
-    let mut ops = Vec::with_capacity(count.min(payload.len()));
-    for _ in 0..count {
-        ops.push(BatchOp::decode(&mut cur)?);
-    }
+    let ops = decode_seq(&mut cur)?;
     if cur.remaining() != 0 {
         return None;
     }
@@ -1230,24 +1159,6 @@ pub fn read_snapshot<const D: usize, V: WalCodec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic IEEE CRC-32 check value. A self-consistent but
-        // IEEE-incompatible implementation would reject every log written
-        // by a previous build, so these pins are load-bearing.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        // Longer vectors spanning several 8-byte slices plus an odd tail,
-        // exercising every lane of the slicing-by-8 tables (reference
-        // values from zlib's crc32).
-        let bytes: Vec<u8> = (0u8..37).collect();
-        assert_eq!(crc32(&bytes), 0x8222_EFE9);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
 
     #[test]
     fn codec_round_trips_primitives() {

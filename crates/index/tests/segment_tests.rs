@@ -287,3 +287,43 @@ fn crafted_counts_are_rejected_without_panicking_or_over_allocating() {
     assert!(seg.scan(0, u64::MAX, &mut |_, _, _| {}).is_err());
     assert!(seg.get(0).is_err());
 }
+
+#[test]
+fn page_sizes_below_the_header_are_rejected_with_a_typed_error() {
+    let dir = test_dir("segment-tiny-pages");
+    let es: Vec<(u64, u64)> = (0..10u64).map(|k| (k, k)).collect();
+    let is_page_size_error = |err: &onion_core::SfcError, size: usize| {
+        matches!(err, onion_core::SfcError::Storage { context }
+            if context.contains(&format!("page size {size}")) && context.contains("40-byte"))
+    };
+    // Build writes a 40-byte header page, so anything smaller is refused
+    // before a byte is written.
+    for size in [24usize, 32, 39] {
+        let store = FileStore::create(&dir.join(format!("build{size}.seg")), size).unwrap();
+        let err = SegmentTree::build(store, 4, es.iter().copied()).unwrap_err();
+        assert!(is_page_size_error(&err, size), "build at {size}: {err}");
+    }
+    // Opening a valid segment with a caller page size below the header
+    // is refused before the header is read.
+    let path = dir.join("valid.seg");
+    SegmentTree::build(
+        FileStore::create(&path, 128).unwrap(),
+        4,
+        es.iter().copied(),
+    )
+    .unwrap();
+    for size in [8usize, 11] {
+        let err = SegmentTree::<u64>::open(FileStore::open(&path, size).unwrap(), 4).unwrap_err();
+        assert!(is_page_size_error(&err, size), "open at {size}: {err}");
+    }
+    // The header size itself still builds and round-trips (one entry per
+    // leaf at 40 bytes: an 8-byte page header plus a 20-byte entry).
+    let path = dir.join("min.seg");
+    SegmentTree::build(FileStore::create(&path, 40).unwrap(), 4, es.iter().copied()).unwrap();
+    let reopened = SegmentTree::<u64>::open(FileStore::open(&path, 40).unwrap(), 4).unwrap();
+    let mut streamed = Vec::new();
+    reopened
+        .stream(&mut |k, v: &u64, _| streamed.push((k, *v)))
+        .unwrap();
+    assert_eq!(streamed, es);
+}

@@ -16,8 +16,8 @@
 //! [payload_len: u32 LE] [crc32(payload): u32 LE] [payload bytes]
 //! ```
 //!
-//! — byte-for-byte the WAL's frame layout, with the same slicing-by-8
-//! [`crc32`] over the payload. Payloads are [`WalCodec`]-encoded
+//! — byte-for-byte the WAL's frame layout, with the same [`crc32`] over
+//! the payload. Payloads are [`WalCodec`]-encoded
 //! [`Request`](crate::Request)/[`Response`](crate::Response) values. A
 //! frame longer than [`MAX_FRAME`] is rejected before allocation (a
 //! corrupt or hostile length prefix cannot balloon memory), and a
