@@ -23,10 +23,11 @@ use sfc_clustering::{
 };
 use sfc_engine::{CommitPolicy, Engine, EngineConfig, Op};
 use sfc_index::{
-    BPlusTree, DiskModel, LruBufferPool, Planner, QueryOptions, ShardedTable, DEFAULT_NODE_CAPACITY,
+    BPlusTree, Backend, DiskModel, LruBufferPool, MemoryBackend, Planner, QueryOptions, Record,
+    ShardedTable, DEFAULT_NODE_CAPACITY,
 };
 use sfc_net::{Client, Replica, Server};
-use sfc_workloads::{client_streams, mixed_op_stream, zipf_points, OpMix, StreamOp};
+use sfc_workloads::{client_streams, mixed_op_stream, zipf_points, OpMix, StreamOp, ZipfSampler};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -64,6 +65,19 @@ fn walk_sum<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> u64 {
         acc = acc.wrapping_add(u64::from(p.0[0]) ^ u64::from(p.0[D - 1]));
     }
     acc
+}
+
+/// Total range count of every query's exact decomposition, through one
+/// reused scratch.
+fn decompose_all<const D: usize, C: SpaceFillingCurve<D>>(
+    curve: &C,
+    queries: &[RectQuery<D>],
+) -> u64 {
+    let mut scratch = ClusterScratch::new();
+    queries
+        .iter()
+        .map(|q| scratch.ranges_of(curve, q).len() as u64)
+        .sum()
 }
 
 fn main() {
@@ -346,6 +360,118 @@ fn main() {
                 });
                 acc
             }),
+        });
+    }
+
+    // Multi-range scan of whole query plans: each cube's exact
+    // decomposition (~65 ranges at these sizes) is one plan. Every range
+    // lands on a cold leaf — 2M records make the leaves far exceed L2 —
+    // and one landing needs nothing from the one before it. The baseline
+    // scans a plan range by range through `Backend::scan`, so each landing
+    // waits for the last; `MemoryBackend::scan_ranges` runs one windowed
+    // leaf walk that descends and hints later ranges' leaves while it
+    // scans the current one. Both sides visit the same entries and count
+    // the same pages.
+    {
+        let side = 1u32 << 12;
+        let onion = Onion2D::new(side).unwrap();
+        let sampler = ZipfSampler::new(side, 0.6);
+        let mut rng = StdRng::seed_from_u64(0x5CA7);
+        let points: Vec<Point<2>> = (0..2_000_000).map(|_| sampler.point(&mut rng)).collect();
+        let mut keys = Vec::with_capacity(points.len());
+        onion.fill_indices(&points, &mut keys);
+        let mut entries: Vec<(u64, Record<2, u64>)> = keys
+            .into_iter()
+            .zip(points)
+            .enumerate()
+            .map(|(i, (k, point))| {
+                (
+                    k,
+                    Record {
+                        point,
+                        value: i as u64,
+                    },
+                )
+            })
+            .collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        let backend = MemoryBackend::bulk_load(entries);
+        let mut scratch = ClusterScratch::new();
+        let plans: Vec<Vec<(u64, u64)>> = (0..2000)
+            .map(|_| {
+                let u = rng.random_range(0..(1u64 << 53)) as f64 / (1u64 << 53) as f64;
+                let l = ((8.0 * (257.0f64 / 8.0).powf(u)) as u32).clamp(8, 256);
+                let lo = [0; 2].map(|_| rng.random_range(0..=side - l));
+                scratch
+                    .ranges_of(&onion, &RectQuery::new(lo, [l, l]).unwrap())
+                    .to_vec()
+            })
+            .collect();
+        let mut acc = 0u64;
+        comparisons.push(Comparison {
+            name: "index/scan_ranges/onion2d/zipf2m/cubes",
+            baseline_ns: Some(time_ns(reps, || {
+                acc = 0;
+                for plan in &plans {
+                    for &(lo, hi) in plan {
+                        let io = backend
+                            .scan(lo, hi, &mut |k, r| acc = acc.wrapping_add(k ^ r.value))
+                            .unwrap();
+                        acc = acc.wrapping_add(io.pages);
+                    }
+                }
+                acc
+            })),
+            optimized_ns: time_ns(reps, || {
+                acc = 0;
+                for plan in &plans {
+                    let io = backend
+                        .scan_ranges(plan, &mut |k, r| acc = acc.wrapping_add(k ^ r.value))
+                        .unwrap();
+                    acc = acc.wrapping_add(io.pages);
+                }
+                acc
+            }),
+        });
+    }
+
+    // Decomposition time against the query's surface: `ranges_of` over 40
+    // random squares per side length (Fig 5a's lengths in 2D, one large
+    // cube in 3D). Boundary enumeration visits only the shell cells, so
+    // these grow with ℓ (2D) and ℓ² (3D), not with the area or volume;
+    // correct output alone cannot show that, so CI watches the family.
+    {
+        let mut rng = StdRng::seed_from_u64(0xDEC0);
+        let onion = Onion2D::new(1 << 10).unwrap();
+        for (name, l) in [
+            ("clustering/decompose/onion2d/side1024/l174", 174u32),
+            ("clustering/decompose/onion2d/side1024/l574", 574),
+            ("clustering/decompose/onion2d/side1024/l974", 974),
+        ] {
+            let queries: Vec<RectQuery<2>> = (0..40)
+                .map(|_| {
+                    let lo = [0; 2].map(|_| rng.random_range(0..=(1 << 10) - l));
+                    RectQuery::new(lo, [l, l]).unwrap()
+                })
+                .collect();
+            comparisons.push(Comparison {
+                name,
+                baseline_ns: None,
+                optimized_ns: time_ns(reps, || decompose_all(&onion, &queries)),
+            });
+        }
+        let onion = Onion3D::new(1 << 8).unwrap();
+        let l = 240u32;
+        let queries: Vec<RectQuery<3>> = (0..40)
+            .map(|_| {
+                let lo = [0; 3].map(|_| rng.random_range(0..=(1 << 8) - l));
+                RectQuery::new(lo, [l, l, l]).unwrap()
+            })
+            .collect();
+        comparisons.push(Comparison {
+            name: "clustering/decompose/onion3d/side256/l240",
+            baseline_ns: None,
+            optimized_ns: time_ns(reps, || decompose_all(&onion, &queries)),
         });
     }
 

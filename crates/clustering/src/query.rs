@@ -150,6 +150,11 @@ fn shell_recurse<const D: usize, F: FnMut(Point<D>)>(
         coords[d] = last;
         full_recurse(lo, len, d + 1, coords, f);
         // Interior slabs: must touch the boundary in a later dimension.
+        // The last dimension has none, so its interior cells are interior
+        // to the query: skipping them keeps the walk O(surface).
+        if d + 1 == D {
+            return;
+        }
         for x in (first + 1)..last {
             coords[d] = x;
             shell_recurse(lo, len, d + 1, coords, f);

@@ -88,8 +88,11 @@ pub trait Backend<V> {
     /// Executes the range list of a [`QueryPlan`](crate::QueryPlan) (or any
     /// sorted, disjoint range set) in order, summing page statistics — the
     /// plan-aware scan entry point. Backends may override it to amortize
-    /// per-scan setup across a plan's ranges; the default simply chains
-    /// [`Self::scan`].
+    /// per-scan setup across a plan's ranges, but must visit the same
+    /// entries and return the same [`IoStats`] as the default, which simply
+    /// chains [`Self::scan`]. [`MemoryBackend`] overrides it with
+    /// [`BPlusTree::scan_ranges`], which overlaps the ranges' cold leaf
+    /// landings; [`FileBackend`](crate::FileBackend) keeps the default.
     ///
     /// # Errors
     /// On storage failure, like [`Self::scan`].
@@ -208,8 +211,19 @@ impl<V: Clone> Backend<V> for MemoryBackend<V> {
     }
 
     fn scan(&self, lo: u64, hi: u64, visit: &mut dyn FnMut(u64, &V)) -> Result<IoStats, SfcError> {
+        self.scan_ranges(&[(lo, hi)], visit)
+    }
+
+    /// One windowed leaf walk over the whole range list
+    /// ([`BPlusTree::scan_ranges`]): the ranges' cold leaf landings
+    /// overlap, and the page count is the sum the per-range loop reports.
+    fn scan_ranges(
+        &self,
+        ranges: &[(u64, u64)],
+        visit: &mut dyn FnMut(u64, &V),
+    ) -> Result<IoStats, SfcError> {
         let mut pages = 0u64;
-        self.tree.scan_range(lo, hi, &mut |_| pages += 1, visit);
+        self.tree.scan_ranges(ranges, &mut |_| pages += 1, visit);
         Ok(IoStats {
             pages,
             ..IoStats::default()
@@ -253,5 +267,34 @@ mod tests {
         assert!(stats.pages >= 1);
         assert_eq!(stats.cache_hits, 0, "no pool, no hits");
         b.tree().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn memory_scan_ranges_sums_per_range_scans() {
+        // Enough ranges to run the window's fill, steady state and drain,
+        // including neighbours on one page, a range starting on a page
+        // boundary (key 256 opens the second leaf) and one past the end.
+        let b = MemoryBackend::bulk_load(entries(5000));
+        let mut ranges: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 97, i * 97 + 40)).collect();
+        ranges.extend([
+            (256, 260),
+            (3000, 3001),
+            (3004, 3004),
+            (3100, 3500),
+            (6000, 7000),
+        ]);
+        ranges.sort_unstable();
+        let mut per_range = IoStats::default();
+        let mut expected = Vec::new();
+        for &(lo, hi) in &ranges {
+            per_range.absorb(b.scan(lo, hi, &mut |k, &v| expected.push((k, v))).unwrap());
+        }
+        let mut got = Vec::new();
+        let windowed = b
+            .scan_ranges(&ranges, &mut |k, &v| got.push((k, v)))
+            .unwrap();
+        assert_eq!(got, expected);
+        assert_eq!(windowed, per_range);
+        assert!(windowed.pages > ranges.len() as u64);
     }
 }

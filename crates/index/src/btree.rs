@@ -27,6 +27,20 @@ use std::sync::Arc;
 /// leaf of `(u64, u64)` entries is roughly a 4 KiB page.
 pub const DEFAULT_NODE_CAPACITY: usize = 256;
 
+/// How many ranges ahead of the one being scanned
+/// [`BPlusTree::scan_ranges`] descends: the size of its ring of landed
+/// leaves.
+const DESCEND_AHEAD: usize = 8;
+
+/// How many ranges ahead of the one being scanned
+/// [`BPlusTree::scan_ranges`] hints the landing leaf's key lines. Smaller
+/// than [`DESCEND_AHEAD`], so the leaf node hinted at the descent has had
+/// a few ranges' time to arrive before its key array's address is read.
+const KEYS_AHEAD: usize = 4;
+
+/// `u64` keys per 64-byte cache line.
+const KEYS_PER_LINE: usize = 64 / std::mem::size_of::<u64>();
+
 #[derive(Debug, Clone)]
 enum Node<V> {
     Leaf {
@@ -434,7 +448,7 @@ impl<V> BPlusTree<V> {
 
     /// Scans entries with keys in `lo..=hi`, ascending, reporting each
     /// *read* leaf page's node id to `on_page` before its entries reach
-    /// `visit`.
+    /// `visit`. It is the one-range call of [`Self::scan_ranges`].
     ///
     /// This is the storage-backend primitive: page ids let the caller
     /// account for every touched page, and the whole scan is `&self` with
@@ -462,7 +476,86 @@ impl<V> BPlusTree<V> {
         on_page: &mut dyn FnMut(usize),
         visit: &mut dyn FnMut(u64, &V),
     ) {
-        let mut leaf = self.find_leaf(lo, true);
+        self.scan_ranges(&[(lo, hi)], on_page, visit);
+    }
+
+    /// Scans each of `ranges` (sorted, disjoint, inclusive) in order,
+    /// exactly as [`Self::scan_range`] would one after another: the same
+    /// entries reach `visit` and the same page ids reach `on_page`, in the
+    /// same order.
+    ///
+    /// What differs is when the misses are paid. Each range starts with a
+    /// landing: a descent to its first leaf, then a binary search of that
+    /// leaf's keys. The internal levels stay cache-resident, but the leaf
+    /// node and its key lines are cold, and one range's landing depends on
+    /// nothing from the range before it. So while range `i` is scanned,
+    /// the walk has already descended range `i + DESCEND_AHEAD` and hinted
+    /// its leaf node, and hinted the key lines of range `i + KEYS_AHEAD`'s
+    /// leaf: the landings of a plan overlap instead of queuing one behind
+    /// another. The landed leaf ids live in a fixed on-stack ring, so the
+    /// scan allocates nothing.
+    pub fn scan_ranges(
+        &self,
+        ranges: &[(u64, u64)],
+        on_page: &mut dyn FnMut(usize),
+        visit: &mut dyn FnMut(u64, &V),
+    ) {
+        debug_assert!(
+            ranges.windows(2).all(|w| w[0].1 < w[1].0),
+            "ranges must be sorted and disjoint"
+        );
+        // ring[i % DESCEND_AHEAD] holds range i's landing leaf from when it
+        // is descended until range i is scanned.
+        let mut ring = [0usize; DESCEND_AHEAD];
+        for (slot, &(lo, _)) in ring.iter_mut().zip(ranges) {
+            *slot = self.land(lo);
+        }
+        for &leaf in ring.iter().take(KEYS_AHEAD.min(ranges.len())) {
+            self.hint_keys(leaf);
+        }
+        for (i, &(lo, hi)) in ranges.iter().enumerate() {
+            let slot = i % DESCEND_AHEAD;
+            let leaf = ring[slot];
+            if let Some(&(ahead, _)) = ranges.get(i + DESCEND_AHEAD) {
+                ring[slot] = self.land(ahead);
+            }
+            if i + KEYS_AHEAD < ranges.len() {
+                self.hint_keys(ring[(i + KEYS_AHEAD) % DESCEND_AHEAD]);
+            }
+            self.walk_leaves(leaf, lo, hi, on_page, visit);
+        }
+    }
+
+    /// Descends to the leftmost leaf that can hold `lo` and hints its node
+    /// into cache.
+    fn land(&self, lo: u64) -> usize {
+        let leaf = self.find_leaf(lo, true);
+        crate::prefetch::prefetch_read(&*self.nodes[leaf]);
+        leaf
+    }
+
+    /// Hints every cache line of a leaf's key array, so the binary search
+    /// that positions a scan in it finds them loaded.
+    fn hint_keys(&self, leaf: usize) {
+        let Node::Leaf { keys, .. } = &*self.nodes[leaf] else {
+            unreachable!()
+        };
+        for i in (0..keys.len()).step_by(KEYS_PER_LINE) {
+            crate::prefetch::prefetch_read(keys.as_ptr().wrapping_add(i));
+        }
+    }
+
+    /// The leaf walk of one range, from its landing leaf: positions on the
+    /// first key `>= lo`, then follows the leaf chain until a key passes
+    /// `hi`. Page reporting follows [`Self::scan_range`]'s rule.
+    fn walk_leaves(
+        &self,
+        mut leaf: usize,
+        lo: u64,
+        hi: u64,
+        on_page: &mut dyn FnMut(usize),
+        visit: &mut dyn FnMut(u64, &V),
+    ) {
         let Node::Leaf { keys, .. } = &*self.nodes[leaf] else {
             unreachable!()
         };
@@ -499,7 +592,8 @@ impl<V> BPlusTree<V> {
     /// The pinned no-prefetch form of [`Self::scan_range`]: identical
     /// reporting and visiting semantics, entry-at-a-time loop, no cache
     /// hints. Exists as the baseline the `index/scan_range` benches and the
-    /// equivalence tests compare the prefetched scan against.
+    /// equivalence tests compare the prefetched scan against, and as the
+    /// per-range oracle for the windowed [`Self::scan_ranges`].
     pub fn scan_range_reference(
         &self,
         lo: u64,
@@ -918,6 +1012,152 @@ mod tests {
             assert_eq!(got_a, got_b, "entries diverge on [{lo}, {hi}]");
             assert_eq!(pages_a, pages_b, "page accounting diverges on [{lo}, {hi}]");
         }
+    }
+
+    /// `(visits, page ids)` of one `scan_ranges` call over `ranges`, and of
+    /// `scan_range_reference` called once per range, in order.
+    type Trace = (Vec<(u64, u64)>, Vec<usize>);
+
+    fn windowed_and_reference(t: &BPlusTree<u64>, ranges: &[(u64, u64)]) -> (Trace, Trace) {
+        let (mut pages, mut got) = (Vec::new(), Vec::new());
+        t.scan_ranges(ranges, &mut |id| pages.push(id), &mut |k, &v| {
+            got.push((k, v))
+        });
+        let (mut ref_pages, mut ref_got) = (Vec::new(), Vec::new());
+        for &(lo, hi) in ranges {
+            t.scan_range_reference(lo, hi, &mut |id| ref_pages.push(id), &mut |k, &v| {
+                ref_got.push((k, v))
+            });
+        }
+        ((got, pages), (ref_got, ref_pages))
+    }
+
+    /// First key of every non-empty leaf after the first, in chain order:
+    /// the keys a range can start on to begin exactly at a page boundary.
+    fn leaf_first_keys(t: &BPlusTree<u64>) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut leaf = Some(t.find_leaf(0, true));
+        while let Some(id) = leaf {
+            let Node::Leaf { keys, next, .. } = &*t.nodes[id] else {
+                unreachable!()
+            };
+            out.extend(keys.first());
+            leaf = *next;
+        }
+        out.remove(0);
+        out
+    }
+
+    /// A sorted, disjoint list of short ranges with small gaps (so
+    /// neighbours share a leaf or sit in adjacent leaves), every fourth
+    /// one snapped to start on a leaf's first key, ending with two ranges
+    /// past the last key.
+    fn range_list(t: &BPlusTree<u64>, seed: u64, n: usize) -> Vec<(u64, u64)> {
+        let starts = leaf_first_keys(t);
+        let last = t.iter().last().map_or(0, |(k, _)| k);
+        let mut state = seed;
+        let mut draw = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut out = Vec::new();
+        let mut lo = draw(4);
+        while out.len() < n && lo <= last {
+            if out.len() % 4 == 1 {
+                if let Some(&s) = starts.iter().find(|&&s| s >= lo) {
+                    lo = s;
+                }
+            }
+            let hi = lo + draw(6);
+            out.push((lo, hi));
+            lo = hi + 1 + draw(5);
+        }
+        out.push((last + 1, last + 3));
+        out.push((last + 10, u64::MAX));
+        out
+    }
+
+    #[test]
+    fn scan_ranges_matches_per_range_reference() {
+        // Scattered inserts leave the leaf chain out of arena order; lazy
+        // removals empty some leaves, which both paths must skip unseen.
+        let mut scattered = BPlusTree::new(4);
+        for k in 0..512u64 {
+            scattered.insert(k.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 509, k);
+        }
+        for k in (0..509u64).step_by(3) {
+            scattered.remove(k);
+        }
+        for k in 200..260u64 {
+            scattered.remove(k);
+        }
+        // Each even key five times over: duplicate runs straddle leaves at
+        // both capacities, so a leftmost landing matters.
+        let dups: Vec<(u64, u64)> = (0..600u64).map(|i| (i / 5 * 2, i)).collect();
+        let trees = [
+            scattered,
+            BPlusTree::bulk_load(dups.clone(), 4),
+            BPlusTree::bulk_load(dups, 16),
+        ];
+        for (n, t) in trees.iter().enumerate() {
+            t.check_invariants().unwrap();
+            let starts = leaf_first_keys(t);
+            for seed in 0..4u64 {
+                let ranges = range_list(t, seed, 3 * DESCEND_AHEAD + 6);
+                assert!(ranges.len() > 3 * DESCEND_AHEAD, "tree {n}: list too short");
+                // The list covers the cases the window must get right.
+                let landings: Vec<usize> = ranges
+                    .iter()
+                    .map(|&(lo, _)| t.find_leaf(lo, true))
+                    .collect();
+                let next_of = |id: usize| match &*t.nodes[id] {
+                    Node::Leaf { next, .. } => *next,
+                    Node::Internal { .. } => unreachable!(),
+                };
+                assert!(
+                    landings.windows(2).any(|w| w[0] == w[1]),
+                    "tree {n}: no shared leaf"
+                );
+                assert!(
+                    landings.windows(2).any(|w| next_of(w[0]) == Some(w[1])),
+                    "tree {n}: no adjacent leaves"
+                );
+                assert!(
+                    ranges.iter().any(|(lo, _)| starts.contains(lo)),
+                    "tree {n}: no range starts on a page boundary"
+                );
+                // Every prefix: empty, fill only, steady state, and drain.
+                for len in 0..=ranges.len() {
+                    let (got, reference) = windowed_and_reference(t, &ranges[..len]);
+                    assert_eq!(
+                        got.0, reference.0,
+                        "tree {n} seed {seed}: entries diverge at {len} ranges"
+                    );
+                    assert_eq!(
+                        got.1, reference.1,
+                        "tree {n} seed {seed}: pages diverge at {len} ranges"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_ranges_over_one_leaf_and_past_the_end() {
+        let t = BPlusTree::bulk_load((0..256u64).map(|k| (k, k)).collect(), 16);
+        // Twenty single-key ranges over the first two 16-key leaves: all
+        // but one range land on the leaf the range before it landed on.
+        let dense: Vec<(u64, u64)> = (0..20u64).map(|k| (k, k)).collect();
+        let (got, reference) = windowed_and_reference(&t, &dense);
+        assert_eq!(got, reference);
+        assert_eq!(got.0.len(), 20);
+        // Ranges wholly past the last key read nothing and count nothing.
+        let past: Vec<(u64, u64)> = (0..12u64).map(|i| (300 + 2 * i, 300 + 2 * i)).collect();
+        let (got, reference) = windowed_and_reference(&t, &past);
+        assert_eq!(got, reference);
+        assert!(got.0.is_empty() && got.1.is_empty());
     }
 
     #[test]

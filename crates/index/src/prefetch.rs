@@ -1,5 +1,5 @@
-//! Software prefetch hints for the pointer-chasing scan and batch-apply
-//! paths.
+//! Software prefetch hints for the pointer-chasing scan, multi-range
+//! landing and batch-apply paths.
 //!
 //! A linked-leaf range scan and a permutation-ordered batch apply share a
 //! memory access pattern the hardware prefetcher cannot learn: the next
@@ -8,6 +8,13 @@
 //! *know* the next address well before they need its contents — so they
 //! hand it to the cache early with a non-binding `prefetcht0` hint and
 //! overlap the miss with the work on the current element.
+//!
+//! The third user is the multi-range scan (`BPlusTree::scan_ranges`). A
+//! query plan's ranges each land on a cold leaf — the leaf node, then the
+//! key lines a binary search reads — and no landing depends on the range
+//! before it. So the scan descends a few ranges ahead, hints each landing
+//! leaf's node and then every line of its key array, and the plan's
+//! landings overlap instead of queuing one behind another.
 //!
 //! This unsafe code is unsafe in name only: `_mm_prefetch` performs no
 //! memory access, affects no architectural state, and is explicitly

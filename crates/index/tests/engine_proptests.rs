@@ -4,6 +4,8 @@
 //!   actually serve concurrent readers;
 //! * insert/delete sequences preserve every B+-tree structural invariant
 //!   and agree with a naive sorted-multiset model;
+//! * the windowed multi-range B+-tree scan visits and reports exactly what
+//!   the per-range reference scan does;
 //! * tables answer exactly like an independent model (`model/mod.rs`: a
 //!   `Vec` of rows filtered and ordered by the curve) for **every**
 //!   registry curve, across shard counts, single-record writes and
@@ -109,6 +111,44 @@ proptest! {
         prop_assert_eq!(tree.len(), model.len());
         let got: Vec<(u64, u32)> = tree.iter().map(|(k, &v)| (k, v)).collect();
         prop_assert_eq!(got, model);
+    }
+
+    /// The windowed multi-range scan visits the same entries and reports
+    /// the same page ids, in the same order, as the no-prefetch reference
+    /// scan called once per range — on trees with duplicates and
+    /// removal-emptied leaves, for range lists long enough to fill, run
+    /// and drain the window several times over.
+    #[test]
+    fn btree_scan_ranges_matches_per_range_reference(
+        seed in any::<u64>(),
+        capacity in 2usize..17,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tree: BPlusTree<u32> = BPlusTree::new(capacity);
+        for step in 0..600u32 {
+            tree.insert(u64::from(rng.random_range(0..300u32)), step);
+        }
+        for _ in 0..rng.random_range(0..400u32) {
+            tree.remove(u64::from(rng.random_range(0..300u32)));
+        }
+        let n = rng.random_range(0..48usize);
+        let mut ranges = Vec::new();
+        let mut lo = u64::from(rng.random_range(0..8u32));
+        while ranges.len() < n && lo < 320 {
+            let hi = lo + u64::from(rng.random_range(0..12u32));
+            ranges.push((lo, hi));
+            lo = hi + 1 + u64::from(rng.random_range(0..10u32));
+        }
+        let (mut pages, mut got) = (Vec::new(), Vec::new());
+        tree.scan_ranges(&ranges, &mut |id| pages.push(id), &mut |k, &v| got.push((k, v)));
+        let (mut ref_pages, mut ref_got) = (Vec::new(), Vec::new());
+        for &(lo, hi) in &ranges {
+            tree.scan_range_reference(lo, hi, &mut |id| ref_pages.push(id), &mut |k, &v| {
+                ref_got.push((k, v))
+            });
+        }
+        prop_assert_eq!(got, ref_got, "entries diverge over {:?}", ranges);
+        prop_assert_eq!(pages, ref_pages, "pages diverge over {:?}", ranges);
     }
 
     /// For every registry curve: a table answers rectangle queries
