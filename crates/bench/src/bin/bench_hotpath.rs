@@ -21,7 +21,7 @@ use sfc_clustering::{
     average_clustering_exact, cluster_ranges_into, clustering_number_with, ClusterMethod,
     ClusterScratch, RectQuery,
 };
-use sfc_engine::{CommitPolicy, Engine, EngineConfig, Op};
+use sfc_engine::{CommitPolicy, Engine, EngineConfig, Request};
 use sfc_index::{
     BPlusTree, Backend, DiskModel, LruBufferPool, MemoryBackend, Planner, QueryOptions, Record,
     ShardedTable, DEFAULT_NODE_CAPACITY,
@@ -708,25 +708,25 @@ fn main() {
             .enumerate()
             .map(|(i, p)| (p, i as u64))
             .collect();
-        let reader_streams: Vec<Vec<Op<2, u64>>> = (0..2)
+        let reader_streams: Vec<Vec<Request<2, u64>>> = (0..2)
             .map(|_| {
                 mixed_op_stream::<2, _>(side, 800, &OpMix::read_only(), 0.8, 48, &mut rng)
                     .into_iter()
-                    .map(Op::from)
+                    .map(Request::from)
                     .collect()
             })
             .collect();
         // Upsert form (no duplicate-inserting `Insert`) so the table
         // stays near its 200k-record steady state however many times the
         // background writer cycles the stream.
-        let writer_stream: Vec<Op<2, u64>> =
+        let writer_stream: Vec<Request<2, u64>> =
             mixed_op_stream::<2, _>(side, 24_000, &OpMix::write_only(), 0.8, 1, &mut rng)
                 .into_iter()
                 .map(|op| match op {
-                    StreamOp::Insert(p, v) | StreamOp::Update(p, v) => Op::Update(p, v),
-                    StreamOp::Delete(p) => Op::Delete(p),
-                    StreamOp::Get(p) => Op::Get(p),
-                    StreamOp::Query(q) => Op::Query(q),
+                    StreamOp::Insert(p, v) | StreamOp::Update(p, v) => Request::Update(p, v),
+                    StreamOp::Delete(p) => Request::Delete(p),
+                    StreamOp::Get(p) => Request::Get(p),
+                    StreamOp::Query(q) => Request::Query(q),
                 })
                 .collect();
         let table = ShardedTable::build(
@@ -923,7 +923,7 @@ fn main() {
         for _ in 0..EPOCHS {
             let batch = zipf_points::<2, _>(side, 2_048, 0.8, &mut rng);
             for (i, p) in batch.points.into_iter().enumerate() {
-                engine.execute(Op::Update(p, i as u64)).unwrap();
+                engine.execute(Request::Update(p, i as u64)).unwrap();
             }
             engine.flush().unwrap();
         }
@@ -1001,11 +1001,11 @@ fn main() {
         let side = 1u32 << 9;
         let mut rng = StdRng::seed_from_u64(55);
         let data = zipf_points::<2, _>(side, 16_384, 0.8, &mut rng);
-        let writes: Vec<Op<2, u64>> = data
+        let writes: Vec<Request<2, u64>> = data
             .points
             .into_iter()
             .enumerate()
-            .map(|(i, p)| Op::Update(p, i as u64))
+            .map(|(i, p)| Request::Update(p, i as u64))
             .collect();
         let bench_dir = std::env::temp_dir().join(format!("sfc-bench-wal-{}", std::process::id()));
         let config = EngineConfig::with_epoch_ops(512);
@@ -1096,7 +1096,10 @@ fn main() {
                                             ((w * 104729 + i * 29) % u64::from(side)) as u32,
                                         ]);
                                         engine
-                                            .execute(Op::Update(p, w * 1_000_000 + r * 1000 + i))
+                                            .execute(Request::Update(
+                                                p,
+                                                w * 1_000_000 + r * 1000 + i,
+                                            ))
                                             .unwrap();
                                     }
                                     engine.flush().unwrap();
@@ -1256,9 +1259,10 @@ fn main() {
     }
 
     // Wire protocol serving rate: a 4-client fleet over TCP loopback vs
-    // the same fleet through the in-process transport — both route every
-    // request through the same `respond` dispatcher, so the delta is the
-    // framed protocol plus the kernel's loopback stack, nothing else.
+    // the same 4 request streams driven straight into `Engine::execute`
+    // from 4 threads sharing one `&Engine` — the server hands every
+    // decoded request to that same dispatcher, so the delta is the framed
+    // protocol plus the kernel's loopback stack, nothing else.
     {
         use std::sync::Arc;
         const CLIENTS: usize = 4;
@@ -1292,11 +1296,17 @@ fn main() {
         };
         let local_ns = time_ns(reps, || {
             let engine = mk_engine();
-            drive(
-                (0..CLIENTS)
-                    .map(|_| Client::local(Arc::clone(&engine)))
-                    .collect(),
-            )
+            let engine = &*engine;
+            std::thread::scope(|s| {
+                for stream in &fleet {
+                    s.spawn(move || {
+                        for op in stream {
+                            engine.execute(op.clone().into()).unwrap();
+                        }
+                    });
+                }
+            });
+            (CLIENTS * OPS_PER_CLIENT) as u64
         });
         let remote_ns = time_ns(reps, || {
             let engine = mk_engine();
@@ -1548,7 +1558,7 @@ fn main() {
             .unwrap();
             let data = zipf_points::<2, _>(side, 16_384, 0.8, &mut rng);
             for (i, p) in data.points.into_iter().enumerate() {
-                engine.execute(Op::Update(p, i as u64)).unwrap();
+                engine.execute(Request::Update(p, i as u64)).unwrap();
             }
             engine.flush().unwrap();
             engine.checkpoint().unwrap();

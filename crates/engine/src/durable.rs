@@ -42,7 +42,7 @@
 //! frames reaches the disk is itself an epoch-boundary prefix. A torn
 //! trailing frame (crash mid-append) is detected by length/checksum and
 //! truncated; it never surfaces as a half-applied epoch. Writes that
-//! were admitted ([`Reply::Admitted`](crate::Reply::Admitted)) but not yet
+//! were admitted ([`Response::Admitted`](crate::Response::Admitted)) but not yet
 //! flushed are not covered — durability is acknowledged by `flush`, not
 //! by admission or by the auto-flush cadence. Dropping the engine drains
 //! the pipeline (a final fsync), so clean shutdown loses nothing. The

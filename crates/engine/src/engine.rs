@@ -1,77 +1,21 @@
 //! The engine itself: shared-reference op execution, the epoch write log,
 //! and the planner wiring.
 
+use crate::proto::{Request, Response};
 use onion_core::{Point, SfcError, SpaceFillingCurve};
 use sfc_clustering::RectQuery;
 use sfc_index::{
     Backend, BatchOp, DiskModel, MemoryBackend, Planner, QueryPlan, QueryResult, Record,
-    ShardedTable,
+    ShardedTable, WalCodec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 use std::time::Duration;
 
-/// One operation of the serving stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Op<const D: usize, V> {
-    /// Point lookup: pending-log overlay first, then the owning shard.
-    Get(Point<D>),
-    /// Rectangle query through the adaptive planner (epoch-boundary
-    /// consistent; does not read the pending log).
-    Query(RectQuery<D>),
-    /// Insert a record (duplicates allowed), deferred to the next epoch.
-    /// On an occupied cell this appends a duplicate: point gets return
-    /// the **newest** record (both in the pending-log overlay and once
-    /// applied), so read-your-writes holds; rectangle scans still return
-    /// every duplicate in insertion order. Use [`Op::Update`] to replace
-    /// instead of append.
-    Insert(Point<D>, V),
-    /// Replace-or-insert the payload at a point, deferred to the next
-    /// epoch.
-    Update(Point<D>, V),
-    /// Remove the first record at a point, deferred to the next epoch.
-    Delete(Point<D>),
-    /// Rectangle query against a **past** epoch — a Datomic-style
-    /// time-travel read: answered from the retention window when the
-    /// version is still held, reconstructed by `snapshot + WAL prefix`
-    /// replay on durable engines when it is not. See
-    /// [`Engine::query_as_of`].
-    QueryAsOf {
-        /// The epoch whose state to observe (as counted by
-        /// [`Engine::epoch`]).
-        epoch: u64,
-        /// The rectangle to query at that epoch.
-        query: RectQuery<D>,
-    },
-}
-
-impl<const D: usize, V> Op<D, V> {
-    /// Whether this operation only reads.
-    pub fn is_read(&self) -> bool {
-        matches!(self, Op::Get(_) | Op::Query(_) | Op::QueryAsOf { .. })
-    }
-}
-
-/// Generated workload streams ([`sfc_workloads::mixed_op_stream`]) map
-/// one-to-one onto engine ops, so benches and tests can drive an engine
-/// with `stream.into_iter().map(Op::from)`.
-impl<const D: usize> From<sfc_workloads::StreamOp<D>> for Op<D, u64> {
-    fn from(op: sfc_workloads::StreamOp<D>) -> Self {
-        use sfc_workloads::StreamOp;
-        match op {
-            StreamOp::Get(p) => Op::Get(p),
-            StreamOp::Query(q) => Op::Query(q),
-            StreamOp::Insert(p, v) => Op::Insert(p, v),
-            StreamOp::Update(p, v) => Op::Update(p, v),
-            StreamOp::Delete(p) => Op::Delete(p),
-        }
-    }
-}
-
 /// A write's admission receipt: the acknowledgment that the op is in the
-/// engine's log and will be applied by a later epoch. Shared between the
-/// in-process [`Reply::Admitted`] and the wire protocol's response, so a
-/// remote client and a local caller read the identical receipt.
+/// engine's log and will be applied by a later epoch
+/// ([`Response::Admitted`]), identical for a remote client and a local
+/// caller.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Admitted {
     /// Epochs applied so far at admission time — a lower bound on the
@@ -91,17 +35,6 @@ impl sfc_index::WalCodec for Admitted {
             epoch: u64::decode(cur)?,
         })
     }
-}
-
-/// What one executed operation returned.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Reply<const D: usize, V> {
-    /// A `Get`'s result.
-    Value(Option<V>),
-    /// A `Query`'s matching records, in curve-key order.
-    Records(Vec<Record<D, V>>),
-    /// A write was admitted into the log — see [`Admitted`].
-    Admitted(Admitted),
 }
 
 /// How epochs reach the write-ahead log: the group-commit and
@@ -182,7 +115,7 @@ pub struct EngineConfig {
     /// Group-commit and WAL-pipelining policy (durable engines only).
     pub commit: CommitPolicy,
     /// How many superseded epoch versions the table keeps for
-    /// [`Engine::snapshot_at`]/[`Op::QueryAsOf`] — the in-memory
+    /// [`Engine::snapshot_at`]/[`Request::QueryAsOf`] — the in-memory
     /// time-travel window. Epochs evicted from it are still reachable on
     /// durable engines through WAL replay (until a checkpoint absorbs
     /// them).
@@ -544,7 +477,7 @@ where
     }
 
     /// The underlying sharded table (stats, shard sizes, direct queries).
-    /// Reads through it see the last epoch's state, like `Op::Query`.
+    /// Reads through it see the last epoch's state, like `Request::Query`.
     pub fn table(&self) -> &ShardedTable<C, V, D, B> {
         &self.table
     }
@@ -714,7 +647,7 @@ where
     /// the commit point is the synced append, exactly as without
     /// pipelining. When `flush` returns `Ok`, the epochs survive any
     /// crash; writes that are merely admitted (acknowledged
-    /// [`Reply::Admitted`], not yet flushed) do not.
+    /// [`Response::Admitted`], not yet flushed) do not.
     ///
     /// # Errors
     /// On a WAL commit or sync failure (durable engines; a staged-but-
@@ -949,7 +882,7 @@ where
 
     /// Admits one write; auto-flushes when the log reaches the epoch
     /// threshold.
-    fn admit(&self, op: BatchOp<D, V>) -> Result<Reply<D, V>, SfcError> {
+    fn admit(&self, op: BatchOp<D, V>) -> Result<Admitted, SfcError> {
         self.check_point(op.point())?;
         let epoch = self.epoch();
         let backlog = {
@@ -983,7 +916,7 @@ where
                     .store(backlog as u64, Ordering::Release);
             }
         }
-        Ok(Reply::Admitted(Admitted { epoch }))
+        Ok(Admitted { epoch })
     }
 
     /// The admission path's flush: applies the backlog like
@@ -1015,61 +948,20 @@ where
     /// times, including mid-flush. Overlay scans take read locks (gets
     /// never serialize each other) and are `O(pending)`, bounded by
     /// [`EngineConfig::epoch_ops`].
-    fn get(&self, p: Point<D>) -> Result<Reply<D, V>, SfcError> {
+    fn get(&self, p: Point<D>) -> Result<Option<V>, SfcError> {
         self.gets.fetch_add(1, Ordering::Relaxed);
         for stage in [&self.log, &self.applying] {
             let pending = stage.read().expect("write stage poisoned");
             for op in pending.iter().rev() {
                 if op.point() == p {
-                    return Ok(Reply::Value(match op {
+                    return Ok(match op {
                         BatchOp::Insert(_, v) | BatchOp::Update(_, v) => Some(v.clone()),
                         BatchOp::Delete(_) => None,
-                    }));
+                    });
                 }
             }
         }
-        Ok(Reply::Value(self.table.get(p)?.map(|guard| guard.cloned())))
-    }
-}
-
-impl<const D: usize, C, V, B> Engine<C, V, D, B>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone + Send,
-    B: Backend<Record<D, V>> + Send + Sync,
-{
-    /// Executes one operation. Reads return their results; writes return
-    /// [`Reply::Admitted`] and become visible to rectangle queries at the
-    /// next epoch (point gets see them immediately via the log overlay).
-    ///
-    /// # Errors
-    /// If the op's point or query lies outside the curve's universe.
-    pub fn execute(&self, op: Op<D, V>) -> Result<Reply<D, V>, SfcError> {
-        match op {
-            Op::Get(p) => self.get(p),
-            Op::Query(q) => {
-                let (result, _) = self.query(&q)?;
-                Ok(Reply::Records(result.records))
-            }
-            Op::Insert(p, v) => self.admit(BatchOp::Insert(p, v)),
-            Op::Update(p, v) => self.admit(BatchOp::Update(p, v)),
-            Op::Delete(p) => self.admit(BatchOp::Delete(p)),
-            Op::QueryAsOf { epoch, query } => {
-                let result = self.query_as_of(epoch, &query)?;
-                Ok(Reply::Records(result.records))
-            }
-        }
-    }
-
-    /// Executes a stream of operations in order, collecting every reply.
-    ///
-    /// # Errors
-    /// On the first invalid op (earlier ops stay executed).
-    pub fn run_stream(
-        &self,
-        ops: impl IntoIterator<Item = Op<D, V>>,
-    ) -> Result<Vec<Reply<D, V>>, SfcError> {
-        ops.into_iter().map(|op| self.execute(op)).collect()
+        Ok(self.table.get(p)?.map(|guard| guard.cloned()))
     }
 
     /// Serves a rectangle query through the planner, returning the full
@@ -1109,7 +1001,7 @@ where
     }
 
     /// Serves a rectangle query **as of** a past epoch — the time-travel
-    /// read behind [`Op::QueryAsOf`]. Fast path: the retention window
+    /// read behind [`Request::QueryAsOf`]. Fast path: the retention window
     /// still holds the version, and the scan pins it like any other
     /// (lock-free, no replay). Cold path (durable engines only): the
     /// epoch's state is reconstructed from `snapshot + WAL prefix`
@@ -1117,7 +1009,7 @@ where
     /// evaluated at `epoch` instead of at the tail — so `as_of(e)` always
     /// equals what a crash-recovery at epoch `e` would have served.
     ///
-    /// Like [`Op::Query`], this reads committed epoch state only: writes
+    /// Like [`Request::Query`], this reads committed epoch state only: writes
     /// still pending in the log are invisible until flushed.
     ///
     /// # Errors
@@ -1159,6 +1051,66 @@ where
     }
 }
 
+impl<const D: usize, C, V, B> Engine<C, V, D, B>
+where
+    C: SpaceFillingCurve<D>,
+    V: Clone + Send + Sync + WalCodec,
+    B: Backend<Record<D, V>> + Send + Sync,
+{
+    /// Executes one request — the one dispatcher for every verb, in
+    /// process and behind `sfc-net`'s server alike. Reads return their
+    /// results; writes return [`Response::Admitted`] and become visible
+    /// to rectangle queries at the next epoch (point gets see them
+    /// immediately via the log overlay); the admin verbs answer as
+    /// [`Self::flush`], [`Self::checkpoint`], [`Self::stats`] and
+    /// [`Self::explain`] do. `Ok` never holds [`Response::Error`].
+    ///
+    /// # Errors
+    /// If the request's point or query lies outside the curve's universe,
+    /// or with the verb's own error (a failed flush, `Checkpoint` on an
+    /// in-memory engine). [`Request::SubscribeEpochs`] turns a connection
+    /// into a stream and cannot be answered in place: it gets a typed
+    /// [`SfcError::Storage`].
+    pub fn execute(&self, request: Request<D, V>) -> Result<Response<D, V>, SfcError> {
+        Ok(match request {
+            Request::Ping => Response::Pong,
+            Request::Get(p) => Response::Value(self.get(p)?),
+            Request::Query(q) => Response::Records(self.query(&q)?.0.records),
+            Request::QueryAsOf { epoch, query } => {
+                Response::Records(self.query_as_of(epoch, &query)?.records)
+            }
+            Request::Insert(p, v) => Response::Admitted(self.admit(BatchOp::Insert(p, v))?),
+            Request::Update(p, v) => Response::Admitted(self.admit(BatchOp::Update(p, v))?),
+            Request::Delete(p) => Response::Admitted(self.admit(BatchOp::Delete(p))?),
+            Request::Flush => Response::Flushed {
+                applied: self.flush()? as u64,
+            },
+            Request::Checkpoint => Response::Checkpointed {
+                epoch: self.checkpoint()?,
+            },
+            Request::Stats => Response::Stats(self.stats()),
+            Request::Explain(q) => Response::Explained(self.explain(&q)?),
+            Request::SubscribeEpochs { .. } => {
+                return Err(SfcError::Storage {
+                    context: "SubscribeEpochs is a streaming verb; it cannot be answered in-place"
+                        .into(),
+                })
+            }
+        })
+    }
+
+    /// Executes a stream of requests in order, collecting every response.
+    ///
+    /// # Errors
+    /// On the first failing request (earlier requests stay executed).
+    pub fn run_stream(
+        &self,
+        requests: impl IntoIterator<Item = Request<D, V>>,
+    ) -> Result<Vec<Response<D, V>>, SfcError> {
+        requests.into_iter().map(|r| self.execute(r)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1183,43 +1135,49 @@ mod tests {
     fn reads_see_pending_writes_immediately() {
         let e = engine(16, 4, 1_000_000);
         let p = Point::new([3, 3]);
-        assert_eq!(e.execute(Op::Get(p)).unwrap(), Reply::Value(Some(303)));
         assert_eq!(
-            e.execute(Op::Update(p, 999)).unwrap(),
-            Reply::Admitted(Admitted { epoch: 0 })
+            e.execute(Request::Get(p)).unwrap(),
+            Response::Value(Some(303))
+        );
+        assert_eq!(
+            e.execute(Request::Update(p, 999)).unwrap(),
+            Response::Admitted(Admitted { epoch: 0 })
         );
         // Overlay: the write is pending, not applied...
-        assert_eq!(e.execute(Op::Get(p)).unwrap(), Reply::Value(Some(999)));
+        assert_eq!(
+            e.execute(Request::Get(p)).unwrap(),
+            Response::Value(Some(999))
+        );
         assert_eq!(e.epoch(), 0);
         assert_eq!(e.pending(), 1);
         // ...and a delete overlays the update.
-        e.execute(Op::Delete(p)).unwrap();
-        assert_eq!(e.execute(Op::Get(p)).unwrap(), Reply::Value(None));
+        e.execute(Request::Delete(p)).unwrap();
+        assert_eq!(e.execute(Request::Get(p)).unwrap(), Response::Value(None));
         // The table below still holds the old value until the epoch.
         assert_eq!(e.table().get(p).unwrap().map(|g| g.value), Some(303));
         assert_eq!(e.flush().unwrap(), 2);
         assert_eq!(e.epoch(), 1);
         assert!(e.table().get(p).unwrap().is_none());
-        assert_eq!(e.execute(Op::Get(p)).unwrap(), Reply::Value(None));
+        assert_eq!(e.execute(Request::Get(p)).unwrap(), Response::Value(None));
     }
 
     #[test]
     fn rect_queries_are_epoch_boundary_consistent() {
         let e = engine(16, 4, 1_000_000);
         let q = RectQuery::new([0, 0], [4, 4]).unwrap();
-        let Reply::Records(before) = e.execute(Op::Query(q)).unwrap() else {
+        let Response::Records(before) = e.execute(Request::Query(q)).unwrap() else {
             unreachable!()
         };
         assert_eq!(before.len(), 16);
-        e.execute(Op::Delete(Point::new([1, 1]))).unwrap();
+        e.execute(Request::Delete(Point::new([1, 1]))).unwrap();
         // Pending writes are invisible to rect queries...
-        let Reply::Records(mid) = e.execute(Op::Query(q)).unwrap() else {
+        let Response::Records(mid) = e.execute(Request::Query(q)).unwrap() else {
             unreachable!()
         };
         assert_eq!(mid.len(), 16);
         // ...until the epoch boundary.
         e.flush().unwrap();
-        let Reply::Records(after) = e.execute(Op::Query(q)).unwrap() else {
+        let Response::Records(after) = e.execute(Request::Query(q)).unwrap() else {
             unreachable!()
         };
         assert_eq!(after.len(), 15);
@@ -1229,7 +1187,8 @@ mod tests {
     fn epoch_threshold_auto_flushes() {
         let e = engine(16, 2, 4);
         for i in 0..7u32 {
-            e.execute(Op::Insert(Point::new([i, 0]), 1000 + i)).unwrap();
+            e.execute(Request::Insert(Point::new([i, 0]), 1000 + i))
+                .unwrap();
         }
         // 7 writes at threshold 4: one auto-flush at the 4th, 3 pending.
         assert_eq!(e.epoch(), 1);
@@ -1247,10 +1206,10 @@ mod tests {
     #[test]
     fn invalid_ops_error_without_corrupting_state() {
         let e = engine(8, 2, 100);
-        assert!(e.execute(Op::Get(Point::new([8, 0]))).is_err());
-        assert!(e.execute(Op::Insert(Point::new([0, 8]), 1)).is_err());
+        assert!(e.execute(Request::Get(Point::new([8, 0]))).is_err());
+        assert!(e.execute(Request::Insert(Point::new([0, 8]), 1)).is_err());
         assert!(e
-            .execute(Op::Query(RectQuery::new([5, 5], [5, 5]).unwrap()))
+            .execute(Request::Query(RectQuery::new([5, 5], [5, 5]).unwrap()))
             .is_err());
         assert_eq!(e.pending(), 0, "invalid writes are not admitted");
         assert_eq!(e.table().len(), 64);
@@ -1273,7 +1232,7 @@ mod tests {
     #[test]
     fn into_table_flushes_first() {
         let e = engine(8, 2, 1_000_000);
-        e.execute(Op::Update(Point::new([2, 2]), 777)).unwrap();
+        e.execute(Request::Update(Point::new([2, 2]), 777)).unwrap();
         let table = e.into_table().unwrap();
         assert_eq!(
             table.get(Point::new([2, 2])).unwrap().map(|g| g.value),

@@ -1,10 +1,13 @@
 //! # sfc-engine
 //!
 //! The concurrent serving layer over the `sfc-index` storage engine: an
-//! [`Engine`] accepts an operation stream — point gets, rectangle queries,
-//! inserts/updates/deletes — from any number of threads through `&self`,
-//! and turns the Onion Curve paper's clustering guarantee into served
-//! traffic:
+//! [`Engine`] accepts a stream of [`Request`]s — point gets, rectangle
+//! queries, inserts/updates/deletes and the admin verbs — from any number
+//! of threads through `&self`, and turns the Onion Curve paper's
+//! clustering guarantee into served traffic. [`Engine::execute`] is the
+//! one dispatcher for every verb on every backend: `sfc-net`'s server
+//! hands each decoded request to it and frames the [`Response`] it gets
+//! back, so a remote caller and an in-process one get the same answer.
 //!
 //! * **Reads** go straight to the [`ShardedTable`](sfc_index::ShardedTable):
 //!   each read pins one immutable epoch version and scans it with no lock
@@ -36,11 +39,11 @@
 //! flush may observe some shards post-epoch and others pre-epoch. Callers
 //! needing a cross-shard-exact scan should quiesce writes around it (or
 //! flush and read before admitting more). Duplicates and the overlay:
-//! `Op::Insert` on an *occupied* cell stores a second record, and point
+//! `Request::Insert` on an *occupied* cell stores a second record, and point
 //! gets return the **newest** record at the cell (B+-tree newest-
 //! duplicate semantics) — the same record the overlay reported while the
 //! write was pending — so per-key read-your-writes holds unconditionally
-//! for `Insert` and `Update`. `Op::Delete` on a cell holding duplicates
+//! for `Insert` and `Update`. `Request::Delete` on a cell holding duplicates
 //! removes only the **oldest** record, while the overlay answers `None`
 //! until the epoch applies; read-your-writes for `Delete` therefore
 //! holds on cells without duplicates, which every write path except
@@ -64,7 +67,7 @@
 //! ```
 //! use onion_core::{Onion2D, Point};
 //! use sfc_clustering::RectQuery;
-//! use sfc_engine::{Engine, EngineConfig, Op, Reply};
+//! use sfc_engine::{Engine, EngineConfig, Request, Response};
 //! use sfc_index::{DiskModel, ShardedTable};
 //!
 //! let table = ShardedTable::build(
@@ -77,13 +80,18 @@
 //! let engine = Engine::new(table, EngineConfig::default());
 //!
 //! // Writes are admitted into the epoch log; gets see them immediately.
-//! engine.execute(Op::Update(Point::new([3, 3]), 999)).unwrap();
-//! assert_eq!(engine.execute(Op::Get(Point::new([3, 3]))).unwrap(), Reply::Value(Some(999)));
+//! engine.execute(Request::Update(Point::new([3, 3]), 999)).unwrap();
+//! assert_eq!(
+//!     engine.execute(Request::Get(Point::new([3, 3]))).unwrap(),
+//!     Response::Value(Some(999))
+//! );
 //!
 //! // Rect queries see the new value once the epoch is applied.
 //! engine.flush().unwrap();
 //! let q = RectQuery::new([0, 0], [8, 8]).unwrap();
-//! let Reply::Records(recs) = engine.execute(Op::Query(q)).unwrap() else { unreachable!() };
+//! let Response::Records(recs) = engine.execute(Request::Query(q)).unwrap() else {
+//!     unreachable!()
+//! };
 //! assert!(recs.iter().any(|r| r.value == 999));
 //! ```
 //!
@@ -91,7 +99,7 @@
 //!
 //! ```
 //! use onion_core::{Onion2D, Point};
-//! use sfc_engine::{Engine, EngineConfig, Op, Reply};
+//! use sfc_engine::{Engine, EngineConfig, Request, Response};
 //! use sfc_index::DiskModel;
 //!
 //! let dir = std::env::temp_dir().join(format!("sfc-engine-doc-{}", std::process::id()));
@@ -104,15 +112,16 @@
 //! };
 //!
 //! let engine = open();
-//! engine.execute(Op::Update(Point::new([3, 3]), 999)).unwrap();
+//! engine.execute(Request::Update(Point::new([3, 3]), 999)).unwrap();
 //! engine.flush().unwrap(); // commit point: the epoch is now on disk
-//! engine.execute(Op::Update(Point::new([4, 4]), 7)).unwrap();
+//! engine.execute(Request::Update(Point::new([4, 4]), 7)).unwrap();
 //! drop(engine); // crash: the admitted-but-unflushed write is lost
 //!
 //! let recovered = open();
 //! assert_eq!(recovered.epoch(), 1);
-//! assert_eq!(recovered.execute(Op::Get(Point::new([3, 3]))).unwrap(), Reply::Value(Some(999)));
-//! assert_eq!(recovered.execute(Op::Get(Point::new([4, 4]))).unwrap(), Reply::Value(None));
+//! let get = |x| recovered.execute(Request::Get(Point::new([x, x]))).unwrap();
+//! assert_eq!(get(3), Response::Value(Some(999)));
+//! assert_eq!(get(4), Response::Value(None));
 //! # drop(recovered);
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
@@ -122,9 +131,10 @@
 
 pub mod durable;
 mod engine;
+mod proto;
 
 pub use durable::{SNAPSHOT_FILE, WAL_FILE};
 pub use engine::{
-    Admitted, CommitPolicy, Engine, EngineConfig, EngineStats, EpochSubscription, FeedEvent, Op,
-    Reply,
+    Admitted, CommitPolicy, Engine, EngineConfig, EngineStats, EpochSubscription, FeedEvent,
 };
+pub use proto::{Op, Reply, Request, Response};

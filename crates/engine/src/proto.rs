@@ -1,48 +1,61 @@
-//! The versioned request/response pair — the redesigned serving API.
+//! The verb set: one [`Request`] enum and one [`Response`] enum for every
+//! caller, answered by one dispatcher, [`Engine::execute`](crate::Engine::execute).
+//! An in-process caller passes a `Request` to it directly; `sfc-net`
+//! ships the same `Request` over a socket and hands it to the same call.
 //!
-//! [`Request`] subsumes the in-process [`Op`] (every data-plane verb maps
-//! one-to-one via `From`) and adds the admin verbs a network deployment
-//! needs: `Flush`, `Checkpoint`, `Stats`, `Explain`, `Ping`, and the
-//! replication tap `SubscribeEpochs`. [`Response`] likewise subsumes
-//! [`Reply`] — [`Response::Value`]/[`Response::Records`]/
-//! [`Response::Admitted`] carry exactly the reply payloads, and
-//! [`Response::Error`] makes [`SfcError`] itself wire-representable (its
-//! stable numeric codes are pinned by `SfcError::code`), so a remote
-//! caller sees the same typed error a local caller would.
+//! [`Request`] holds the data-plane verbs (`Get`, `Query`, `QueryAsOf`,
+//! `Insert`, `Update`, `Delete`), the admin verbs (`Flush`, `Checkpoint`,
+//! `Stats`, `Explain`, `Ping`) and the replication tap `SubscribeEpochs`.
+//! [`Response`] holds one answer per verb plus the stream frames of
+//! `SubscribeEpochs`. [`Response::Error`] is the wire form of an `Err`:
+//! [`SfcError`] encodes with its stable numeric codes (`SfcError::code`),
+//! so a remote caller sees the same typed error a local caller would.
 //!
 //! Both enums encode through the WAL's [`WalCodec`] — one tag byte, then
 //! the variant's fields in the same little-endian primitives every WAL
-//! frame uses — so the payload layer of the protocol is the already-
-//! proptested WAL codec, and an epoch shipped to a replica is encoded by
-//! the identical code path that wrote it to the log.
+//! frame uses — so the payload layer of the wire protocol is the
+//! already-proptested WAL codec, and an epoch shipped to a replica is
+//! encoded by the identical code path that wrote it to the log.
 
+use crate::{Admitted, EngineStats};
 use onion_core::{Point, SfcError};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Admitted, EngineStats, Op, Reply};
 use sfc_index::{decode_seq, encode_seq, BatchOp, QueryPlan, Record, WalCodec, WalCursor};
 
-/// One client verb. `V` is the record payload type, `D` the dimension —
-/// the same generics the engine serves.
-#[derive(Clone, Debug, PartialEq)]
+/// One verb. `V` is the record payload type, `D` the dimension — the
+/// same generics the engine serves.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request<const D: usize, V> {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// Point lookup ([`Op::Get`]).
+    /// Point lookup: pending-log overlay first, then the owning shard.
     Get(Point<D>),
-    /// Rectangle query through the adaptive planner ([`Op::Query`]).
+    /// Rectangle query through the adaptive planner (epoch-boundary
+    /// consistent; does not read the pending log).
     Query(RectQuery<D>),
-    /// Time-travel rectangle query ([`Op::QueryAsOf`]).
+    /// Rectangle query against a **past** epoch — a Datomic-style
+    /// time-travel read: answered from the retention window when the
+    /// version is still held, reconstructed by `snapshot + WAL prefix`
+    /// replay on durable engines when it is not. See
+    /// [`Engine::query_as_of`](crate::Engine::query_as_of).
     QueryAsOf {
-        /// The epoch whose state to observe.
+        /// The epoch whose state to observe (as counted by
+        /// [`Engine::epoch`](crate::Engine::epoch)).
         epoch: u64,
         /// The rectangle to query at that epoch.
         query: RectQuery<D>,
     },
-    /// Insert a record ([`Op::Insert`]).
+    /// Insert a record (duplicates allowed), deferred to the next epoch.
+    /// On an occupied cell this appends a duplicate: point gets return
+    /// the **newest** record (both in the pending-log overlay and once
+    /// applied), so read-your-writes holds; rectangle scans still return
+    /// every duplicate in insertion order. Use [`Request::Update`] to
+    /// replace instead of append.
     Insert(Point<D>, V),
-    /// Replace-or-insert ([`Op::Update`]).
+    /// Replace-or-insert the payload at a point, deferred to the next
+    /// epoch.
     Update(Point<D>, V),
-    /// Remove the oldest record at a point ([`Op::Delete`]).
+    /// Remove the oldest record at a point, deferred to the next epoch.
     Delete(Point<D>),
     /// Apply every pending write; answered with [`Response::Flushed`].
     Flush,
@@ -54,10 +67,12 @@ pub enum Request<const D: usize, V> {
     /// Plan a query without executing it; answered with
     /// [`Response::Explained`].
     Explain(RectQuery<D>),
-    /// Switch this connection into a one-way epoch stream: every epoch
+    /// Switch a connection into a one-way epoch stream: every epoch
     /// committed after `from` arrives as a [`Response::Epoch`] frame, in
     /// order, without gaps — WAL catch-up first, then live frames. No
-    /// further requests are read from the connection.
+    /// further requests are read from the connection. A connection mode,
+    /// not a call: [`Engine::execute`](crate::Engine::execute) refuses
+    /// it with a typed error.
     SubscribeEpochs {
         /// Replay starts after this epoch (exclusive); `0` streams the
         /// full history a transactor's WAL still holds.
@@ -65,19 +80,17 @@ pub enum Request<const D: usize, V> {
     },
 }
 
-/// One server answer. Every variant a [`Request`] can produce, plus the
-/// stream frames of `SubscribeEpochs`.
+/// One answer. Every variant a [`Request`] can produce, plus the stream
+/// frames of `SubscribeEpochs`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response<const D: usize, V> {
     /// [`Request::Ping`] acknowledged.
     Pong,
-    /// A point lookup's result ([`Reply::Value`]).
+    /// A point lookup's result.
     Value(Option<V>),
-    /// A query's matching records in curve-key order
-    /// ([`Reply::Records`]).
+    /// A query's matching records, in curve-key order.
     Records(Vec<Record<D, V>>),
-    /// A write's admission receipt ([`Reply::Admitted`]) — the same
-    /// [`Admitted`] struct the in-process reply carries.
+    /// A write was admitted into the log — see [`Admitted`].
     Admitted(Admitted),
     /// [`Request::Flush`] applied this many writes.
     Flushed {
@@ -119,9 +132,19 @@ pub enum Response<const D: usize, V> {
         /// `(from, start_epoch]`, the live feed everything after.
         start_epoch: u64,
     },
-    /// The request failed; the typed error a local caller would get.
+    /// The wire form of an `Err`: the typed error a local caller gets.
+    /// [`Engine::execute`](crate::Engine::execute) never returns it
+    /// inside `Ok`.
     Error(SfcError),
 }
+
+/// Alias of [`Request`], the name the `perfbench` crate drives the
+/// engine by; new code names `Request`.
+pub type Op<const D: usize, V> = Request<D, V>;
+
+/// Alias of [`Response`], the name the `perfbench` crate matches answers
+/// by; new code names `Response`.
+pub type Reply<const D: usize, V> = Response<D, V>;
 
 impl<const D: usize, V> Request<D, V> {
     /// Whether reissuing this request verbatim cannot change server
@@ -162,42 +185,18 @@ impl<const D: usize, V> Request<D, V> {
     }
 }
 
-/// Data-plane verbs map one-to-one onto engine ops.
-impl<const D: usize, V> From<Op<D, V>> for Request<D, V> {
-    fn from(op: Op<D, V>) -> Self {
+/// Generated workload streams ([`sfc_workloads::mixed_op_stream`]) map
+/// one-to-one onto data-plane requests, so benches and tests can drive
+/// an engine with `stream.into_iter().map(Request::from)`.
+impl<const D: usize> From<sfc_workloads::StreamOp<D>> for Request<D, u64> {
+    fn from(op: sfc_workloads::StreamOp<D>) -> Self {
+        use sfc_workloads::StreamOp;
         match op {
-            Op::Get(p) => Request::Get(p),
-            Op::Query(q) => Request::Query(q),
-            Op::Insert(p, v) => Request::Insert(p, v),
-            Op::Update(p, v) => Request::Update(p, v),
-            Op::Delete(p) => Request::Delete(p),
-            Op::QueryAsOf { epoch, query } => Request::QueryAsOf { epoch, query },
-        }
-    }
-}
-
-/// In-process replies map one-to-one onto wire responses.
-impl<const D: usize, V> From<Reply<D, V>> for Response<D, V> {
-    fn from(reply: Reply<D, V>) -> Self {
-        match reply {
-            Reply::Value(v) => Response::Value(v),
-            Reply::Records(rs) => Response::Records(rs),
-            Reply::Admitted(a) => Response::Admitted(a),
-        }
-    }
-}
-
-impl<const D: usize, V> Response<D, V> {
-    /// Converts a data-plane response back into the in-process reply,
-    /// surfacing [`Response::Error`] as the typed error. `None` for
-    /// admin/stream responses, which have no [`Reply`] shape.
-    pub fn into_reply(self) -> Result<Option<Reply<D, V>>, SfcError> {
-        match self {
-            Response::Value(v) => Ok(Some(Reply::Value(v))),
-            Response::Records(rs) => Ok(Some(Reply::Records(rs))),
-            Response::Admitted(a) => Ok(Some(Reply::Admitted(a))),
-            Response::Error(e) => Err(e),
-            _ => Ok(None),
+            StreamOp::Get(p) => Request::Get(p),
+            StreamOp::Query(q) => Request::Query(q),
+            StreamOp::Insert(p, v) => Request::Insert(p, v),
+            StreamOp::Update(p, v) => Request::Update(p, v),
+            StreamOp::Delete(p) => Request::Delete(p),
         }
     }
 }

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfc_baselines::{curve_2d, CURVE_NAMES};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Op, Reply};
+use sfc_engine::{Engine, EngineConfig, Request, Response};
 use sfc_index::{DiskModel, FileBackend, Record, ShardedTable};
 use sfc_workloads::{mixed_op_stream, OpMix, StreamOp};
 use std::collections::HashMap;
@@ -46,7 +46,7 @@ fn dense_records(side: u32) -> Vec<(Point<2>, u64)> {
 /// predictable from the thread's own model. Banding the writes makes the
 /// concurrent final state deterministic: no two threads ever write the
 /// same cell, so any interleaving produces the same epoch-boundary table.
-fn band_stream(stream: Vec<StreamOp<2>>, t: u32, threads: u32, side: u32) -> Vec<Op<2, u64>> {
+fn band_stream(stream: Vec<StreamOp<2>>, t: u32, threads: u32, side: u32) -> Vec<Request<2, u64>> {
     assert_eq!(side % threads, 0, "bands must tile the universe");
     let to_band = |p: Point<2>| -> Point<2> {
         let x = p.0[0] - p.0[0] % threads + t;
@@ -56,13 +56,13 @@ fn band_stream(stream: Vec<StreamOp<2>>, t: u32, threads: u32, side: u32) -> Vec
     stream
         .into_iter()
         .map(|op| match op {
-            StreamOp::Get(p) => Op::Get(to_band(p)),
-            StreamOp::Query(q) => Op::Query(q),
+            StreamOp::Get(p) => Request::Get(to_band(p)),
+            StreamOp::Query(q) => Request::Query(q),
             // Insert would create duplicates on occupied cells, making
             // per-key values ambiguous; the banded model uses the upsert
             // form so every cell holds at most one record.
-            StreamOp::Insert(p, v) | StreamOp::Update(p, v) => Op::Update(to_band(p), v),
-            StreamOp::Delete(p) => Op::Delete(to_band(p)),
+            StreamOp::Insert(p, v) | StreamOp::Update(p, v) => Request::Update(to_band(p), v),
+            StreamOp::Delete(p) => Request::Delete(to_band(p)),
         })
         .collect()
 }
@@ -72,7 +72,7 @@ fn band_stream(stream: Vec<StreamOp<2>>, t: u32, threads: u32, side: u32) -> Vec
 /// returns the model's final band state.
 fn run_banded_stream(
     engine: &Engine<sfc_baselines::DynCurve<2>, u64, 2>,
-    ops: &[Op<2, u64>],
+    ops: &[Request<2, u64>],
     side: u32,
 ) -> HashMap<Point<2>, u64> {
     // Start from the initial dense payload (the engine was built on it).
@@ -86,39 +86,40 @@ fn run_banded_stream(
     for op in ops {
         let reply = engine.execute(op.clone()).expect("in-bounds op");
         match op {
-            Op::Get(p) => {
+            Request::Get(p) => {
                 // Only cells this thread owns are predictable: other
                 // threads may be writing their own bands concurrently, but
                 // never ours.
                 if let Some(&mine) = touched.get(p) {
                     assert_eq!(
                         reply,
-                        Reply::Value(mine),
+                        Response::Value(mine),
                         "get after own writes at {p} must be linearizable"
                     );
-                } else if let Reply::Value(v) = reply {
+                } else if let Response::Value(v) = reply {
                     // Untouched by us: must still hold the initial value —
                     // no other thread ever writes our band.
                     assert_eq!(v, model.get(p).copied(), "untouched cell {p}");
                 }
             }
-            Op::Query(q) => {
+            Request::Query(q) => {
                 // Epoch-consistent: only sanity here (exact equality is
                 // checked at the final boundary below).
-                let Reply::Records(recs) = reply else {
+                let Response::Records(recs) = reply else {
                     panic!("query reply shape")
                 };
                 assert!(recs.len() as u64 <= q.volume());
             }
-            Op::Update(p, v) => {
+            Request::Update(p, v) => {
                 touched.insert(*p, Some(*v));
             }
-            Op::Delete(p) => {
+            Request::Delete(p) => {
                 touched.insert(*p, None);
             }
-            Op::Insert(..) | Op::QueryAsOf { .. } => {
-                unreachable!("banded streams use upserts and live queries only")
-            }
+            other => unreachable!(
+                "banded streams use upserts and live queries only, not {}",
+                other.verb()
+            ),
         }
     }
     // Final band state: initial values overridden by this thread's writes.
@@ -150,7 +151,7 @@ proptest! {
             .unwrap();
             // Small epochs force many concurrent flushes mid-run.
             let engine = Engine::new(table, EngineConfig::with_epoch_ops(32));
-            let streams: Vec<Vec<Op<2, u64>>> = (0..threads)
+            let streams: Vec<Vec<Request<2, u64>>> = (0..threads)
                 .map(|t| {
                     let mut rng = StdRng::seed_from_u64(
                         seed ^ (u64::from(t) << 32) ^ name.len() as u64,

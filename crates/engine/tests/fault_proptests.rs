@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, DynCurve};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Op, Reply};
+use sfc_engine::{Engine, EngineConfig, Request, Response};
 use sfc_index::{Backend, BatchOp, DiskModel, FileBackend, FileStore, Record, StoreConfig};
 use sfc_workloads::{faulty_file_factory, CrashSchedule, Fault, FaultInjector, FaultStore};
 use std::collections::BTreeMap;
@@ -129,8 +129,8 @@ where
         let p = Point::new([x, (x * 7) % SIDE]);
         let expect = model.0.get(&p).and_then(|vs| vs.last()).copied();
         assert_eq!(
-            engine.execute(Op::Get(p)).unwrap(),
-            Reply::Value(expect),
+            engine.execute(Request::Get(p)).unwrap(),
+            Response::Value(expect),
             "{ctx}: point get at {p}"
         );
     }
@@ -153,11 +153,11 @@ fn write_ops(rng: &mut StdRng, count: usize) -> Vec<BatchOp<2, u64>> {
         .collect()
 }
 
-fn as_op(op: &BatchOp<2, u64>) -> Op<2, u64> {
+fn as_op(op: &BatchOp<2, u64>) -> Request<2, u64> {
     match op {
-        BatchOp::Insert(p, v) => Op::Insert(*p, *v),
-        BatchOp::Update(p, v) => Op::Update(*p, *v),
-        BatchOp::Delete(p) => Op::Delete(*p),
+        BatchOp::Insert(p, v) => Request::Insert(*p, *v),
+        BatchOp::Update(p, v) => Request::Update(*p, *v),
+        BatchOp::Delete(p) => Request::Delete(*p),
     }
 }
 

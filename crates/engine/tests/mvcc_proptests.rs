@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, DynCurve, CURVE_NAMES};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Op, Reply};
+use sfc_engine::{Engine, EngineConfig, Request, Response};
 use sfc_index::{BatchOp, DiskModel, QueryOptions, RetentionPolicy, ShardedTable, StoreConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -196,10 +196,10 @@ proptest! {
                     let p = Point::new([rng.random_range(0..SIDE), rng.random_range(0..SIDE)]);
                     if rng.random_bool(0.8) {
                         let v = e * 1000 + rng.random_range(0..100u64);
-                        engine.execute(Op::Update(p, v)).unwrap();
+                        engine.execute(Request::Update(p, v)).unwrap();
                         model.insert(p, v);
                     } else {
-                        engine.execute(Op::Delete(p)).unwrap();
+                        engine.execute(Request::Delete(p)).unwrap();
                         model.remove(&p);
                     }
                 }
@@ -228,9 +228,9 @@ proptest! {
                 );
                 // Executing through the op stream answers identically.
                 let reply = engine
-                    .execute(Op::QueryAsOf { epoch: e as u64, query: q })
+                    .execute(Request::QueryAsOf { epoch: e as u64, query: q })
                     .unwrap();
-                let Reply::Records(records) = reply else { panic!("as_of reply shape") };
+                let Response::Records(records) = reply else { panic!("as_of reply shape") };
                 prop_assert_eq!(records, result.records);
             }
             // Compaction draws the horizon: epochs at or above the
@@ -356,10 +356,10 @@ proptest! {
                 let p = Point::new([rng.random_range(0..SIDE), rng.random_range(0..SIDE)]);
                 if rng.random_bool(0.8) {
                     let v = e * 1000 + rng.random_range(0..100u64);
-                    engine.execute(Op::Update(p, v)).unwrap();
+                    engine.execute(Request::Update(p, v)).unwrap();
                     model.insert(p, v);
                 } else {
-                    engine.execute(Op::Delete(p)).unwrap();
+                    engine.execute(Request::Delete(p)).unwrap();
                     model.remove(&p);
                 }
             }

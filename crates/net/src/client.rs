@@ -1,23 +1,21 @@
-//! The client handle: one API, two transports.
+//! The client handle: the engine's verb set over a socket.
 //!
-//! A [`Client`] either holds a socket to a [`Server`](crate::Server)
-//! ([`Client::connect`]) or an `Arc` to an in-process engine
-//! ([`Client::local`]). Both transports answer through the same
-//! dispatcher ([`respond`](crate::respond)), so switching a caller from
-//! embedded to networked is a one-line change and — by construction —
-//! a no-op semantically. The loopback integration tests pin exactly
-//! that: remote and local replies are identical, byte for byte, for
-//! every request variant.
+//! A [`Client`] holds a reconnecting connection to a
+//! [`Server`](crate::Server). [`Client::execute`] has the signature of
+//! [`Engine::execute`](sfc_engine::Engine::execute), and the server
+//! answers through that same dispatcher, so switching a caller from
+//! embedded to networked is one line — `engine.execute(r)` ↔
+//! `client.execute(r)` — and a no-op semantically. The loopback
+//! integration tests pin exactly that: remote and in-process answers are
+//! identical, byte for byte, for every verb.
 
 use crate::frame::{lost_err, read_hello, write_frame, write_hello, FrameReader, PollFrame};
-use crate::proto::{Request, Response};
-use crate::server::respond;
 use onion_core::{Point, SfcError, SpaceFillingCurve};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Admitted, Engine, EngineStats, EpochSubscription, FeedEvent, Op, Reply};
-use sfc_index::{BatchOp, EpochFrame, QueryPlan, Record, WalCodec, WalCursor};
+use sfc_engine::{Admitted, EngineStats, Request, Response};
+use sfc_index::{BatchOp, QueryPlan, Record, WalCodec, WalCursor};
+use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Backoff schedule for retrying **idempotent** requests that fail at
@@ -78,7 +76,7 @@ impl RetryPolicy {
     }
 }
 
-/// Transport knobs for a remote [`Client`] (and for the subscription a
+/// Transport knobs for a [`Client`] (and for the subscription a
 /// [`Replica`](crate::Replica) rides): how long to wait for a
 /// connection, how long to wait per request, and what to retry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,7 +116,7 @@ impl NetConfig {
     }
 }
 
-/// A framed connection to a server (the remote transport).
+/// A framed connection to a server.
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
@@ -214,34 +212,34 @@ impl Conn {
     }
 }
 
-/// The reconnecting remote transport: server address plus [`NetConfig`]
-/// around an optional live connection. A dead or deadline-poisoned
-/// connection is dropped and reopened lazily by the next request.
-struct Remote {
+/// The backoff jitter salt for a server address — FNV-1a over its
+/// bytes: cheap, and deterministic, so a given address replays the same
+/// schedule. Clients and replicas both derive it here.
+pub(crate) fn jitter_salt(addr: &str) -> u64 {
+    addr.bytes().fold(0xcbf2_9ce4_8422_2325, |salt, b| {
+        (salt ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The serving API over TCP: a server address plus [`NetConfig`] around
+/// an optional live connection. A dead or deadline-poisoned connection
+/// is dropped and reopened lazily by the next request.
+/// `Client::<C, V, D>` mirrors the engine's generics; the curve type `C`
+/// is only a marker naming the curve the server keys by.
+pub struct Client<C, V, const D: usize> {
     addr: String,
     config: NetConfig,
     conn: Option<Conn>,
-    /// Jitter salt derived from the address, so two clients pointed at
-    /// the same server still decorrelate their backoff schedules.
+    /// Backoff jitter salt, from [`jitter_salt`] over the address.
     salt: u64,
+    _types: PhantomData<fn() -> (C, V)>,
 }
 
-impl Remote {
-    fn new(addr: String, config: NetConfig) -> Remote {
-        // FNV-1a over the address bytes: cheap, deterministic, good
-        // enough to seed jitter.
-        let mut salt = 0xcbf2_9ce4_8422_2325u64;
-        for b in addr.bytes() {
-            salt = (salt ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        Remote {
-            addr,
-            config,
-            conn: None,
-            salt,
-        }
-    }
-
+impl<C, V, const D: usize> Client<C, V, D>
+where
+    C: SpaceFillingCurve<D>,
+    V: Clone + Send + Sync + WalCodec,
+{
     fn ensure_conn(&mut self) -> Result<&mut Conn, SfcError> {
         if self.conn.is_none() {
             self.conn = Some(Conn::open(&self.addr, &self.config)?);
@@ -253,10 +251,7 @@ impl Remote {
     /// connection. Any failure drops the connection so the next attempt
     /// starts clean; a non-idempotent request that fails after its
     /// bytes were sent is wrapped as [`SfcError::AmbiguousWrite`].
-    fn try_request<const D: usize, V: WalCodec>(
-        &mut self,
-        req: &Request<D, V>,
-    ) -> Result<Response<D, V>, SfcError> {
+    fn try_request(&mut self, req: &Request<D, V>) -> Result<Response<D, V>, SfcError> {
         let deadline = self.config.request_deadline;
         let idempotent = req.is_idempotent();
         let verb = req.verb();
@@ -306,40 +301,6 @@ impl Remote {
             }
         }
     }
-}
-
-enum Transport<C, V, const D: usize>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone + Send + Sync + WalCodec,
-{
-    Local(Arc<Engine<C, V, D>>),
-    Remote(Remote),
-}
-
-/// The serving API over either transport. `Client::<C, V, D>` mirrors
-/// the engine's generics; a purely remote client still names the curve
-/// type (it types the points and queries, nothing else).
-pub struct Client<C, V, const D: usize>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone + Send + Sync + WalCodec,
-{
-    transport: Transport<C, V, D>,
-}
-
-impl<C, V, const D: usize> Client<C, V, D>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone + Send + Sync + WalCodec,
-{
-    /// A client over an in-process engine: every call dispatches
-    /// straight into [`respond`] with no serialization.
-    pub fn local(engine: Arc<Engine<C, V, D>>) -> Self {
-        Client {
-            transport: Transport::Local(engine),
-        }
-    }
 
     /// Connects to a [`Server`](crate::Server) with [`NetConfig`]
     /// defaults (10 s connect budget, no request deadline, no retries)
@@ -361,15 +322,21 @@ where
     /// # Errors
     /// As [`Client::connect`].
     pub fn connect_with(addr: &str, config: NetConfig) -> Result<Self, SfcError> {
-        let mut remote = Remote::new(addr.to_string(), config);
-        remote.ensure_conn()?;
-        Ok(Client {
-            transport: Transport::Remote(remote),
-        })
+        let mut client = Client {
+            addr: addr.to_string(),
+            config,
+            conn: None,
+            salt: jitter_salt(addr),
+            _types: PhantomData,
+        };
+        client.ensure_conn()?;
+        Ok(client)
     }
 
-    /// Sends one request and waits for its response — the raw API every
-    /// typed helper below goes through.
+    /// Sends one request and waits for its response — the wire twin of
+    /// [`Engine::execute`](sfc_engine::Engine::execute), with its
+    /// signature and its answers, and the raw API every typed helper
+    /// below goes through.
     ///
     /// Idempotent requests that fail at the transport (connection lost,
     /// torn frame) or are turned away pre-execution
@@ -383,60 +350,33 @@ where
     /// verb: the time budget is already spent.
     ///
     /// # Errors
-    /// On transport failure after retries are exhausted, or with a
-    /// typed [`SfcError::Storage`] for a request whose encoding exceeds
-    /// [`MAX_FRAME`](crate::MAX_FRAME): that one is refused before any
-    /// byte is sent, so it is never ambiguous. A server-side failure
-    /// (including a response over `MAX_FRAME`) arrives as
-    /// [`Response::Error`], not as `Err` — the typed helpers unwrap it.
-    pub fn request(&mut self, req: Request<D, V>) -> Result<Response<D, V>, SfcError> {
-        match &mut self.transport {
-            Transport::Local(engine) => Ok(respond(engine, req)),
-            Transport::Remote(remote) => {
-                let retryable = req.is_idempotent();
-                let mut attempt: u32 = 0;
-                loop {
-                    let outcome = remote.try_request(&req);
-                    let failed_safely = match &outcome {
-                        Ok(Response::Error(e)) => e.is_pre_execution(),
-                        Ok(_) => false,
-                        Err(e) => e.is_transport(),
-                    };
-                    if !(retryable && failed_safely) || attempt >= remote.config.retry.max_retries {
-                        return outcome;
-                    }
-                    std::thread::sleep(remote.config.retry.backoff(attempt, remote.salt));
-                    attempt += 1;
-                }
+    /// The request's own typed error (e.g. out-of-bounds), decoded from
+    /// the server's [`Response::Error`] frame — including a response
+    /// over [`MAX_FRAME`](crate::MAX_FRAME); a transport failure after
+    /// retries are exhausted; or a typed [`SfcError::Storage`] for a
+    /// request whose encoding exceeds `MAX_FRAME`: that one is refused
+    /// before any byte is sent, so it is never ambiguous.
+    pub fn execute(&mut self, request: Request<D, V>) -> Result<Response<D, V>, SfcError> {
+        let retryable = request.is_idempotent();
+        let mut attempt: u32 = 0;
+        loop {
+            let outcome = self.try_request(&request);
+            let failed_safely = match &outcome {
+                Ok(Response::Error(e)) => e.is_pre_execution(),
+                Ok(_) => false,
+                Err(e) => e.is_transport(),
+            };
+            if !(retryable && failed_safely) || attempt >= self.config.retry.max_retries {
+                // `try_request` has already told a lost write from a
+                // refused one, so a typed refusal arrives as itself.
+                return match outcome? {
+                    Response::Error(e) => Err(e),
+                    response => Ok(response),
+                };
             }
+            std::thread::sleep(self.config.retry.backoff(attempt, self.salt));
+            attempt += 1;
         }
-    }
-
-    /// Executes one engine op remotely (or locally), returning the same
-    /// [`Reply`] [`Engine::execute`] would.
-    ///
-    /// # Errors
-    /// The op's own error (e.g. out-of-bounds), decoded from the wire,
-    /// or a transport failure.
-    pub fn execute(&mut self, op: Op<D, V>) -> Result<Reply<D, V>, SfcError> {
-        match self.request(Request::from(op))?.into_reply()? {
-            Some(reply) => Ok(reply),
-            None => Err(SfcError::Storage {
-                context: "non-reply response to a data-plane request".into(),
-            }),
-        }
-    }
-
-    /// Executes a stream of ops in order, collecting every reply —
-    /// [`Engine::run_stream`] over the wire.
-    ///
-    /// # Errors
-    /// On the first failing op (earlier ops stay executed).
-    pub fn run_stream(
-        &mut self,
-        ops: impl IntoIterator<Item = Op<D, V>>,
-    ) -> Result<Vec<Reply<D, V>>, SfcError> {
-        ops.into_iter().map(|op| self.execute(op)).collect()
     }
 
     /// Point lookup.
@@ -444,9 +384,9 @@ where
     /// # Errors
     /// If `p` lies outside the universe, or on transport failure.
     pub fn get(&mut self, p: Point<D>) -> Result<Option<V>, SfcError> {
-        match self.execute(Op::Get(p))? {
-            Reply::Value(v) => Ok(v),
-            other => unexpected("Value", reply_kind(&other)),
+        match self.execute(Request::Get(p))? {
+            Response::Value(v) => Ok(v),
+            other => unexpected("Value", &other),
         }
     }
 
@@ -455,9 +395,9 @@ where
     /// # Errors
     /// If the query exceeds the universe, or on transport failure.
     pub fn query(&mut self, q: RectQuery<D>) -> Result<Vec<Record<D, V>>, SfcError> {
-        match self.execute(Op::Query(q))? {
-            Reply::Records(rs) => Ok(rs),
-            other => unexpected("Records", reply_kind(&other)),
+        match self.execute(Request::Query(q))? {
+            Response::Records(rs) => Ok(rs),
+            other => unexpected("Records", &other),
         }
     }
 
@@ -466,9 +406,9 @@ where
     /// # Errors
     /// If `p` lies outside the universe, or on transport failure.
     pub fn insert(&mut self, p: Point<D>, v: V) -> Result<Admitted, SfcError> {
-        match self.execute(Op::Insert(p, v))? {
-            Reply::Admitted(a) => Ok(a),
-            other => unexpected("Admitted", reply_kind(&other)),
+        match self.execute(Request::Insert(p, v))? {
+            Response::Admitted(a) => Ok(a),
+            other => unexpected("Admitted", &other),
         }
     }
 
@@ -477,9 +417,9 @@ where
     /// # Errors
     /// If `p` lies outside the universe, or on transport failure.
     pub fn update(&mut self, p: Point<D>, v: V) -> Result<Admitted, SfcError> {
-        match self.execute(Op::Update(p, v))? {
-            Reply::Admitted(a) => Ok(a),
-            other => unexpected("Admitted", reply_kind(&other)),
+        match self.execute(Request::Update(p, v))? {
+            Response::Admitted(a) => Ok(a),
+            other => unexpected("Admitted", &other),
         }
     }
 
@@ -488,9 +428,9 @@ where
     /// # Errors
     /// If `p` lies outside the universe, or on transport failure.
     pub fn delete(&mut self, p: Point<D>) -> Result<Admitted, SfcError> {
-        match self.execute(Op::Delete(p))? {
-            Reply::Admitted(a) => Ok(a),
-            other => unexpected("Admitted", reply_kind(&other)),
+        match self.execute(Request::Delete(p))? {
+            Response::Admitted(a) => Ok(a),
+            other => unexpected("Admitted", &other),
         }
     }
 
@@ -499,10 +439,9 @@ where
     /// # Errors
     /// On a WAL commit failure or transport failure.
     pub fn flush(&mut self) -> Result<u64, SfcError> {
-        match self.request(Request::Flush)? {
+        match self.execute(Request::Flush)? {
             Response::Flushed { applied } => Ok(applied),
-            Response::Error(e) => Err(e),
-            other => unexpected("Flushed", response_kind(&other)),
+            other => unexpected("Flushed", &other),
         }
     }
 
@@ -511,10 +450,9 @@ where
     /// # Errors
     /// On in-memory engines, snapshot I/O failure, or transport failure.
     pub fn checkpoint(&mut self) -> Result<u64, SfcError> {
-        match self.request(Request::Checkpoint)? {
+        match self.execute(Request::Checkpoint)? {
             Response::Checkpointed { epoch } => Ok(epoch),
-            Response::Error(e) => Err(e),
-            other => unexpected("Checkpointed", response_kind(&other)),
+            other => unexpected("Checkpointed", &other),
         }
     }
 
@@ -523,10 +461,9 @@ where
     /// # Errors
     /// On transport failure.
     pub fn stats(&mut self) -> Result<EngineStats, SfcError> {
-        match self.request(Request::Stats)? {
+        match self.execute(Request::Stats)? {
             Response::Stats(s) => Ok(s),
-            Response::Error(e) => Err(e),
-            other => unexpected("Stats", response_kind(&other)),
+            other => unexpected("Stats", &other),
         }
     }
 
@@ -535,10 +472,9 @@ where
     /// # Errors
     /// If the query exceeds the universe, or on transport failure.
     pub fn explain(&mut self, q: RectQuery<D>) -> Result<QueryPlan, SfcError> {
-        match self.request(Request::Explain(q))? {
+        match self.execute(Request::Explain(q))? {
             Response::Explained(p) => Ok(p),
-            Response::Error(e) => Err(e),
-            other => unexpected("Explained", response_kind(&other)),
+            other => unexpected("Explained", &other),
         }
     }
 
@@ -547,10 +483,9 @@ where
     /// # Errors
     /// On transport failure.
     pub fn ping(&mut self) -> Result<(), SfcError> {
-        match self.request(Request::Ping)? {
+        match self.execute(Request::Ping)? {
             Response::Pong => Ok(()),
-            Response::Error(e) => Err(e),
-            other => unexpected("Pong", response_kind(&other)),
+            other => unexpected("Pong", &other),
         }
     }
 
@@ -560,56 +495,22 @@ where
     /// replays.
     ///
     /// # Errors
-    /// On transport failure, or (local transport over an in-memory
-    /// engine) when `from` predates the feed and there is no WAL to
-    /// catch up from.
-    pub fn subscribe_epochs(self, from: u64) -> Result<EpochStream<D, V>, SfcError>
-    where
-        C: Send + Sync + 'static,
-        V: 'static,
-    {
-        match self.transport {
-            Transport::Remote(mut remote) => {
-                remote.ensure_conn()?;
-                let deadline = remote.config.request_deadline;
-                let mut conn = remote.conn.take().expect("connection just ensured");
-                conn.send(&Request::<D, V>::SubscribeEpochs { from })?;
-                // Wait for the acknowledgment: once it arrives, the
-                // server's live tap is registered and every epoch
-                // committed from here on is guaranteed to be delivered.
-                match conn.recv_response::<D, V>(deadline)? {
-                    Response::Subscribed { .. } => {}
-                    Response::Error(e) => return Err(e),
-                    other => {
-                        return unexpected("Subscribed", response_kind(&other));
-                    }
-                }
-                Ok(EpochStream {
-                    inner: StreamInner::Remote(conn),
-                })
-            }
-            Transport::Local(engine) => {
-                // Mirror the server handler: subscribe first, then read
-                // the WAL for (from, start], so no epoch is missed or
-                // doubled.
-                let sub = engine.subscribe_epochs();
-                let mut backlog = std::collections::VecDeque::new();
-                if from < sub.start_epoch() {
-                    for frame in engine.committed_frames_since(from)? {
-                        if frame.epoch > sub.start_epoch() {
-                            break;
-                        }
-                        backlog.push_back(frame);
-                    }
-                }
-                Ok(EpochStream {
-                    inner: StreamInner::Local {
-                        sub,
-                        backlog,
-                        durable: Box::new(move || engine.durable_epoch()),
-                    },
-                })
-            }
+    /// On transport failure, or with the server's typed refusal.
+    pub fn subscribe_epochs(mut self, from: u64) -> Result<EpochStream<D, V>, SfcError> {
+        self.ensure_conn()?;
+        let deadline = self.config.request_deadline;
+        let mut conn = self.conn.take().expect("connection just ensured");
+        conn.send(&Request::<D, V>::SubscribeEpochs { from })?;
+        // Wait for the acknowledgment: once it arrives, the server's live
+        // tap is registered and every epoch committed from here on is
+        // guaranteed to be delivered.
+        match conn.recv_response::<D, V>(deadline)? {
+            Response::Subscribed { .. } => Ok(EpochStream {
+                conn,
+                _values: PhantomData,
+            }),
+            Response::Error(e) => Err(e),
+            other => unexpected("Subscribed", &other),
         }
     }
 }
@@ -632,21 +533,11 @@ pub enum EpochEvent<const D: usize, V> {
     Lagged,
 }
 
-enum StreamInner<const D: usize, V> {
-    Remote(Conn),
-    Local {
-        sub: EpochSubscription<D, V>,
-        backlog: std::collections::VecDeque<EpochFrame<D, V>>,
-        /// Reads the transactor's durable epoch for locally sourced
-        /// events (captures the engine `Arc`).
-        durable: Box<dyn Fn() -> u64 + Send>,
-    },
-}
-
 /// A one-way stream of committed epochs, produced by
 /// [`Client::subscribe_epochs`].
 pub struct EpochStream<const D: usize, V> {
-    inner: StreamInner<D, V>,
+    conn: Conn,
+    _values: PhantomData<fn() -> V>,
 }
 
 impl<const D: usize, V: Clone + WalCodec> EpochStream<D, V> {
@@ -657,66 +548,28 @@ impl<const D: usize, V: Clone + WalCodec> EpochStream<D, V> {
     /// On transport failure, a poisoned stream, or a server-side error
     /// frame.
     pub fn poll(&mut self, timeout: Duration) -> Result<Option<EpochEvent<D, V>>, SfcError> {
-        match &mut self.inner {
-            StreamInner::Remote(conn) => match conn.recv::<D, V>(Some(timeout))? {
-                None => Ok(None),
-                Some(Response::Epoch {
-                    epoch,
-                    durable_epoch,
-                    ops,
-                }) => Ok(Some(EpochEvent::Epoch {
-                    epoch,
-                    durable_epoch,
-                    ops,
-                })),
-                Some(Response::Lagged) => Ok(Some(EpochEvent::Lagged)),
-                Some(Response::Error(e)) => Err(e),
-                Some(other) => unexpected("Epoch", response_kind(&other)),
-            },
-            StreamInner::Local {
-                sub,
-                backlog,
-                durable,
-            } => {
-                if let Some(frame) = backlog.pop_front() {
-                    return Ok(Some(EpochEvent::Epoch {
-                        epoch: frame.epoch,
-                        durable_epoch: durable(),
-                        ops: frame.ops,
-                    }));
-                }
-                match sub.next_timeout(timeout) {
-                    Some(FeedEvent::Epoch(epoch, ops)) => Ok(Some(EpochEvent::Epoch {
-                        epoch,
-                        durable_epoch: durable(),
-                        ops: ops.to_vec(),
-                    })),
-                    Some(FeedEvent::Lagged) => Ok(Some(EpochEvent::Lagged)),
-                    None => Ok(None),
-                }
-            }
+        match self.conn.recv::<D, V>(Some(timeout))? {
+            None => Ok(None),
+            Some(Response::Epoch {
+                epoch,
+                durable_epoch,
+                ops,
+            }) => Ok(Some(EpochEvent::Epoch {
+                epoch,
+                durable_epoch,
+                ops,
+            })),
+            Some(Response::Lagged) => Ok(Some(EpochEvent::Lagged)),
+            Some(Response::Error(e)) => Err(e),
+            Some(other) => unexpected("Epoch", &other),
         }
     }
 }
 
-fn unexpected<T>(expected: &str, got: &str) -> Result<T, SfcError> {
-    Err(SfcError::Storage {
-        context: format!("protocol violation: expected {expected}, got {got}"),
-    })
-}
-
-/// The variant name alone — payloads may not be `Debug`.
-fn reply_kind<const D: usize, V>(reply: &Reply<D, V>) -> &'static str {
-    match reply {
-        Reply::Value(_) => "Value",
-        Reply::Records(_) => "Records",
-        Reply::Admitted(_) => "Admitted",
-    }
-}
-
-/// The variant name alone — payloads may not be `Debug`.
-fn response_kind<const D: usize, V>(response: &Response<D, V>) -> &'static str {
-    match response {
+/// A protocol violation: the server sent `got` where `expected` was due.
+/// Names the variant alone — payloads may not be `Debug`.
+fn unexpected<T, const D: usize, V>(expected: &str, got: &Response<D, V>) -> Result<T, SfcError> {
+    let got = match got {
         Response::Pong => "Pong",
         Response::Value(_) => "Value",
         Response::Records(_) => "Records",
@@ -729,5 +582,8 @@ fn response_kind<const D: usize, V>(response: &Response<D, V>) -> &'static str {
         Response::Lagged => "Lagged",
         Response::Error(_) => "Error",
         Response::Subscribed { .. } => "Subscribed",
-    }
+    };
+    Err(SfcError::Storage {
+        context: format!("protocol violation: expected {expected}, got {got}"),
+    })
 }

@@ -18,8 +18,8 @@
 //!
 //! — byte-for-byte the WAL's frame layout, with the same [`crc32`] over
 //! the payload. Payloads are [`WalCodec`]-encoded
-//! [`Request`](crate::Request)/[`Response`](crate::Response) values. A
-//! frame longer than [`MAX_FRAME`] is rejected before allocation (a
+//! [`Request`](sfc_engine::Request)/[`Response`](sfc_engine::Response)
+//! values. A frame longer than [`MAX_FRAME`] is rejected before allocation (a
 //! corrupt or hostile length prefix cannot balloon memory), and a
 //! checksum mismatch poisons the connection — unlike the WAL's torn
 //! *tail*, a torn *middle* of a live stream has no honest recovery.
@@ -43,8 +43,8 @@ use std::time::Duration;
 pub const NET_MAGIC: [u8; 8] = *b"SFCNET01";
 
 /// Protocol revision sent in the preamble. Bumped on any change to the
-/// frame layout or the [`Request`](crate::Request)/
-/// [`Response`](crate::Response) encodings.
+/// frame layout or the [`Request`](sfc_engine::Request)/
+/// [`Response`](sfc_engine::Response) encodings.
 pub const PROTOCOL_VERSION: u16 = 1;
 
 /// Upper bound on a frame payload (64 MiB): large enough for any epoch

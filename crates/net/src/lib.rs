@@ -9,20 +9,22 @@
 //!   `[len][crc32][payload]` frames (see [`frame`]); payloads are
 //!   [`WalCodec`](sfc_index::WalCodec)-encoded, so the protocol's
 //!   serialization layer is the already-proptested WAL codec.
-//! * **Protocol** — [`Request`]/[`Response`]: every engine op
-//!   ([`Op`](sfc_engine::Op) maps in via `From`) plus the admin verbs
-//!   `Flush`, `Checkpoint`, `Stats`, `Explain`, `Ping`, and the
-//!   replication tap `SubscribeEpochs`. Errors travel typed:
+//! * **Protocol** — `sfc-engine`'s verb set,
+//!   [`Request`](sfc_engine::Request)/[`Response`](sfc_engine::Response):
+//!   the data-plane verbs plus the admin verbs `Flush`, `Checkpoint`,
+//!   `Stats`, `Explain`, `Ping`, and the replication tap
+//!   `SubscribeEpochs`. Errors travel typed:
 //!   [`SfcError`](onion_core::SfcError) is wire-representable with
 //!   stable numeric codes.
 //! * **Server** — [`Server`]: a blocking thread-per-connection server
-//!   wrapping [`Engine::execute`](sfc_engine::Engine::execute) and
-//!   friends; [`respond`] is the dispatcher, shared with the local
-//!   transport.
-//! * **Client** — [`Client`]: the same API over two transports,
-//!   in-process ([`Client::local`]) or TCP ([`Client::connect`]) —
-//!   switching is one line, and the loopback tests pin that the replies
-//!   are identical.
+//!   that hands every decoded request to
+//!   [`Engine::execute`](sfc_engine::Engine::execute), the engine's one
+//!   dispatcher, over any backend — a disk-resident engine serves like
+//!   an in-memory one.
+//! * **Client** — [`Client`]: [`Client::execute`] has the signature of
+//!   `Engine::execute`, so switching a caller from embedded to networked
+//!   is one line (`engine.execute(r)` ↔ `client.execute(r)`), and the
+//!   loopback tests pin that the answers are identical.
 //! * **Replication** — [`Replica`]: a transactor ships committed WAL
 //!   epoch frames over `SubscribeEpochs` (WAL catch-up, then the live
 //!   epoch feed); replicas replay them through the same `apply_batch`
@@ -64,12 +66,10 @@
 
 mod client;
 pub mod frame;
-mod proto;
 mod replica;
 mod server;
 
 pub use client::{Client, EpochEvent, EpochStream, NetConfig, RetryPolicy};
 pub use frame::{MAX_FRAME, NET_MAGIC, PROTOCOL_VERSION};
-pub use proto::{Request, Response};
 pub use replica::{Replica, ReplicaConfig, ReplicaState, ReplicaStatus};
-pub use server::{respond, Server, ServerConfig};
+pub use server::{Server, ServerConfig};

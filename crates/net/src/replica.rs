@@ -30,7 +30,7 @@
 //! instead). The whole story is exposed by [`Replica::status`] —
 //! applied/durable/lag, reconnect count, connection state, last error.
 
-use crate::client::{Client, EpochEvent, EpochStream, NetConfig, RetryPolicy};
+use crate::client::{jitter_salt, Client, EpochEvent, EpochStream, NetConfig, RetryPolicy};
 use onion_core::{Point, SfcError, SpaceFillingCurve};
 use sfc_clustering::RectQuery;
 use sfc_engine::EngineConfig;
@@ -440,12 +440,7 @@ fn apply_loop<C, V, const D: usize>(
     C: SpaceFillingCurve<D> + Send + Sync + 'static,
     V: Clone + Send + Sync + WalCodec + 'static,
 {
-    // Jitter salt: same derivation as the client's, so backoff replays
-    // deterministically for a given address.
-    let mut salt = 0xcbf2_9ce4_8422_2325u64;
-    for b in addr.bytes() {
-        salt = (salt ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
+    let salt = jitter_salt(addr);
     let mut stream = Some(initial);
     // Consecutive failed reconnect attempts; reset by every applied
     // epoch, so only an actually-unreachable transactor exhausts it.

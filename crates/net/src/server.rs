@@ -6,7 +6,11 @@
 //! connections exercise exactly the concurrency the engine proptests
 //! pin. Every connection speaks the framed protocol of
 //! [`frame`](crate::frame): preamble exchange, then
-//! [`Request`]/[`Response`] frames.
+//! [`Request`]/[`Response`] frames. Each decoded request goes to
+//! [`Engine::execute`], the engine's one dispatcher, and an `Err` it
+//! returns leaves as [`Response::Error`] — the only place a `Result`
+//! becomes a wire frame. The engine may sit on any backend, so a
+//! disk-resident engine serves exactly as an in-memory one does.
 //!
 //! A connection that sends [`Request::SubscribeEpochs`] flips one-way:
 //! the handler replays WAL catch-up frames, then forwards the engine's
@@ -22,10 +26,9 @@
 //! blocks past it.
 
 use crate::frame::{net_err, read_hello, write_frame, write_hello, FrameReader, PollFrame};
-use crate::proto::{Request, Response};
 use onion_core::{SfcError, SpaceFillingCurve};
-use sfc_engine::{Engine, FeedEvent, Op};
-use sfc_index::WalCodec;
+use sfc_engine::{Engine, FeedEvent, Request, Response};
+use sfc_index::{Backend, Record, WalCodec};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -109,57 +112,6 @@ impl Drop for AdmissionGuard<'_> {
     }
 }
 
-/// Answers one non-streaming request against the engine — the single
-/// dispatcher both the network handler and
-/// [`Client::local`](crate::Client::local) route through, so a remote
-/// round-trip and an in-process call produce the same [`Response`] by
-/// construction.
-///
-/// [`Request::SubscribeEpochs`] is not answerable here (it turns a
-/// connection into a stream); it gets a [`Response::Error`].
-pub fn respond<C, V, const D: usize>(
-    engine: &Engine<C, V, D>,
-    request: Request<D, V>,
-) -> Response<D, V>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone + Send + Sync + WalCodec,
-{
-    let reply = |r: Result<sfc_engine::Reply<D, V>, SfcError>| match r {
-        Ok(reply) => Response::from(reply),
-        Err(e) => Response::Error(e),
-    };
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Get(p) => reply(engine.execute(Op::Get(p))),
-        Request::Query(q) => reply(engine.execute(Op::Query(q))),
-        Request::QueryAsOf { epoch, query } => {
-            reply(engine.execute(Op::QueryAsOf { epoch, query }))
-        }
-        Request::Insert(p, v) => reply(engine.execute(Op::Insert(p, v))),
-        Request::Update(p, v) => reply(engine.execute(Op::Update(p, v))),
-        Request::Delete(p) => reply(engine.execute(Op::Delete(p))),
-        Request::Flush => match engine.flush() {
-            Ok(applied) => Response::Flushed {
-                applied: applied as u64,
-            },
-            Err(e) => Response::Error(e),
-        },
-        Request::Checkpoint => match engine.checkpoint() {
-            Ok(epoch) => Response::Checkpointed { epoch },
-            Err(e) => Response::Error(e),
-        },
-        Request::Stats => Response::Stats(engine.stats()),
-        Request::Explain(q) => match engine.explain(&q) {
-            Ok(plan) => Response::Explained(plan),
-            Err(e) => Response::Error(e),
-        },
-        Request::SubscribeEpochs { .. } => Response::Error(SfcError::Storage {
-            context: "SubscribeEpochs is a streaming verb; it cannot be answered in-place".into(),
-        }),
-    }
-}
-
 /// A running server: the listener address plus the shutdown machinery.
 /// Dropping it shuts the server down and joins every thread.
 pub struct Server {
@@ -170,18 +122,20 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral loopback
-    /// port) and starts serving `engine` with [`ServerConfig`] defaults
-    /// until [`shutdown`](Self::shutdown) or drop.
+    /// port) and starts serving `engine` — on any backend — with
+    /// [`ServerConfig`] defaults until [`shutdown`](Self::shutdown) or
+    /// drop.
     ///
     /// # Errors
     /// If the bind fails.
-    pub fn spawn<C, V, const D: usize>(
-        engine: Arc<Engine<C, V, D>>,
+    pub fn spawn<C, V, const D: usize, B>(
+        engine: Arc<Engine<C, V, D, B>>,
         addr: &str,
     ) -> Result<Server, SfcError>
     where
         C: SpaceFillingCurve<D> + Send + Sync + 'static,
         V: Clone + Send + Sync + WalCodec + 'static,
+        B: Backend<Record<D, V>> + Send + Sync + 'static,
     {
         Self::spawn_with(engine, addr, ServerConfig::default())
     }
@@ -190,14 +144,15 @@ impl Server {
     ///
     /// # Errors
     /// If the bind fails.
-    pub fn spawn_with<C, V, const D: usize>(
-        engine: Arc<Engine<C, V, D>>,
+    pub fn spawn_with<C, V, const D: usize, B>(
+        engine: Arc<Engine<C, V, D, B>>,
         addr: &str,
         config: ServerConfig,
     ) -> Result<Server, SfcError>
     where
         C: SpaceFillingCurve<D> + Send + Sync + 'static,
         V: Clone + Send + Sync + WalCodec + 'static,
+        B: Backend<Record<D, V>> + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr).map_err(|e| net_err(format!("bind {addr}"), e))?;
         let local = listener
@@ -257,13 +212,14 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop<C, V, const D: usize>(
+fn accept_loop<C, V, const D: usize, B>(
     listener: TcpListener,
-    engine: Arc<Engine<C, V, D>>,
+    engine: Arc<Engine<C, V, D, B>>,
     shared: Arc<Shared>,
 ) where
     C: SpaceFillingCurve<D> + Send + Sync + 'static,
     V: Clone + Send + Sync + WalCodec + 'static,
+    B: Backend<Record<D, V>> + Send + Sync + 'static,
 {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stopping() {
@@ -366,14 +322,15 @@ fn refuse_connection<const D: usize, V: WalCodec>(
 
 /// Serves one connection until the peer hangs up or goes idle past the
 /// deadline, an error poisons the stream, or shutdown is raised.
-fn handle_connection<C, V, const D: usize>(
+fn handle_connection<C, V, const D: usize, B>(
     mut stream: TcpStream,
-    engine: &Engine<C, V, D>,
+    engine: &Engine<C, V, D, B>,
     shared: &Shared,
 ) -> Result<(), SfcError>
 where
     C: SpaceFillingCurve<D>,
     V: Clone + Send + Sync + WalCodec,
+    B: Backend<Record<D, V>> + Send + Sync,
 {
     stream.set_nodelay(true).ok();
     write_hello(&mut stream)?;
@@ -414,7 +371,8 @@ where
         if let Request::SubscribeEpochs { from } = request {
             return stream_epochs(stream, engine, &shared.stop, from);
         }
-        match write_frame(&mut stream, &mut buf, &respond(engine, request)) {
+        let response = engine.execute(request).unwrap_or_else(Response::Error);
+        match write_frame(&mut stream, &mut buf, &response) {
             // A response over MAX_FRAME was refused before any byte
             // left: answer with the typed error and keep serving.
             Err(e) if !e.is_transport() => {
@@ -433,15 +391,16 @@ where
 /// `(from, start_epoch]` — every epoch is thus delivered exactly once
 /// (catch-up covers everything published before the subscription
 /// existed; the feed covers everything after).
-fn stream_epochs<C, V, const D: usize>(
+fn stream_epochs<C, V, const D: usize, B>(
     mut stream: TcpStream,
-    engine: &Engine<C, V, D>,
+    engine: &Engine<C, V, D, B>,
     stop: &AtomicBool,
     from: u64,
 ) -> Result<(), SfcError>
 where
     C: SpaceFillingCurve<D>,
     V: Clone + Send + Sync + WalCodec,
+    B: Backend<Record<D, V>> + Send + Sync,
 {
     let sub = engine.subscribe_epochs();
     let mut buf = Vec::new();

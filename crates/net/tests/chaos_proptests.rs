@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, DynCurve, CURVE_NAMES};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Op, Reply};
+use sfc_engine::{Engine, EngineConfig, Request, Response};
 use sfc_index::DiskModel;
 use sfc_net::{Client, NetConfig, Replica, ReplicaConfig, ReplicaState, RetryPolicy, Server};
 use sfc_workloads::{mixed_op_stream, ChaosInjector, ChaosProxy, NetFault, OpMix, StreamOp};
@@ -142,8 +142,8 @@ fn start_replica(
 }
 
 fn transactor_records(engine: &Engine<DynCurve<2>, u64, 2>) -> Vec<(onion_core::Point<2>, u64)> {
-    match engine.execute(Op::Query(full_rect())).unwrap() {
-        Reply::Records(rs) => rs.into_iter().map(|r| (r.point, r.value)).collect(),
+    match engine.execute(Request::Query(full_rect())).unwrap() {
+        Response::Records(rs) => rs.into_iter().map(|r| (r.point, r.value)).collect(),
         other => panic!("query answered with {other:?}"),
     }
 }
@@ -203,10 +203,12 @@ fn chaos_case(seed: u64, curve_name: &str, t_shards: usize, r_shards: usize) -> 
             let applied = replica.applied_epoch();
             if applied > 0 {
                 if let Ok(replica_view) = replica.query_as_of(applied, &q) {
-                    if let Ok(Reply::Records(transactor_view)) = engine.execute(Op::QueryAsOf {
-                        epoch: applied,
-                        query: q,
-                    }) {
+                    if let Ok(Response::Records(transactor_view)) =
+                        engine.execute(Request::QueryAsOf {
+                            epoch: applied,
+                            query: q,
+                        })
+                    {
                         prop_assert_eq!(
                             replica_view.records,
                             transactor_view,

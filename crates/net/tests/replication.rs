@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfc_baselines::{curve_2d, DynCurve, CURVE_NAMES};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Op, Reply};
+use sfc_engine::{Engine, EngineConfig, Request, Response};
 use sfc_index::{DiskModel, ShardedTable};
 use sfc_net::{Client, Replica, Server};
 use sfc_workloads::{mixed_op_stream, OpMix, StreamOp};
@@ -67,8 +67,8 @@ fn await_applied(replica: &Replica<DynCurve<2>, u64, 2>, epoch: u64) {
 }
 
 fn transactor_records(engine: &Engine<DynCurve<2>, u64, 2>) -> Vec<(Point<2>, u64)> {
-    match engine.execute(Op::Query(full_rect())).unwrap() {
-        Reply::Records(rs) => rs.into_iter().map(|r| (r.point, r.value)).collect(),
+    match engine.execute(Request::Query(full_rect())).unwrap() {
+        Response::Records(rs) => rs.into_iter().map(|r| (r.point, r.value)).collect(),
         other => panic!("query answered with {other:?}"),
     }
 }
@@ -221,8 +221,11 @@ fn replica_time_travel_matches_the_transactor() {
     let q = full_rect();
     for epoch in 1..=committed {
         let from_replica = replica.query_as_of(epoch, &q).unwrap().records;
-        let from_transactor = match engine.execute(Op::QueryAsOf { epoch, query: q }).unwrap() {
-            Reply::Records(rs) => rs,
+        let from_transactor = match engine
+            .execute(Request::QueryAsOf { epoch, query: q })
+            .unwrap()
+        {
+            Response::Records(rs) => rs,
             other => panic!("QueryAsOf answered with {other:?}"),
         };
         assert_eq!(
@@ -281,9 +284,9 @@ proptest! {
                 if applied > 0 {
                     if let Ok(replica_view) = replica.query_as_of(applied, &q) {
                         let transactor_view = match engine
-                            .execute(Op::QueryAsOf { epoch: applied, query: q })
+                            .execute(Request::QueryAsOf { epoch: applied, query: q })
                         {
-                            Ok(Reply::Records(rs)) => rs,
+                            Ok(Response::Records(rs)) => rs,
                             // The transactor's retention may have evicted
                             // this epoch already; skip the probe then.
                             _ => continue,

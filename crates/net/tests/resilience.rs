@@ -19,7 +19,7 @@
 use onion_core::{Point, SfcError};
 use sfc_baselines::{curve_2d, DynCurve};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Op};
+use sfc_engine::{Engine, EngineConfig, Request};
 use sfc_index::{DiskModel, ShardedTable};
 use sfc_net::{
     Client, NetConfig, RetryPolicy, Server, ServerConfig, MAX_FRAME, NET_MAGIC, PROTOCOL_VERSION,
@@ -440,7 +440,7 @@ fn oversize_request_is_refused_before_sending() {
     .unwrap();
     let p = Point::new([1, 1]);
     let err = client
-        .execute(Op::Update(p, vec![7; MAX_FRAME as usize + 1]))
+        .execute(Request::Update(p, vec![7; MAX_FRAME as usize + 1]))
         .unwrap_err();
     // Not `AmbiguousWrite`: no byte of the request left the client.
     assert_oversize(&err);

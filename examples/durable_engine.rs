@@ -13,7 +13,7 @@
 
 use onion_core::{Onion2D, Point};
 use sfc_clustering::RectQuery;
-use sfc_engine::{CommitPolicy, Engine, EngineConfig, Op, Reply, WAL_FILE};
+use sfc_engine::{CommitPolicy, Engine, EngineConfig, Request, Response, WAL_FILE};
 use sfc_index::DiskModel;
 use std::time::Duration;
 
@@ -44,7 +44,7 @@ fn main() {
             (i % u64::from(side)) as u32,
             (i / 8 % u64::from(side)) as u32,
         ]);
-        engine.execute(Op::Insert(p, i)).unwrap();
+        engine.execute(Request::Insert(p, i)).unwrap();
     }
     engine.flush().unwrap(); // commit point: every insert above is durable
     let durable_count = engine.table().len();
@@ -53,7 +53,7 @@ fn main() {
     // flushed — the crash below takes them with it.
     for i in 0..100u64 {
         engine
-            .execute(Op::Insert(Point::new([i as u32, 101]), 9_000_000 + i))
+            .execute(Request::Insert(Point::new([i as u32, 101]), 9_000_000 + i))
             .unwrap();
     }
     println!(
@@ -73,7 +73,7 @@ fn main() {
         engine.table().len()
     );
     assert_eq!(engine.table().len(), durable_count);
-    let Reply::Value(v) = engine.execute(Op::Get(Point::new([5, 0]))).unwrap() else {
+    let Response::Value(v) = engine.execute(Request::Get(Point::new([5, 0]))).unwrap() else {
         unreachable!()
     };
     println!("point get after recovery: {v:?}");
@@ -88,7 +88,7 @@ fn main() {
 
     let engine = open();
     let q = RectQuery::new([0, 0], [side, side]).unwrap();
-    let Reply::Records(recs) = engine.execute(Op::Query(q)).unwrap() else {
+    let Response::Records(recs) = engine.execute(Request::Query(q)).unwrap() else {
         unreachable!()
     };
     assert_eq!(recs.len(), durable_count);
@@ -135,7 +135,7 @@ fn main() {
                 for i in 0..per_writer {
                     let p = Point::new([(w * per_writer + i) as u32 % side, 120]);
                     engine_ref
-                        .execute(Op::Update(p, 7_000_000 + w * 1000 + i))
+                        .execute(Request::Update(p, 7_000_000 + w * 1000 + i))
                         .unwrap();
                 }
                 // Every thread asks for durability; one fsync serves all.

@@ -7,7 +7,7 @@
 //! segment files live in a temporary directory removed at exit.
 
 use onion_curve::clustering::RectQuery;
-use onion_curve::engine::{Engine, EngineConfig, Op};
+use onion_curve::engine::{Engine, EngineConfig, Request};
 use onion_curve::index::{DiskModel, ShardedTable, StoreConfig};
 use onion_curve::workloads::{mixed_op_stream, zipf_points, OpMix};
 use onion_curve::{Onion2D, Point};
@@ -49,18 +49,18 @@ fn main() {
     println!("\ncold plan:  {}", engine.explain(&q).unwrap().explain());
 
     // Serve mixed traffic: 4 reader threads + 1 writer thread.
-    let reader_streams: Vec<Vec<Op<2, u64>>> = (0..4)
+    let reader_streams: Vec<Vec<Request<2, u64>>> = (0..4)
         .map(|_| {
             mixed_op_stream::<2, _>(side, 500, &OpMix::read_only(), 0.8, 48, &mut rng)
                 .into_iter()
-                .map(Op::from)
+                .map(Request::from)
                 .collect()
         })
         .collect();
-    let writer: Vec<Op<2, u64>> =
+    let writer: Vec<Request<2, u64>> =
         mixed_op_stream::<2, _>(side, 1_000, &OpMix::write_only(), 0.8, 1, &mut rng)
             .into_iter()
-            .map(Op::from)
+            .map(Request::from)
             .collect();
     let engine_ref = &engine;
     std::thread::scope(|s| {

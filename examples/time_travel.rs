@@ -6,7 +6,7 @@
 //!
 //! 1. **Pinned snapshot** — `snapshot_at(e)` pins a retained version;
 //!    reads through it keep answering epoch `e` while later epochs land.
-//! 2. **`as_of` inside the window** — `Op::QueryAsOf` answers from the
+//! 2. **`as_of` inside the window** — `Request::QueryAsOf` answers from the
 //!    retained version with zero I/O.
 //! 3. **`as_of` past the window** — the version is gone from memory, so
 //!    the engine reconstructs the state by replaying the WAL prefix
@@ -18,7 +18,7 @@
 
 use onion_core::{Onion2D, Point};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Op, Reply};
+use sfc_engine::{Engine, EngineConfig, Request, Response};
 use sfc_index::{DiskModel, RetentionPolicy};
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
     for e in 1..=EPOCHS {
         for y in 0..side {
             engine
-                .execute(Op::Update(Point::new([(e - 1) as u32, y]), e * 100))
+                .execute(Request::Update(Point::new([(e - 1) as u32, y]), e * 100))
                 .unwrap();
         }
         engine.flush().unwrap(); // epoch e is now durable and versioned
@@ -62,7 +62,7 @@ fn main() {
     let pinned = engine.table().snapshot();
     let at = pinned.epoch();
     for y in 0..side {
-        engine.execute(Op::Delete(Point::new([0, y]))).unwrap();
+        engine.execute(Request::Delete(Point::new([0, y]))).unwrap();
     }
     engine.flush().unwrap();
     let q = RectQuery::new([0, 0], [side, side]).unwrap();
@@ -74,8 +74,8 @@ fn main() {
     // --- 2. as_of inside the retention window: memory, zero I/O. -------
     let warm = engine.epoch() - 1;
     assert!(engine.snapshot_at(warm).is_some(), "still retained");
-    let Reply::Records(recs) = engine
-        .execute(Op::QueryAsOf {
+    let Response::Records(recs) = engine
+        .execute(Request::QueryAsOf {
             epoch: warm,
             query: q,
         })

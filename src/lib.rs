@@ -12,10 +12,11 @@
 //! * [`clustering`] — clustering numbers, exact averages, query generators;
 //! * [`theory`] — the paper's closed-form bounds (Theorems 1–6);
 //! * [`index`] — an SFC-keyed spatial index with seek accounting;
-//! * [`engine`] — the concurrent serving layer: op streams, epoch-batched
+//! * [`engine`] — the concurrent serving layer: one verb set
+//!   (`Request` → `Response`, answered by `Engine::execute`), epoch-batched
 //!   writes, adaptive query planning;
-//! * [`net`] — the wire protocol, blocking threaded server, dual-transport
-//!   client, and epoch-streaming read replicas;
+//! * [`net`] — the wire protocol, blocking threaded server, TCP client,
+//!   and epoch-streaming read replicas;
 //! * [`workloads`] — deterministic spatial data generators and mixed
 //!   read/write op streams.
 //!
