@@ -5,18 +5,23 @@
 //! the commit protocol is one rule deep:
 //!
 //! 1. **Commit:** [`Engine::flush`] encodes each staged batch as one
-//!    checksummed WAL frame (into a reused buffer — steady-state commits
-//!    allocate nothing), appends it, and hands the fsync to a dedicated
-//!    sync thread, so the encode and apply of epoch `N+1` overlap the
-//!    fsync of epoch `N`. The **commit point is unchanged**: an explicit
-//!    `flush` returns `Ok` only once every epoch it covers is appended
-//!    *and* fsynced — the synced append — and auto-flushed epochs become
-//!    durable in the background, in order, bounded by
+//!    WAL frame payload (into a reused buffer — steady-state commits
+//!    allocate nothing) and queues it to a dedicated sync thread, which
+//!    frames, checksums and appends whole groups with one write
+//!    ([`Wal::append_payloads_unsynced`], the log's one appender) and
+//!    fsyncs once per group, so the encode and apply of epoch `N+1`
+//!    overlap the fsync of epoch `N`. The **commit point is unchanged**:
+//!    an explicit `flush` returns `Ok` only once every epoch it covers is
+//!    appended *and* fsynced — the synced append — and auto-flushed
+//!    epochs become durable in the background, in order, bounded by
 //!    [`CommitPolicy::max_epochs`](crate::CommitPolicy::max_epochs)
 //!    frames of lag ([`CommitPolicy::synchronous`](crate::CommitPolicy)
 //!    restores the strictly write-ahead append+fsync-then-apply path).
 //!    Concurrent flushers **group-commit**: one leader stages everything
-//!    admitted so far and everyone shares its epochs and syncs.
+//!    admitted so far and everyone shares its epochs and syncs. Flush
+//!    leadership is the one serializer of the write path: only the
+//!    leader commits, applies, publishes and checkpoints, so commits are
+//!    totally ordered without a second lock.
 //! 2. **Recover:** [`Engine::open`] rebuilds the table from the last
 //!    snapshot (entries in curve order, re-cut at this table's shard
 //!    boundaries) and re-applies every WAL frame with a later epoch,
@@ -27,7 +32,13 @@
 //!    by curve key and same-key ops keep submission order (also across
 //!    frame boundaries, which is why coalescing frames is sound) — so a
 //!    log written by a 3-shard engine recovers bit-identically into 1 or
-//!    8 shards.
+//!    8 shards. The recovered table is stamped with the last replayed
+//!    epoch, and the engine reads its epoch from the table, so the
+//!    numbering flushes, subscriptions and time-travel reads use is the
+//!    WAL's. Time-travel reads past the retention window re-read
+//!    `snapshot + WAL prefix` through the same checksummed frame walker
+//!    recovery uses: a damaged committed frame is an error, never a
+//!    decoded wrong answer.
 //! 3. **Compact:** [`Engine::checkpoint`] flushes, writes a
 //!    point-in-time snapshot (atomic rename, fsynced), and truncates the
 //!    log — absorbing any still-in-flight frame syncs, since the snapshot
@@ -116,7 +127,7 @@ struct SyncState {
     /// the kernel's view of earlier writes undefined, so the pipeline
     /// refuses further commits rather than guessing (reopen to recover).
     failed: Option<String>,
-    /// Threads blocked in [`SyncShared::wait_synced`]/`drain` right now.
+    /// Threads blocked in [`SyncShared::wait_synced`] right now.
     /// The sync thread syncs eagerly while anyone waits, and lazily
     /// (letting frames accumulate up to the pipeline window) otherwise —
     /// an fsync also contends with concurrent appends on the file's
@@ -158,6 +169,11 @@ impl SyncShared {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SyncState> {
         self.state.lock().expect("WAL sync state poisoned")
+    }
+
+    /// Highest epoch committed to the pipeline so far.
+    fn requested(&self) -> u64 {
+        self.lock().requested
     }
 
     /// A recycled payload buffer for the next commit to encode into.
@@ -212,7 +228,10 @@ impl SyncShared {
 
     /// Blocks until every epoch up to `epoch` is durable (or poisoned).
     /// Registers as a waiter, which flips the lazy sync thread into
-    /// eager mode for the duration.
+    /// eager mode for the duration. Waiting on [`Self::requested`]
+    /// quiesces the pipeline: every frame committed so far is appended
+    /// and synced (or the pipeline is poisoned, and the sync thread does
+    /// no further I/O) when it returns.
     fn wait_synced(&self, epoch: u64) -> Result<(), SfcError> {
         let mut st = self.lock();
         if st.synced >= epoch {
@@ -231,22 +250,6 @@ impl SyncShared {
         };
         st.waiters -= 1;
         result
-    }
-
-    /// Waits until no frame sync is in flight (`synced == requested`),
-    /// ignoring poisoning — the rollback path needs quiescence whatever
-    /// the outcome.
-    fn drain(&self) {
-        let mut st = self.lock();
-        if st.failed.is_some() || st.synced >= st.requested {
-            return;
-        }
-        st.waiters += 1;
-        self.work.notify_all();
-        while st.failed.is_none() && st.synced < st.requested {
-            st = self.done.wait(st).expect("WAL sync state poisoned");
-        }
-        st.waiters -= 1;
     }
 
     /// Clamps both watermarks back to `epoch` and drops any queued
@@ -335,25 +338,12 @@ fn run_syncer(file: File, wal: Arc<Mutex<WalWriter>>, shared: Arc<SyncShared>) {
 }
 
 /// The durable half of an engine: the open WAL (plus its reusable encode
-/// buffer), the directory it lives in, a monomorphized frame encoder,
-/// and the sync pipeline.
-///
-/// The encoder is a plain `fn` pointer captured where the `V: WalCodec`
-/// bound is known (at open time), so the engine's shared flush path can
-/// commit frames without dragging a codec bound onto every engine
-/// method — non-durable engines keep compiling for payloads that have no
-/// byte representation.
-pub(crate) struct Durability<const D: usize, V> {
+/// buffer), the directory it lives in, and the sync pipeline. It holds
+/// no typed state: the methods that encode or decode frames are generic
+/// over the engine's payload codec.
+pub(crate) struct Durability {
     dir: PathBuf,
     wal: Arc<Mutex<WalWriter>>,
-    encode: fn(u64, &[BatchOp<D, V>], &mut Vec<u8>),
-    /// Monomorphized history readers, captured like `encode` where the
-    /// `V: WalCodec` bound is known: the time-travel fallback
-    /// ([`Self::historical_state`]) re-reads `snapshot + WAL prefix`
-    /// through them without dragging a codec bound onto the engine's
-    /// query path.
-    read_frames: fn(&mut Wal) -> Result<Vec<sfc_index::EpochFrame<D, V>>, SfcError>,
-    read_snapshot: ReadSnapshotFn<D, V>,
     sync: Arc<SyncShared>,
     syncer: Option<JoinHandle<()>>,
     /// [`CommitPolicy::max_epochs`](crate::CommitPolicy::max_epochs):
@@ -361,14 +351,9 @@ pub(crate) struct Durability<const D: usize, V> {
     depth: usize,
 }
 
-/// Alias for the monomorphized snapshot reader a durable engine captures
-/// at open time.
-type ReadSnapshotFn<const D: usize, V> =
-    fn(&Path) -> Result<Option<(u64, Vec<(u64, Record<D, V>)>)>, SfcError>;
-
-impl<const D: usize, V> Durability<D, V> {
-    /// Commits one epoch frame. Called by the flush path under the apply
-    /// gate, so commits are totally ordered and epochs strictly increase.
+impl Durability {
+    /// Commits one epoch frame. Called only by the flush leader, so
+    /// commits are totally ordered and epochs strictly increase.
     ///
     /// With `depth == 0` this is the synchronous append+fsync of PR 4 —
     /// when it returns, the epoch is durable. With a positive depth the
@@ -378,18 +363,22 @@ impl<const D: usize, V> Durability<D, V> {
     /// order; the call blocks only when more than `depth` epochs are
     /// already in flight. Epochs become durable in commit order either
     /// way.
-    pub(crate) fn commit(&self, epoch: u64, ops: &[BatchOp<D, V>]) -> Result<(), SfcError> {
+    pub(crate) fn commit<const D: usize, V: WalCodec>(
+        &self,
+        epoch: u64,
+        ops: &[BatchOp<D, V>],
+    ) -> Result<(), SfcError> {
         if self.depth == 0 {
             let mut w = self.wal.lock().expect("WAL handle poisoned");
             let WalWriter { wal, payload } = &mut *w;
-            (self.encode)(epoch, ops, payload);
+            encode_epoch_payload_into(epoch, ops, payload);
             wal.append_payload(epoch, payload)?;
             self.sync.absorb(epoch);
             return Ok(());
         }
         self.sync.acquire_slot(epoch, self.depth)?;
         let mut payload = self.sync.payload_buf();
-        (self.encode)(epoch, ops, &mut payload);
+        encode_epoch_payload_into(epoch, ops, &mut payload);
         self.sync.enqueue(epoch, payload);
         Ok(())
     }
@@ -407,15 +396,15 @@ impl<const D: usize, V> Durability<D, V> {
 
     /// Un-commits `epoch` — the frame [`Self::commit`] just wrote (or
     /// queued) — when the in-memory apply fails after a successful
-    /// commit, keeping log and table in lockstep. Drains any in-flight
-    /// sync first so the truncation cannot race an fsync of the very
-    /// frame being removed, and truncates only if the frame actually
-    /// landed: if the pipeline poisoned before appending it (a
-    /// double-fault — apply *and* WAL I/O failing), the log already
-    /// ends at an older, still-acknowledged frame, which must not be
-    /// cut away.
+    /// commit, keeping log and table in lockstep. Quiesces the pipeline
+    /// first (whatever its outcome) so the truncation cannot race an
+    /// fsync of the very frame being removed, and truncates only if the
+    /// frame actually landed: if the pipeline poisoned before appending
+    /// it (a double-fault — apply *and* WAL I/O failing), the log
+    /// already ends at an older, still-acknowledged frame, which must
+    /// not be cut away.
     pub(crate) fn rollback_last(&self, epoch: u64) -> Result<(), SfcError> {
-        self.sync.drain();
+        let _ = self.sync.wait_synced(self.sync.requested());
         let mut w = self.wal.lock().expect("WAL handle poisoned");
         if w.wal.last_epoch() == epoch {
             w.wal.rollback_last()?;
@@ -434,30 +423,29 @@ impl<const D: usize, V> Durability<D, V> {
     /// checkpoint whose snapshot is *newer* than `epoch` has absorbed and
     /// truncated the frames that led up to it.
     ///
-    /// Drains the sync pipeline first so every committed frame is
-    /// physically appended, then holds the WAL mutex across both reads —
-    /// a concurrent checkpoint cannot truncate frames between the
-    /// snapshot read and the prefix read.
-    pub(crate) fn historical_state(&self, epoch: u64) -> Result<HistoricalState<D, V>, SfcError> {
-        self.sync.drain();
+    /// Waits for the sync pipeline first so every committed frame is
+    /// physically appended (a poisoned pipeline fails the read: frames
+    /// it lost would silently drop epochs from the replay), then holds
+    /// the WAL mutex across both reads — a concurrent checkpoint cannot
+    /// truncate frames between the snapshot read and the prefix read.
+    pub(crate) fn historical_state<const D: usize, V: WalCodec>(
+        &self,
+        epoch: u64,
+    ) -> Result<HistoricalState<D, V>, SfcError> {
+        self.sync.wait_synced(self.sync.requested())?;
         let mut w = self.wal.lock().expect("WAL handle poisoned");
-        let (snapshot_epoch, entries) = match (self.read_snapshot)(&self.dir.join(SNAPSHOT_FILE))? {
-            Some((e, entries)) => (e, entries),
-            None => (0, Vec::new()),
-        };
+        let (snapshot_epoch, entries) =
+            read_snapshot::<D, V>(&self.dir.join(SNAPSHOT_FILE))?.unwrap_or_default();
         if snapshot_epoch > epoch {
             return Ok(None);
         }
-        let mut ops: Vec<BatchOp<D, V>> = Vec::new();
-        for frame in (self.read_frames)(&mut w.wal)? {
-            if frame.epoch <= snapshot_epoch {
-                continue;
-            }
-            if frame.epoch > epoch {
-                break;
-            }
-            ops.extend(frame.ops);
-        }
+        let ops = w
+            .wal
+            .read_frames::<D, V>()?
+            .into_iter()
+            .filter(|f| f.epoch > snapshot_epoch && f.epoch <= epoch)
+            .flat_map(|f| f.ops)
+            .collect();
         Ok(Some((entries, ops)))
     }
 
@@ -466,17 +454,17 @@ impl<const D: usize, V> Durability<D, V> {
     /// that subscribed at epoch `e` fetches `frames_since(e)` once, then
     /// switches to the live feed.
     ///
-    /// Drains the sync pipeline first so every acknowledged frame is
-    /// physically appended before the read. Frames a checkpoint has
-    /// already truncated are gone; callers that need deeper history
-    /// must bootstrap from a snapshot instead.
-    pub(crate) fn frames_since(
+    /// Waits for the sync pipeline first so every committed frame is
+    /// physically appended before the read (a poisoned pipeline fails
+    /// it). Frames a checkpoint has already truncated are gone; callers
+    /// that need deeper history must bootstrap from a snapshot instead.
+    pub(crate) fn frames_since<const D: usize, V: WalCodec>(
         &self,
         from_excl: u64,
     ) -> Result<Vec<sfc_index::EpochFrame<D, V>>, SfcError> {
-        self.sync.drain();
+        self.sync.wait_synced(self.sync.requested())?;
         let mut w = self.wal.lock().expect("WAL handle poisoned");
-        let mut frames = (self.read_frames)(&mut w.wal)?;
+        let mut frames = w.wal.read_frames::<D, V>()?;
         // The log's oldest frame bounds how far back catch-up reaches:
         // resuming after `from_excl` needs frame `from_excl + 1` onward.
         // If a checkpoint truncated past that, say so with the horizon
@@ -500,7 +488,7 @@ impl<const D: usize, V> Durability<D, V> {
 pub(crate) type HistoricalState<const D: usize, V> =
     Option<(Vec<(u64, Record<D, V>)>, Vec<BatchOp<D, V>>)>;
 
-impl<const D: usize, V> Drop for Durability<D, V> {
+impl Drop for Durability {
     fn drop(&mut self) {
         if let Some(handle) = self.syncer.take() {
             if let Ok(mut st) = self.sync.state.lock() {
@@ -696,14 +684,15 @@ where
                     })?,
             )
         };
+        // Stamp the recovered table with the WAL's numbering: the engine
+        // takes its epoch (and its feed's) from the table, so
+        // post-recovery flushes continue the log seamlessly and
+        // [`Engine::snapshot_at`] answers in WAL epochs.
+        table.set_epoch(epoch);
         let mut engine = Engine::new(table, config);
-        engine.set_recovered_epoch(epoch);
         engine.durability = Some(Durability {
             dir: dir.to_path_buf(),
             wal,
-            encode: encode_epoch_payload_into::<D, V>,
-            read_frames: Wal::read_frames::<D, V>,
-            read_snapshot: read_snapshot::<D, V>,
             sync,
             syncer,
             depth: config.commit.max_epochs,
@@ -735,12 +724,13 @@ where
         };
         self.acquire_lead();
         let result = (|| {
-            let _gate = self.lock_apply_gate();
-            self.flush_gated()?;
+            self.flush_as_leader()?;
             // Quiesce the pipeline before touching the file, so the sync
             // thread cannot append a queued frame *after* the reset and
-            // resurrect epochs the snapshot already absorbed.
-            d.sync.drain();
+            // resurrect epochs the snapshot already absorbed. A poisoned
+            // pipeline is no error here: the synced snapshot below makes
+            // every applied epoch durable again, and `absorb` clears it.
+            let _ = d.sync.wait_synced(d.sync.requested());
             let epoch = self.epoch();
             write_snapshot(&d.dir.join(SNAPSHOT_FILE), epoch, self.table())?;
             d.wal.lock().expect("WAL handle poisoned").wal.reset()?;
@@ -783,5 +773,64 @@ where
         self.durability
             .as_ref()
             .map(|d| d.wal.lock().expect("WAL handle poisoned").wal.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Engine, EngineConfig, Request, WAL_FILE};
+    use onion_core::{Onion2D, Point, SfcError};
+    use sfc_clustering::RectQuery;
+    use sfc_index::{DiskModel, RetentionPolicy, WAL_MAGIC};
+    use std::io::{Read, Seek, SeekFrom, Write};
+
+    #[test]
+    fn cold_as_of_refuses_a_damaged_committed_frame() {
+        let dir = std::env::temp_dir().join(format!("sfc-durable-damage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No retained versions: every past epoch is answered by replaying
+        // `snapshot + WAL prefix`.
+        let config = EngineConfig {
+            retention: RetentionPolicy {
+                epochs: 0,
+                ..RetentionPolicy::default()
+            },
+            ..EngineConfig::default()
+        };
+        let engine: Engine<Onion2D, u64, 2> =
+            Engine::open(&dir, Onion2D::new(8).unwrap(), DiskModel::ssd(), 2, config).unwrap();
+        let p = Point::new([1, 1]);
+        for value in 1..=2u64 {
+            engine.execute(Request::Update(p, value)).unwrap();
+            engine.flush().unwrap();
+        }
+        let q = RectQuery::new([0, 0], [8, 8]).unwrap();
+        let as_of_1 = engine.query_as_of(1, &q).unwrap().records;
+        assert_eq!(as_of_1.len(), 1);
+        assert_eq!(as_of_1[0].value, 1);
+
+        // Flip a byte of epoch 1's one op value (after the magic, the
+        // frame header, the epoch, the op count, the tag and the point)
+        // through a second handle, as a media fault would.
+        let value_at = (WAL_MAGIC.len() + 8 + 8 + 4 + 1 + 2 * 4) as u64;
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        file.seek(SeekFrom::Start(value_at)).unwrap();
+        file.read_exact(&mut byte).unwrap();
+        assert_eq!(byte[0], 1, "epoch 1 wrote the value 1");
+        file.seek(SeekFrom::Start(value_at)).unwrap();
+        file.write_all(&[byte[0] ^ 0x40]).unwrap();
+        drop(file);
+
+        let err = engine.query_as_of(1, &q).unwrap_err();
+        assert!(matches!(err, SfcError::Storage { .. }), "{err}");
+        // The current epoch is still served from memory.
+        assert_eq!(engine.query_as_of(2, &q).unwrap().records[0].value, 2);
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -37,28 +37,21 @@ impl sfc_index::WalCodec for Admitted {
     }
 }
 
-/// How epochs reach the write-ahead log: the group-commit and
-/// pipelining knobs of a durable engine's flush path (ignored — zero
-/// cost — on in-memory engines).
+/// How epochs reach the write-ahead log: the pipelining knob of a
+/// durable engine's flush path (ignored — zero cost — on in-memory
+/// engines).
 ///
 /// Concurrent `flush` callers always coalesce through a leader/follower
 /// commit queue: one leader stages and commits everything admitted so
 /// far, followers wait for the leader's sync to cover their writes. The
 /// policy tunes how the leader overlaps the disk:
-///
-/// * [`max_epochs`](Self::max_epochs) is the **pipeline depth** — how
-///   many committed-but-not-yet-fsynced epoch frames may be in flight
-///   while the engine goes on encoding and applying later epochs. `0`
-///   disables pipelining entirely: every commit appends *and* syncs
-///   before its epoch applies (the PR-4 write path, kept as the
-///   reference for the byte-identity proptests and the
-///   `engine/wal_commit_path` bench pair).
-/// * [`max_delay`](Self::max_delay) is the classic group-commit window:
-///   an explicit-flush leader lingers this long before staging so that
-///   concurrent writers' admissions land in the same epoch — and the
-///   same fsync. Zero (the default) adds no latency; the leader/follower
-///   queue and the sync pipeline already coalesce concurrent flushers
-///   without it.
+/// [`max_epochs`](Self::max_epochs) is the **pipeline depth** — how
+/// many committed-but-not-yet-fsynced epoch frames may be in flight
+/// while the engine goes on encoding and applying later epochs. `0`
+/// disables pipelining entirely: every commit appends *and* syncs
+/// before its epoch applies (the synchronous write path, kept as the
+/// reference for the byte-identity proptests and the
+/// `engine/wal_commit_path` bench pair).
 ///
 /// Whatever the policy, the **commit point is unchanged**: when an
 /// explicit [`Engine::flush`] returns `Ok`, every epoch it covers has
@@ -74,19 +67,13 @@ pub struct CommitPolicy {
     /// fully synchronous commits (append + fsync before the epoch
     /// applies).
     pub max_epochs: usize,
-    /// Group-commit window an explicit-flush leader waits before staging,
-    /// letting concurrent writers share the epoch and its fsync.
-    pub max_delay: Duration,
 }
 
 impl CommitPolicy {
-    /// The PR-4 reference path: no pipelining, every epoch frame is
-    /// appended and fsynced before it applies.
+    /// The synchronous reference path: no pipelining, every epoch frame
+    /// is appended and fsynced before it applies.
     pub fn synchronous() -> Self {
-        CommitPolicy {
-            max_epochs: 0,
-            max_delay: Duration::ZERO,
-        }
+        CommitPolicy { max_epochs: 0 }
     }
 }
 
@@ -98,7 +85,6 @@ impl Default for CommitPolicy {
             // (hundreds): the window must cover at least one fsync's
             // worth of epochs for the pipeline to hide the disk.
             max_epochs: 16,
-            max_delay: Duration::ZERO,
         }
     }
 }
@@ -112,7 +98,7 @@ pub struct EngineConfig {
     /// draining a larger backlog commits it as multiple epochs of at most
     /// this many ops, all sharing the pipeline's syncs.
     pub epoch_ops: usize,
-    /// Group-commit and WAL-pipelining policy (durable engines only).
+    /// WAL-pipelining policy (durable engines only).
     pub commit: CommitPolicy,
     /// How many superseded epoch versions the table keeps for
     /// [`Engine::snapshot_at`]/[`Request::QueryAsOf`] — the in-memory
@@ -251,8 +237,8 @@ struct FeedSlot<const D: usize, V> {
 
 struct FeedState<const D: usize, V> {
     slots: Vec<FeedSlot<D, V>>,
-    /// Highest epoch published so far (recovery positions it at the
-    /// recovered epoch) — what a new subscription resumes *after*.
+    /// Highest epoch published so far (starting at the table's epoch when
+    /// the engine is built) — what a new subscription resumes *after*.
     last_published: u64,
     next_id: u64,
 }
@@ -266,11 +252,12 @@ pub(crate) struct FeedShared<const D: usize, V> {
 }
 
 impl<const D: usize, V> FeedShared<D, V> {
-    fn new() -> Self {
+    /// A feed whose first published epoch will follow `epoch`.
+    fn new(epoch: u64) -> Self {
         FeedShared {
             state: Mutex::new(FeedState {
                 slots: Vec::new(),
-                last_published: 0,
+                last_published: epoch,
                 next_id: 0,
             }),
             wake: Condvar::new(),
@@ -278,7 +265,7 @@ impl<const D: usize, V> FeedShared<D, V> {
     }
 
     /// Publishes one committed epoch to every live subscriber. Called
-    /// with the apply gate held, so epochs arrive in order and exactly
+    /// only by the flush leader, so epochs arrive in order and exactly
     /// once per subscription.
     fn publish(&self, epoch: u64, ops: &[BatchOp<D, V>])
     where
@@ -304,15 +291,6 @@ impl<const D: usize, V> FeedShared<D, V> {
         }
         drop(st);
         self.wake.notify_all();
-    }
-
-    /// Positions the feed's epoch watermark without publishing — the
-    /// recovery hook mirroring `Engine::set_recovered_epoch`.
-    fn set_epoch(&self, epoch: u64) {
-        self.state
-            .lock()
-            .expect("epoch feed poisoned")
-            .last_published = epoch;
     }
 }
 
@@ -412,24 +390,23 @@ pub struct Engine<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
     /// admitted write is in neither the log nor the table. Lock order is
     /// always `log` before `applying`.
     applying: RwLock<Vec<BatchOp<D, V>>>,
-    /// Serializes epoch application so two concurrent flushes cannot
-    /// reorder same-key writes across their batches.
-    apply_gate: Mutex<()>,
     /// The group-commit queue: concurrent `flush` callers elect one
     /// leader; followers wait for the leader's epoch (and its fsync) to
     /// cover their writes instead of queueing up fsyncs of their own.
+    /// Leadership is also the engine's one write serializer: only the
+    /// leader stages, commits, applies and publishes epochs (and
+    /// checkpoints), so same-key writes never reorder across batches.
     flush_q: FlushQueue,
-    /// Durable state (WAL handle, data directory, frame encoder) — `Some`
+    /// Durable state (WAL handle, data directory, sync pipeline) — `Some`
     /// only for engines built by [`Engine::open`], [`Engine::open_stored`]
     /// or [`Engine::open_stored_with`].
     /// When present, [`Engine::flush`] commits each epoch to the log
     /// before any shard mutates; see the [`durable`](crate) docs.
-    pub(crate) durability: Option<crate::durable::Durability<D, V>>,
+    pub(crate) durability: Option<crate::durable::Durability>,
     /// The live epoch feed ([`Engine::subscribe_epochs`]). Behind an
     /// `Arc` so subscriptions survive independently of the engine (and
     /// of [`Engine::into_table`] disassembling it).
     feed: std::sync::Arc<FeedShared<D, V>>,
-    epoch: AtomicU64,
     gets: AtomicU64,
     queries: AtomicU64,
     writes: AtomicU64,
@@ -448,25 +425,26 @@ pub struct Engine<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
 impl<const D: usize, C, V, B> Engine<C, V, D, B>
 where
     C: SpaceFillingCurve<D>,
-    V: Clone + Send,
+    V: Clone + Send + Sync + WalCodec,
     B: Backend<Record<D, V>> + Send + Sync,
 {
     /// Wraps a sharded table as a serving engine. The planner prices
-    /// plans under the table's own [`DiskModel`].
+    /// plans under the table's own [`DiskModel`]; the engine's epoch
+    /// numbering continues the table's ([`ShardedTable::version_epoch`]),
+    /// so batches the table applied before still count.
     pub fn new(table: ShardedTable<C, V, D, B>, config: EngineConfig) -> Self {
         let planner = Planner::new(*table.model());
         let mut table = table;
         table.set_retention(config.retention);
+        let feed = std::sync::Arc::new(FeedShared::new(table.version_epoch()));
         Engine {
             table,
             planner,
             log: RwLock::new(Vec::new()),
             applying: RwLock::new(Vec::new()),
-            apply_gate: Mutex::new(()),
             flush_q: FlushQueue::new(),
             durability: None,
-            feed: std::sync::Arc::new(FeedShared::new()),
-            epoch: AtomicU64::new(0),
+            feed,
             gets: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -493,9 +471,12 @@ where
         self.table.model()
     }
 
-    /// Number of epochs applied so far.
+    /// The epoch of the table's current version: the number of epochs
+    /// applied so far (counting batches the table applied before
+    /// [`Engine::new`], and continuing the WAL's numbering on durable
+    /// engines).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.table.version_epoch()
     }
 
     /// Number of epochs whose WAL frame is fsync-confirmed — the durable
@@ -507,17 +488,6 @@ where
             Some(d) => d.synced_epoch(),
             None => self.epoch(),
         }
-    }
-
-    /// Recovery hook: positions the epoch counter at the last epoch the
-    /// reconstructed table contains — and stamps the table's current
-    /// version with the same number — so post-recovery flushes continue
-    /// the WAL's numbering seamlessly and [`Self::snapshot_at`] answers
-    /// in WAL epochs from the first post-recovery batch on.
-    pub(crate) fn set_recovered_epoch(&self, epoch: u64) {
-        self.table.set_epoch(epoch);
-        self.feed.set_epoch(epoch);
-        self.epoch.store(epoch, Ordering::Release);
     }
 
     /// Subscribes to the engine's committed epochs: every epoch applied
@@ -628,18 +598,18 @@ where
     /// Applies every pending write in epochs: the log is drained in
     /// chunks of at most [`EngineConfig::epoch_ops`] ops, each stably
     /// sorted into curve-key order inside
-    /// [`ShardedTable::apply_batch`] and applied shard by shard (large
-    /// epochs: concurrently per shard) under the shards' write locks.
-    /// Returns the number of writes applied (zero if the log was empty —
-    /// no epoch is counted then).
+    /// [`ShardedTable::apply_batch`] and installed as one new table
+    /// version with a single pointer swap (large epochs: their per-shard
+    /// slices applied concurrently on private copy-on-write forks), so
+    /// every scan observes all of an epoch or none of it. Returns the
+    /// number of writes applied (zero if the log was empty — no epoch is
+    /// counted then).
     ///
     /// Concurrent `flush` callers **group-commit**: one leader stages and
     /// commits everything admitted so far; the others wait for the
     /// leader's epochs (and, on durable engines, their fsyncs) to cover
     /// their writes and return `Ok(0)` without staging or syncing
-    /// anything themselves. [`CommitPolicy::max_delay`] optionally makes
-    /// the leader linger so even writers that have not called `flush` yet
-    /// share the sync.
+    /// anything themselves.
     ///
     /// On a durable engine ([`Engine::open`]), each epoch is committed to
     /// the write-ahead log before the next is staged, and `flush` returns
@@ -676,33 +646,18 @@ where
                 st = self.flush_q.done.wait(st).expect("flush queue poisoned");
             }
         }
-        // Leader: optionally linger so concurrent admissions coalesce
-        // into this epoch (and its fsync), then stage and apply.
-        let delay = self.config.commit.max_delay;
-        if !delay.is_zero() && self.durability.is_some() {
-            std::thread::sleep(delay);
-        }
-        let result = {
-            let _gate = self.lock_apply_gate();
-            self.flush_gated()
-        };
+        let result = self.flush_as_leader();
         self.finish_lead();
         let applied = result?;
         self.wait_durable(self.epoch())?;
         Ok(applied)
     }
 
-    /// Takes the epoch-application gate (crate-internal): `checkpoint`
-    /// holds it across its flush *and* snapshot so no epoch can slip in
-    /// between them.
-    pub(crate) fn lock_apply_gate(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.apply_gate.lock().expect("apply gate poisoned")
-    }
-
     /// Acquires flush leadership, waiting out any active leader — the
     /// entry half of the group-commit protocol, shared with
     /// [`Engine::checkpoint`] (which must also keep followers out while
-    /// it snapshots).
+    /// it snapshots, so no epoch can slip in between its flush and its
+    /// snapshot).
     pub(crate) fn acquire_lead(&self) {
         let mut st = self.flush_q.state.lock().expect("flush queue poisoned");
         while st.leader_active {
@@ -742,15 +697,14 @@ where
         }
     }
 
-    /// [`Self::flush`] with the apply gate already held and leadership
-    /// already acquired — shared with [`Engine::checkpoint`], which must
-    /// snapshot at the exact epoch its own flush produced. Drains the
-    /// whole backlog in epochs of at most [`EngineConfig::epoch_ops`]
-    /// ops; on durable engines the epochs ride the commit pipeline and
-    /// are *not* necessarily fsynced yet when this returns (the callers
-    /// own the commit point: `flush` waits, `checkpoint` supersedes the
-    /// log with a synced snapshot).
-    pub(crate) fn flush_gated(&self) -> Result<usize, SfcError> {
+    /// [`Self::flush`] with leadership already acquired — shared with
+    /// [`Engine::checkpoint`], which must snapshot at the exact epoch its
+    /// own flush produced. Drains the whole backlog in epochs of at most
+    /// [`EngineConfig::epoch_ops`] ops; on durable engines the epochs
+    /// ride the commit pipeline and are *not* necessarily fsynced yet
+    /// when this returns (the callers own the commit point: `flush`
+    /// waits, `checkpoint` supersedes the log with a synced snapshot).
+    pub(crate) fn flush_as_leader(&self) -> Result<usize, SfcError> {
         let mut total = 0usize;
         loop {
             let applied = self.flush_one_epoch()?;
@@ -762,18 +716,18 @@ where
     }
 
     /// Stages and applies one epoch of at most
-    /// [`EngineConfig::epoch_ops`] ops (gate held by the caller).
+    /// [`EngineConfig::epoch_ops`] ops (the caller leads).
     fn flush_one_epoch(&self) -> Result<usize, SfcError> {
         // Stage the epoch: move the oldest chunk of the active log into
-        // the applying buffer (held only while the gate is held, so it
-        // was empty before this). Point-get overlays keep seeing these
-        // writes throughout the apply — first in `applying`, then in the
-        // table itself.
+        // the applying buffer (held only by the leader, so it was empty
+        // before this). Point-get overlays keep seeing these writes
+        // throughout the apply — first in `applying`, then in the table
+        // itself.
         let cap = self.config.epoch_ops.max(1);
         let batch = {
             let mut log = self.log.write().expect("write log poisoned");
             let mut applying = self.applying.write().expect("applying buffer poisoned");
-            debug_assert!(applying.is_empty(), "gate serializes epochs");
+            debug_assert!(applying.is_empty(), "leadership serializes epochs");
             if log.len() <= cap {
                 *applying = std::mem::take(&mut *log);
             } else {
@@ -789,13 +743,16 @@ where
             return Ok(0);
         }
         let applied = batch.len();
+        // Only the leader applies, so the table's next version is this
+        // epoch: `apply_batch` stamps exactly `epoch` on success.
+        let epoch = self.epoch() + 1;
         // Commit (durable engines): the epoch's frame is appended — and,
         // depending on [`CommitPolicy::max_epochs`], synced inline or
         // handed to the sync pipeline — before any shard mutates. The
         // durable commit *point* stays the synced append: it is what
         // explicit flushes wait for before acknowledging.
         let committed = match &self.durability {
-            Some(d) => d.commit(self.epoch() + 1, &batch),
+            Some(d) => d.commit(epoch, &batch),
             None => Ok(()),
         };
         let result = match committed {
@@ -812,7 +769,7 @@ where
                     // orphaned frame, which re-applies the same ops the
                     // re-queued batch holds.)
                     if let Some(d) = &self.durability {
-                        let _ = d.rollback_last(self.epoch() + 1);
+                        let _ = d.rollback_last(epoch);
                     }
                     Err(e)
                 }
@@ -839,10 +796,10 @@ where
             } else {
                 // The epoch is applied (and, on durable engines,
                 // committed): fan it out to replication subscribers
-                // before it leaves the staging buffer. Publishing under
-                // the apply gate keeps per-subscription delivery
-                // strictly in epoch order.
-                self.feed.publish(self.epoch() + 1, &applying);
+                // before it leaves the staging buffer. Only the leader
+                // publishes, so per-subscription delivery stays strictly
+                // in epoch order.
+                self.feed.publish(epoch, &applying);
                 applying.clear();
             }
         }
@@ -852,7 +809,6 @@ where
             self.auto_flush_watermark.store(0, Ordering::Release);
         }
         result?;
-        self.epoch.fetch_add(1, Ordering::Release);
         Ok(applied)
     }
 
@@ -934,10 +890,7 @@ where
             }
             st.leader_active = true;
         }
-        let result = {
-            let _gate = self.lock_apply_gate();
-            self.flush_gated()
-        };
+        let result = self.flush_as_leader();
         self.finish_lead();
         result.is_ok()
     }
@@ -1049,14 +1002,7 @@ where
         };
         self.table.query_rect_replayed(entries, ops, q)
     }
-}
 
-impl<const D: usize, C, V, B> Engine<C, V, D, B>
-where
-    C: SpaceFillingCurve<D>,
-    V: Clone + Send + Sync + WalCodec,
-    B: Backend<Record<D, V>> + Send + Sync,
-{
     /// Executes one request — the one dispatcher for every verb, in
     /// process and behind `sfc-net`'s server alike. Reads return their
     /// results; writes return [`Response::Admitted`] and become visible
@@ -1227,6 +1173,39 @@ mod tests {
         assert_eq!(result.records.len() as u64, q.volume());
         assert_eq!(executed.clusters, plan.clusters);
         assert_eq!(e.stats().queries, 1);
+    }
+
+    #[test]
+    fn epochs_continue_the_numbering_of_a_table_built_elsewhere() {
+        let side = 16;
+        let table =
+            ShardedTable::build(Onion2D::new(side).unwrap(), Vec::new(), DiskModel::ssd(), 2)
+                .unwrap();
+        for v in 1..=2u32 {
+            table
+                .apply_batch(vec![BatchOp::Update(Point::new([v, v]), v)])
+                .unwrap();
+        }
+        let e: Engine<Onion2D, u32, 2> = Engine::new(table, EngineConfig::with_epoch_ops(100));
+        assert_eq!(e.epoch(), 2);
+        assert_eq!(e.epoch(), e.table().version_epoch());
+        let feed = e.subscribe_epochs();
+        assert_eq!(feed.start_epoch(), e.epoch());
+
+        e.execute(Request::Update(Point::new([3, 3]), 3)).unwrap();
+        e.flush().unwrap();
+        assert_eq!(e.epoch(), 3);
+        match feed.next_timeout(Duration::from_secs(5)) {
+            Some(FeedEvent::Epoch(epoch, ops)) => {
+                assert_eq!(epoch, 3);
+                assert_eq!(ops.len(), 1);
+            }
+            other => panic!("expected epoch 3 on the feed, got {other:?}"),
+        }
+        let q = RectQuery::new([0, 0], [side, side]).unwrap();
+        let live = e.query(&q).unwrap().0.records;
+        assert_eq!(live.len(), 3);
+        assert_eq!(e.query_as_of(e.epoch(), &q).unwrap().records, live);
     }
 
     #[test]

@@ -29,16 +29,15 @@
 //! Consistency model (what the proptests verify): **per-key
 //! read-your-writes** at all times — a `Get` consults the pending log
 //! before the table, so a submitted write is immediately visible to point
-//! reads — and **full consistency at quiescent epoch boundaries**: once
-//! [`Engine::flush`] returns (and no flush is concurrently applying),
-//! rectangle queries equal what a single-threaded table that applied the
-//! same ops would return. Rectangle queries do not read the pending log;
-//! between boundaries they see applied epochs only. Epoch application is
-//! atomic **per shard** (each shard flips from pre-batch to post-batch
-//! under its write lock), not across shards: a rectangle query racing a
-//! flush may observe some shards post-epoch and others pre-epoch. Callers
-//! needing a cross-shard-exact scan should quiesce writes around it (or
-//! flush and read before admitting more). Duplicates and the overlay:
+//! reads — and **every scan observes exactly one epoch**: rectangle
+//! queries never read the pending log, and each scan pins one immutable
+//! epoch version for its whole duration, across all shards. A scan
+//! racing any number of flushes returns the state of some single applied
+//! epoch, with no quiescing required, and successive scans on one thread
+//! observe non-decreasing epochs. Once [`Engine::flush`] returns (and no
+//! other flush is applying), rectangle queries equal what a
+//! single-threaded table that applied the same ops would return.
+//! Duplicates and the overlay:
 //! `Request::Insert` on an *occupied* cell stores a second record, and point
 //! gets return the **newest** record at the cell (B+-tree newest-
 //! duplicate semantics) — the same record the overlay reported while the

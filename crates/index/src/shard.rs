@@ -424,8 +424,14 @@ where
 
     /// The epoch of the current version: the number of batches applied
     /// since the build, or whatever [`Self::set_epoch`] last stamped.
+    /// Read under the version lock without pinning: the serving layer
+    /// reads it on every admitted write, and an `Arc` clone and drop
+    /// there would add two atomic read-modify-writes per write.
     pub fn version_epoch(&self) -> u64 {
-        self.pin().epoch
+        self.current
+            .read()
+            .expect("version pointer poisoned by a panicked writer")
+            .epoch
     }
 
     /// Re-stamps the current version's epoch and discards retained

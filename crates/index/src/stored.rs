@@ -165,17 +165,6 @@ impl<V: WalCodec + Clone, S: PageStore> FileBackend<V, S> {
         })
     }
 
-    /// The base segment (measured store counters, size inspection).
-    pub fn segment(&self) -> &SegmentTree<V, S> {
-        &self.base
-    }
-
-    /// Entries absorbed by the in-memory overlay since the last
-    /// restore/compaction (0 right after either).
-    pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
-    }
-
     /// The live window of `key`'s base duplicate run, read-only (point
     /// reads must not allocate edit records).
     fn live_window(&self, key: u64) -> (u32, u32) {

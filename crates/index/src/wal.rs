@@ -24,7 +24,10 @@
 //! increasing. The trailing frame of a crashed process may be *torn*
 //! (short or checksum-mismatched): replay stops at the first invalid
 //! frame and truncates the file there, so the recovered state is always
-//! a prefix of fully committed epochs — never a half-applied one.
+//! a prefix of fully committed epochs — never a half-applied one. A
+//! re-read of the committed prefix ([`Wal::read_frames`]) walks the
+//! frames the same way, checksums included, and reports a damaged frame
+//! as an error instead of decoding it.
 //!
 //! **Snapshot** (`SFCSNP01`): `[crc32(body): u32][body]` with
 //! `body = [epoch: u64][shard_count: u32]` followed by one section per
@@ -466,10 +469,9 @@ pub struct EpochFrame<const D: usize, V> {
 
 /// Encodes one epoch's frame payload — `[epoch][op_count][ops…]` — into a
 /// caller-owned buffer (cleared first). Exposed so the serving layer can
-/// hold it as a plain `fn` pointer — the engine's shared flush path then
-/// commits frames (via [`Wal::append_payload`]) without carrying a
-/// `WalCodec` bound on every engine method — and so a reused buffer makes
-/// steady-state commits allocation-free.
+/// encode on its flush path and frame on its sync thread
+/// ([`Wal::append_payload`], [`Wal::append_payloads_unsynced`]), and so
+/// a reused buffer makes steady-state commits allocation-free.
 pub fn encode_epoch_payload_into<const D: usize, V: WalCodec>(
     epoch: u64,
     ops: &[BatchOp<D, V>],
@@ -503,12 +505,68 @@ fn decode_epoch_payload<const D: usize, V: WalCodec>(payload: &[u8]) -> Option<E
     Some(EpochFrame { epoch, ops })
 }
 
+/// The one frame walker behind [`Wal::open`] and [`Wal::read_frames`]:
+/// decodes the frames of a log image (header included) in order and
+/// returns them with the byte length of the intact prefix. The walk ends
+/// at the first short or checksum-mismatched frame — a torn tail at
+/// open, a damaged committed frame on a re-read.
+///
+/// Damage the checksum *vouches for* is refused, not cut off: a CRC-valid
+/// frame that fails typed decoding (a log written with a different value
+/// type or dimensionality) or breaks epoch monotonicity is not a torn
+/// tail, and truncating it would destroy committed data on a mistyped
+/// open.
+fn walk_frames<const D: usize, V: WalCodec>(
+    bytes: &[u8],
+    path: &Path,
+) -> Result<(Vec<EpochFrame<D, V>>, usize), SfcError> {
+    let mut frames: Vec<EpochFrame<D, V>> = Vec::new();
+    let mut at = WAL_MAGIC.len();
+    while let Some(header) = bytes.get(at..at + 8) {
+        let len = u32::from_le_bytes(header[..4].try_into().expect("8-byte slice")) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("8-byte slice"));
+        let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
+            break; // torn payload
+        };
+        if crc32(payload) != crc {
+            break; // torn or corrupted payload
+        }
+        let Some(frame) = decode_epoch_payload::<D, V>(payload) else {
+            return Err(storage_err(
+                "reading WAL",
+                format_args!(
+                    "{}: intact frame at byte {at} does not decode — \
+                     was this log written with a different value type \
+                     or dimensionality?",
+                    path.display()
+                ),
+            ));
+        };
+        let last_epoch = frames.last().map_or(0, |f| f.epoch);
+        if frame.epoch <= last_epoch {
+            return Err(storage_err(
+                "reading WAL",
+                format_args!(
+                    "{}: intact frame at byte {at} breaks epoch \
+                     monotonicity ({} after {last_epoch}) — not a log \
+                     this build wrote",
+                    path.display(),
+                    frame.epoch
+                ),
+            ));
+        }
+        frames.push(frame);
+        at += 8 + len;
+    }
+    Ok((frames, at))
+}
+
 /// An append-only, checksummed, epoch-framed write-ahead log.
 ///
 /// See the [module docs](self) for the on-disk format and the
 /// torn-tail policy. A `Wal` is single-writer by construction (`&mut
-/// self` appends); the serving layer serializes commits under its epoch
-/// gate and wraps the log in a `Mutex`.
+/// self` appends); the serving layer commits only from its flush leader
+/// and wraps the log in a `Mutex`.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
@@ -560,12 +618,10 @@ impl Wal {
     /// crash never wedges the directory) to keep a second engine from
     /// appending over committed frames.
     ///
-    /// Damage the checksum *vouches for* is refused, not truncated: a
-    /// CRC-valid frame that fails typed decoding (a log written with a
+    /// A CRC-valid frame that fails typed decoding (a log written with a
     /// different value type or dimensionality) or breaks epoch
-    /// monotonicity is not a torn tail — truncating it would destroy
-    /// committed data on a mistyped open, so it errors like a bad magic
-    /// does.
+    /// monotonicity is not a torn tail: truncating it would destroy
+    /// committed data, so it errors like a bad magic does.
     ///
     /// # Errors
     /// On I/O failure, if another live process holds the log, or if the
@@ -604,87 +660,29 @@ impl Wal {
                 .map_err(|e| storage_err("writing WAL header", e))?;
             file.sync_all()
                 .map_err(|e| storage_err("syncing WAL header", e))?;
-            return Ok((
-                Wal {
-                    file,
-                    path: path.to_path_buf(),
-                    valid_len: WAL_MAGIC.len() as u64,
-                    last_epoch: 0,
-                    undo: None,
-                    pending_rollback: false,
-                    dirty_tail: false,
-                    frame_buf: Vec::new(),
-                },
-                Vec::new(),
-            ));
-        }
-        if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+            bytes = WAL_MAGIC.to_vec();
+        } else if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
             return Err(storage_err(
                 "opening WAL",
                 format_args!("{} is not a WAL file (bad magic)", path.display()),
             ));
         }
 
-        // Replay the valid prefix frame by frame.
-        let mut frames: Vec<EpochFrame<D, V>> = Vec::new();
-        let mut at = WAL_MAGIC.len();
-        let mut last_epoch = 0u64;
-        // Each iteration consumes one intact frame; the first torn or
-        // corrupt one (including a clean EOF) ends the replay.
-        while let Some(header) = bytes.get(at..at + 8) {
-            let len = u32::from_le_bytes(header[..4].try_into().expect("8-byte slice")) as usize;
-            let crc = u32::from_le_bytes(header[4..].try_into().expect("8-byte slice"));
-            let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
-                break; // torn payload
-            };
-            if crc32(payload) != crc {
-                break; // torn or corrupted payload
-            }
-            // From here the checksum vouches for the bytes: failures are
-            // not crash damage but a foreign or mistyped log, and
-            // truncating those would destroy committed data — refuse.
-            let Some(frame) = decode_epoch_payload::<D, V>(payload) else {
-                return Err(storage_err(
-                    "replaying WAL",
-                    format_args!(
-                        "{}: intact frame at byte {at} does not decode — \
-                         was this log written with a different value type \
-                         or dimensionality?",
-                        path.display()
-                    ),
-                ));
-            };
-            if frame.epoch <= last_epoch {
-                return Err(storage_err(
-                    "replaying WAL",
-                    format_args!(
-                        "{}: intact frame at byte {at} breaks epoch \
-                         monotonicity ({} after {last_epoch}) — not a log \
-                         this build wrote",
-                        path.display(),
-                        frame.epoch
-                    ),
-                ));
-            }
-            last_epoch = frame.epoch;
-            frames.push(frame);
-            at += 8 + len;
-        }
-
-        // Position at the end of the valid prefix; a torn tail beyond it
-        // is left on disk until the first append (see `dirty_tail`).
-        let valid_len = at as u64;
-        file.seek(SeekFrom::Start(valid_len))
+        // Replay the valid prefix and position at its end; a torn tail
+        // beyond it is left on disk until the first append (see
+        // `dirty_tail`).
+        let (frames, valid_len) = walk_frames::<D, V>(&bytes, path)?;
+        file.seek(SeekFrom::Start(valid_len as u64))
             .map_err(|e| storage_err("seeking WAL", e))?;
         Ok((
             Wal {
                 file,
                 path: path.to_path_buf(),
-                valid_len,
-                last_epoch,
+                valid_len: valid_len as u64,
+                last_epoch: frames.last().map_or(0, |f| f.epoch),
                 undo: None,
                 pending_rollback: false,
-                dirty_tail: valid_len < bytes.len() as u64,
+                dirty_tail: valid_len < bytes.len(),
                 frame_buf: Vec::new(),
             },
             frames,
@@ -711,10 +709,10 @@ impl Wal {
     }
 
     /// [`Self::append_epoch`] with the payload pre-encoded by
-    /// [`encode_epoch_payload_into`] (the serving layer's
-    /// monomorphization-friendly entry point; `epoch` must match the one
-    /// encoded in `payload`, which `append_epoch` guarantees for its own
-    /// calls).
+    /// [`encode_epoch_payload_into`] (the serving layer's synchronous
+    /// commit; `epoch` must match the one encoded in `payload`, which
+    /// `append_epoch` guarantees for its own calls): one frame through
+    /// [`Self::append_payloads_unsynced`], then `sync_data`.
     ///
     /// # Errors
     /// As for [`Self::append_epoch`].
@@ -722,7 +720,7 @@ impl Wal {
     /// # Panics
     /// As for [`Self::append_epoch`].
     pub fn append_payload(&mut self, epoch: u64, payload: &[u8]) -> Result<(), SfcError> {
-        self.append_payload_unsynced(epoch, payload)?;
+        self.append_payloads_unsynced(&[(epoch, payload)])?;
         if let Err(e) = self.file.sync_data() {
             // Roll the file back to the last committed frame; best-effort,
             // and replay would stop at the torn frame anyway.
@@ -739,105 +737,43 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one epoch frame **without syncing it**: the frame is
-    /// written (one contiguous `write_all` from a reused buffer — no
-    /// allocation, no userspace buffering to lose on drop) but is not yet
-    /// durable. The caller owns the commit point: the epoch survives a
-    /// crash only once a subsequent [`File::sync_data`] on
+    /// Appends a group of epoch frames **without syncing them**, with one
+    /// contiguous `write_all` from a reused buffer (no allocation once the
+    /// buffer has grown, no userspace buffering to lose on drop): one
+    /// syscall, and one inode touch, per group. The frames are written
+    /// but not yet durable. The caller owns the commit point: they
+    /// survive a crash only once a subsequent [`File::sync_data`] on
     /// [`Self::sync_handle`] (or a synced append) returns — which is how
-    /// the serving layer overlaps the encode and apply of epoch `N+1`
-    /// with the fsync of epoch `N` while keeping the synced-append commit
-    /// point for everything `flush` acknowledges.
+    /// the serving layer's sync thread overlaps the encode and apply of
+    /// epoch `N+1` with the fsync of epoch `N` while keeping the
+    /// synced-append commit point for everything `flush` acknowledges.
     ///
-    /// Append order is frame order, so syncing the file at any instant
-    /// makes a *prefix* of appended epochs durable — pipelining never
-    /// reorders the log.
+    /// Frames land in slice order, and append order is frame order, so
+    /// syncing the file at any instant makes a *prefix* of appended
+    /// epochs durable — pipelining never reorders the log. On success the
+    /// undo record covers the group's *last* frame, so a subsequent
+    /// [`Self::rollback_last`] removes exactly the newest epoch.
     ///
     /// # Errors
-    /// On I/O failure; the file is truncated back to its last valid
-    /// length so the failed frame never corrupts the log.
+    /// On I/O failure (the file is truncated back to its last valid
+    /// length — the whole group rolls back) or a frame over the 4 GiB
+    /// limit.
     ///
     /// # Panics
-    /// If `epoch` is not strictly greater than every previously appended
-    /// epoch (the log would become ambiguous to replay).
-    pub fn append_payload_unsynced(&mut self, epoch: u64, payload: &[u8]) -> Result<(), SfcError> {
+    /// If the epochs are not strictly increasing across the group and
+    /// past every previously appended epoch (the log would become
+    /// ambiguous to replay).
+    pub fn append_payloads_unsynced<P: AsRef<[u8]>>(
+        &mut self,
+        group: &[(u64, P)],
+    ) -> Result<(), SfcError> {
+        if group.is_empty() {
+            return Ok(());
+        }
         // A rollback that failed on its I/O leaves the frame on disk and
         // the epoch watermark advanced; completing it here (or erroring
         // again, cleanly) is what lets a retried flush re-commit the same
         // epoch number without tripping the monotonicity assert below.
-        if self.pending_rollback {
-            self.rollback_last()?;
-        }
-        assert!(
-            epoch > self.last_epoch,
-            "WAL epochs must be strictly increasing: {epoch} after {}",
-            self.last_epoch
-        );
-        if u32::try_from(payload.len()).is_err() {
-            // The frame length field is u32; silently wrapping it would
-            // fsync-acknowledge an epoch that replay can only see as a
-            // torn tail. Refuse instead: the caller can flush smaller
-            // epochs.
-            return Err(storage_err(
-                "committing epoch to WAL",
-                format_args!(
-                    "epoch {epoch} payload is {} bytes, over the 4 GiB frame limit",
-                    payload.len()
-                ),
-            ));
-        }
-        // First write after recovering past a damaged tail: cut the dead
-        // bytes off now, so the new frame lands on a clean edge instead
-        // of a prefix of garbage a crash mid-write could splice with.
-        if self.dirty_tail {
-            self.file
-                .set_len(self.valid_len)
-                .and_then(|_| self.file.sync_all())
-                .map_err(|e| storage_err("truncating torn WAL tail", e))?;
-            self.dirty_tail = false;
-        }
-        self.frame_buf.clear();
-        self.frame_buf.reserve(8 + payload.len());
-        (payload.len() as u32).encode(&mut self.frame_buf);
-        crc32(payload).encode(&mut self.frame_buf);
-        self.frame_buf.extend_from_slice(payload);
-        if let Err(e) = self.file.write_all(&self.frame_buf) {
-            // Roll the file back to the last committed frame; best-effort,
-            // and replay would stop at the torn frame anyway.
-            let _ = self.file.set_len(self.valid_len);
-            let _ = self.file.seek(SeekFrom::Start(self.valid_len));
-            return Err(storage_err(
-                "committing epoch to WAL",
-                format_args!("{}: {e}", self.path.display()),
-            ));
-        }
-        self.undo = Some((self.valid_len, self.last_epoch));
-        self.valid_len += self.frame_buf.len() as u64;
-        self.last_epoch = epoch;
-        Ok(())
-    }
-
-    /// Appends a whole group of epoch frames with **one** buffered write
-    /// — the batched form of [`Self::append_payload_unsynced`] a sync
-    /// pipeline drains its queue with, paying one syscall (and one inode
-    /// touch) per fsync group instead of per epoch. Frames land in slice
-    /// order; epochs must be strictly increasing across the group and
-    /// past every previously appended epoch.
-    ///
-    /// On success the undo record covers the group's *last* frame, so a
-    /// subsequent [`Self::rollback_last`] removes exactly the newest
-    /// epoch — the same contract as appending one frame at a time.
-    ///
-    /// # Errors
-    /// On I/O failure (the file is truncated back to its last valid
-    /// length — the whole group rolls back) or an over-limit frame.
-    ///
-    /// # Panics
-    /// If any epoch breaks strict monotonicity.
-    pub fn append_payloads_unsynced(&mut self, group: &[(u64, Vec<u8>)]) -> Result<(), SfcError> {
-        if group.is_empty() {
-            return Ok(());
-        }
         if self.pending_rollback {
             self.rollback_last()?;
         }
@@ -848,16 +784,23 @@ impl Wal {
                 "WAL epochs must be strictly increasing: {epoch} after {last}"
             );
             last = *epoch;
-            if u32::try_from(payload.len()).is_err() {
+            let len = payload.as_ref().len();
+            if u32::try_from(len).is_err() {
+                // The frame length field is u32; silently wrapping it
+                // would fsync-acknowledge an epoch that replay can only
+                // see as a torn tail. Refuse instead: the caller can
+                // flush smaller epochs.
                 return Err(storage_err(
                     "committing epoch to WAL",
                     format_args!(
-                        "epoch {epoch} payload is {} bytes, over the 4 GiB frame limit",
-                        payload.len()
+                        "epoch {epoch} payload is {len} bytes, over the 4 GiB frame limit"
                     ),
                 ));
             }
         }
+        // First write after recovering past a damaged tail: cut the dead
+        // bytes off now, so the new frames land on a clean edge instead
+        // of a prefix of garbage a crash mid-write could splice with.
         if self.dirty_tail {
             self.file
                 .set_len(self.valid_len)
@@ -866,27 +809,27 @@ impl Wal {
             self.dirty_tail = false;
         }
         self.frame_buf.clear();
-        let mut last_frame_at = 0usize;
+        let mut undo = (self.valid_len, self.last_epoch);
         let mut prev_epoch = self.last_epoch;
-        for (i, (epoch, payload)) in group.iter().enumerate() {
-            if i + 1 == group.len() {
-                last_frame_at = self.frame_buf.len();
-            } else {
-                prev_epoch = *epoch;
-            }
+        for (epoch, payload) in group {
+            let payload = payload.as_ref();
+            undo = (self.valid_len + self.frame_buf.len() as u64, prev_epoch);
+            prev_epoch = *epoch;
             (payload.len() as u32).encode(&mut self.frame_buf);
             crc32(payload).encode(&mut self.frame_buf);
             self.frame_buf.extend_from_slice(payload);
         }
         if let Err(e) = self.file.write_all(&self.frame_buf) {
+            // Roll the file back to the last committed frame; best-effort,
+            // and replay would stop at the torn frame anyway.
             let _ = self.file.set_len(self.valid_len);
             let _ = self.file.seek(SeekFrom::Start(self.valid_len));
             return Err(storage_err(
-                "committing epoch group to WAL",
+                "committing epoch to WAL",
                 format_args!("{}: {e}", self.path.display()),
             ));
         }
-        self.undo = Some((self.valid_len + last_frame_at as u64, prev_epoch));
+        self.undo = Some(undo);
         self.valid_len += self.frame_buf.len() as u64;
         self.last_epoch = last;
         Ok(())
@@ -970,20 +913,23 @@ impl Wal {
     /// prefix` replay reconstructs any epoch the log still covers, without
     /// a second `open` fighting this process's own file lock. Reads
     /// exactly the valid prefix (`[0, len())`), so a torn tail left for
-    /// inspection is never touched, and reposition the handle at the
-    /// append point afterwards.
+    /// inspection is never touched, and repositions the handle at the
+    /// append point afterwards. The frames go through the same walker as
+    /// [`Self::open`], checksums included: every byte of the prefix was
+    /// committed, so a frame that no longer matches its checksum is
+    /// damage, reported instead of decoded.
     ///
     /// Callers serialize this against appends and [`Self::reset`] (the
     /// durable layer holds its WAL mutex across the call), so the prefix
     /// read is of a quiescent file.
     ///
     /// # Errors
-    /// On I/O failure, or if an intact frame no longer decodes as
-    /// `(D, V)` — the mistyped-log refusal of [`Self::open`].
+    /// On I/O failure, if a committed frame fails its checksum, or if an
+    /// intact frame no longer decodes as `(D, V)` — the mistyped-log
+    /// refusal of [`Self::open`].
     pub fn read_frames<const D: usize, V: WalCodec>(
         &mut self,
     ) -> Result<Vec<EpochFrame<D, V>>, SfcError> {
-        let header = WAL_MAGIC.len() as u64;
         self.file
             .seek(SeekFrom::Start(0))
             .map_err(|e| storage_err("seeking WAL", e))?;
@@ -994,26 +940,15 @@ impl Wal {
         self.file
             .seek(SeekFrom::Start(self.valid_len))
             .map_err(|e| storage_err("seeking WAL", e))?;
-        let mut frames: Vec<EpochFrame<D, V>> = Vec::new();
-        let mut at = header as usize;
-        while let Some(frame_header) = bytes.get(at..at + 8) {
-            let len =
-                u32::from_le_bytes(frame_header[..4].try_into().expect("8-byte slice")) as usize;
-            let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
-                break;
-            };
-            let Some(frame) = decode_epoch_payload::<D, V>(payload) else {
-                return Err(storage_err(
-                    "re-reading WAL prefix",
-                    format_args!(
-                        "{}: committed frame at byte {at} does not decode as this engine's \
-                         value type",
-                        self.path.display()
-                    ),
-                ));
-            };
-            frames.push(frame);
-            at += 8 + len;
+        let (frames, intact) = walk_frames::<D, V>(&bytes, &self.path)?;
+        if intact < bytes.len() {
+            return Err(storage_err(
+                "re-reading WAL prefix",
+                format_args!(
+                    "{}: committed frame at byte {intact} is damaged (short or checksum mismatch)",
+                    self.path.display()
+                ),
+            ));
         }
         Ok(frames)
     }
@@ -1022,7 +957,7 @@ impl Wal {
     /// After a synced append ([`Self::append_epoch`]) returns, everything
     /// up to this offset survives any crash — the number the crash-point
     /// tests key on. Frames appended with
-    /// [`Self::append_payload_unsynced`] are counted as soon as they are
+    /// [`Self::append_payloads_unsynced`] are counted as soon as they are
     /// written; they survive once the pipeline's next sync returns.
     pub fn len(&self) -> u64 {
         self.valid_len

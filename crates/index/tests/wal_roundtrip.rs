@@ -2,12 +2,13 @@
 //! byte-level damage, snapshot round trips across backends and shard
 //! counts, and the persist/restore hooks feeding them.
 
-use onion_core::{Onion2D, Point};
+use onion_core::{Onion2D, Point, SfcError};
 use sfc_clustering::RectQuery;
 use sfc_index::{
     read_snapshot, write_snapshot, BatchOp, DiskModel, QueryOptions, Record, ShardedTable,
     StoreConfig, Wal, WAL_MAGIC,
 };
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 fn test_dir(name: &str) -> PathBuf {
@@ -118,6 +119,42 @@ fn frame_header_damage_stops_replay_but_destroys_nothing_on_open() {
         bytes,
         "no byte was destroyed by opening — frames 2 and 3 remain for repair"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn rereads_refuse_a_damaged_committed_frame() {
+    // `read_frames` re-reads the committed prefix of a live log (the
+    // time-travel fallback's source). Every byte of that prefix was
+    // committed, so a frame failing its checksum is damage: it must be
+    // reported, never decoded into a wrong value.
+    let dir = test_dir("wal-reread-damage");
+    let path = dir.join("wal.log");
+    let (mut wal, _) = Wal::open::<2, u64>(&path).unwrap();
+    wal.append_epoch(1, &sample_ops(3)).unwrap();
+    wal.append_epoch(2, &sample_ops(3)).unwrap();
+    assert_eq!(wal.read_frames::<2, u64>().unwrap().len(), 2);
+
+    // Epoch 1's first op is `Insert([0, 0], 0)`: its value sits after
+    // the magic, the frame header (len, crc), the epoch, the op count,
+    // the op tag and the point. Flip one of its bytes through a second
+    // handle, as a media fault would.
+    let value_at = WAL_MAGIC.len() + 8 + 8 + 4 + 1 + 2 * 4;
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .unwrap();
+    let mut byte = [0u8; 1];
+    file.seek(SeekFrom::Start(value_at as u64)).unwrap();
+    file.read_exact(&mut byte).unwrap();
+    assert_eq!(byte[0], 0, "the first op's value is 0");
+    file.seek(SeekFrom::Start(value_at as u64)).unwrap();
+    file.write_all(&[byte[0] ^ 0x40]).unwrap();
+    drop(file);
+
+    let err = wal.read_frames::<2, u64>().unwrap_err();
+    assert!(matches!(err, SfcError::Storage { .. }), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -16,6 +16,7 @@ use sfc_engine::{Admitted, EngineStats, Request, Response};
 use sfc_index::{BatchOp, QueryPlan, Record, WalCodec, WalCursor};
 use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Backoff schedule for retrying **idempotent** requests that fail at
@@ -25,10 +26,14 @@ use std::time::{Duration, Instant};
 /// instead of being silently reissued.
 ///
 /// Delays double from [`base_backoff`](Self::base_backoff) per attempt,
-/// saturate at [`max_backoff`](Self::max_backoff), and carry
-/// deterministic jitter in `[50%, 100%]` of the computed delay — a
-/// fleet of clients retrying the same outage decorrelates without any
-/// global randomness source, and a failing schedule replays exactly.
+/// saturate at [`max_backoff`](Self::max_backoff), and carry jitter in
+/// `[50%, 100%]` of the computed delay. The jitter is a pure function of
+/// the attempt and a salt ([`Self::backoff`]), so a failing schedule
+/// replays exactly from its salt; each [`Client`] and
+/// [`Replica`](crate::Replica) draws its own salt from the server
+/// address, a process-wide instance counter and the process id, so a
+/// fleet of them retrying the same outage decorrelates without any
+/// global randomness source.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt (0 disables retrying).
@@ -46,15 +51,6 @@ impl RetryPolicy {
             max_retries: 0,
             base_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
-        }
-    }
-
-    /// A production-shaped default: 3 retries, 50 ms doubling to 1 s.
-    pub fn standard() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(1),
         }
     }
 
@@ -100,18 +96,6 @@ impl Default for NetConfig {
             connect_timeout: Duration::from_secs(10),
             request_deadline: None,
             retry: RetryPolicy::none(),
-        }
-    }
-}
-
-impl NetConfig {
-    /// A self-healing profile: 5 s connect bound, 10 s request
-    /// deadline, [`RetryPolicy::standard`] retries.
-    pub fn resilient() -> Self {
-        NetConfig {
-            connect_timeout: Duration::from_secs(5),
-            request_deadline: Some(Duration::from_secs(10)),
-            retry: RetryPolicy::standard(),
         }
     }
 }
@@ -212,13 +196,21 @@ impl Conn {
     }
 }
 
-/// The backoff jitter salt for a server address — FNV-1a over its
-/// bytes: cheap, and deterministic, so a given address replays the same
-/// schedule. Clients and replicas both derive it here.
+/// A fresh backoff jitter salt for one client or replica of `addr` —
+/// FNV-1a over the address, a process-wide instance counter and the
+/// process id. Every call returns a different salt, so two instances of
+/// one address (in one process or in two) draw different schedules,
+/// while each instance's schedule stays a pure function of its salt.
+/// Clients and replicas both derive it here.
 pub(crate) fn jitter_salt(addr: &str) -> u64 {
-    addr.bytes().fold(0xcbf2_9ce4_8422_2325, |salt, b| {
-        (salt ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
+    static INSTANCES: AtomicU64 = AtomicU64::new(0);
+    let instance = INSTANCES.fetch_add(1, Ordering::Relaxed);
+    addr.bytes()
+        .chain(instance.to_le_bytes())
+        .chain(std::process::id().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |salt, b| {
+            (salt ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
 }
 
 /// The serving API over TCP: a server address plus [`NetConfig`] around
@@ -230,7 +222,7 @@ pub struct Client<C, V, const D: usize> {
     addr: String,
     config: NetConfig,
     conn: Option<Conn>,
-    /// Backoff jitter salt, from [`jitter_salt`] over the address.
+    /// This client's backoff jitter salt, from [`jitter_salt`].
     salt: u64,
     _types: PhantomData<fn() -> (C, V)>,
 }
@@ -586,4 +578,48 @@ fn unexpected<T, const D: usize, V>(expected: &str, got: &Response<D, V>) -> Res
     Err(SfcError::Storage {
         context: format!("protocol violation: expected {expected}, got {got}"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Server;
+    use onion_core::Onion2D;
+    use sfc_engine::{Engine, EngineConfig};
+    use sfc_index::{DiskModel, ShardedTable};
+    use std::sync::Arc;
+
+    #[test]
+    fn clients_of_one_address_draw_different_backoff_schedules() {
+        let table =
+            ShardedTable::build(Onion2D::new(8).unwrap(), Vec::new(), DiskModel::ssd(), 1).unwrap();
+        let engine = Arc::new(Engine::<Onion2D, u64, 2>::new(
+            table,
+            EngineConfig::default(),
+        ));
+        let server = Server::spawn(engine, "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        let a = Client::<Onion2D, u64, 2>::connect(&addr).unwrap();
+        let b = Client::<Onion2D, u64, 2>::connect(&addr).unwrap();
+        let policy = RetryPolicy {
+            max_retries: 8,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_secs(1),
+        };
+        let schedule = |salt: u64| -> Vec<Duration> {
+            (0..8)
+                .map(|attempt| policy.backoff(attempt, salt))
+                .collect()
+        };
+        assert_ne!(
+            schedule(a.salt),
+            schedule(b.salt),
+            "two clients of one server must not retry in lockstep"
+        );
+        assert_eq!(
+            schedule(a.salt),
+            schedule(a.salt),
+            "a schedule is a pure function of its salt"
+        );
+    }
 }

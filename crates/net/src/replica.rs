@@ -79,18 +79,6 @@ impl Default for ReplicaConfig {
     }
 }
 
-impl ReplicaConfig {
-    /// The pre-resilience behavior: any stream death parks the fault
-    /// and stops the apply thread. The replica keeps serving its last
-    /// applied prefix.
-    pub fn fail_stop() -> Self {
-        ReplicaConfig {
-            net: NetConfig::default(),
-            reconnect: RetryPolicy::none(),
-        }
-    }
-}
-
 /// Where a [`Replica`]'s subscription currently stands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplicaState {
@@ -206,9 +194,9 @@ where
         Self::start_with(addr, curve, model, shards, config, ReplicaConfig::default())
     }
 
-    /// [`Replica::start`] with explicit resilience knobs —
-    /// [`ReplicaConfig::fail_stop`] restores the pre-resilience
-    /// die-on-first-fault behavior.
+    /// [`Replica::start`] with explicit resilience knobs — a `reconnect`
+    /// of [`RetryPolicy::none`] makes the replica stop at the first
+    /// stream fault and keep serving its last applied prefix.
     ///
     /// # Errors
     /// As [`Replica::start`].

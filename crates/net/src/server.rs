@@ -40,6 +40,10 @@ use std::time::{Duration, Instant};
 /// re-checking the shutdown flag — the bound on shutdown latency.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// Bound on the preamble exchange per connection — an accepted socket
+/// that never speaks is dropped after this.
+const PREAMBLE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Overload and lifecycle knobs for a [`Server`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -53,9 +57,6 @@ pub struct ServerConfig {
     /// a dead or vanished peer cannot pin a handler thread (and its
     /// admission slot) forever. `None` disables the idle deadline.
     pub idle_timeout: Option<Duration>,
-    /// Bound on the preamble exchange per connection — an accepted
-    /// socket that never speaks is dropped after this.
-    pub preamble_timeout: Duration,
     /// On shutdown, how long to wait for in-flight handlers to finish
     /// before their sockets are forcibly shut down. The drain bound
     /// keeps [`Server::shutdown`] from hanging on a stalled peer.
@@ -67,7 +68,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 1024,
             idle_timeout: None,
-            preamble_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
         }
     }
@@ -306,7 +306,7 @@ fn refuse_connection<const D: usize, V: WalCodec>(
 ) -> Result<(), SfcError> {
     stream.set_nodelay(true).ok();
     write_hello(&mut stream)?;
-    read_hello(&mut stream, Some(shared.config.preamble_timeout))?;
+    read_hello(&mut stream, Some(PREAMBLE_TIMEOUT))?;
     let mut buf = Vec::new();
     write_frame(
         &mut stream,
@@ -334,7 +334,7 @@ where
 {
     stream.set_nodelay(true).ok();
     write_hello(&mut stream)?;
-    read_hello(&mut stream, Some(shared.config.preamble_timeout))?;
+    read_hello(&mut stream, Some(PREAMBLE_TIMEOUT))?;
     let mut reader = FrameReader::new();
     let mut buf = Vec::new();
     let mut last_frame = Instant::now();

@@ -13,9 +13,9 @@
 
 use onion_core::{Onion2D, Point};
 use sfc_clustering::RectQuery;
-use sfc_engine::{CommitPolicy, Engine, EngineConfig, Request, Response, WAL_FILE};
+use sfc_engine::{Engine, EngineConfig, Request, Response, WAL_FILE};
 use sfc_index::DiskModel;
-use std::time::Duration;
+use std::sync::Barrier;
 
 fn main() {
     let side = 1u32 << 7;
@@ -101,34 +101,21 @@ fn main() {
     drop(engine);
 
     // --- Run 3: group commit — N writers, one epoch frame, one fsync. ---
-    // Each thread admits its own writes and calls `flush` concurrently.
-    // The commit queue elects one leader, and `max_delay` makes it linger
-    // long enough for the other writers' admissions to land in its epoch
-    // — so the WAL grows by a single coalesced frame (one fsync serves
-    // every writer) instead of one frame per writer.
-    let engine: Engine<Onion2D, u64, 2> = Engine::open(
-        &dir,
-        Onion2D::new(side).unwrap(),
-        DiskModel::ssd(),
-        4,
-        EngineConfig {
-            epoch_ops: 256,
-            // A generous linger window so the demo coalesces even on a
-            // loaded single-core host, where the writer threads may
-            // otherwise get scheduled one after another.
-            commit: CommitPolicy {
-                max_epochs: 8,
-                max_delay: Duration::from_millis(25),
-            },
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
+    // Each thread admits its own writes, waits at a barrier until every
+    // writer's admissions are in, and calls `flush` concurrently. The
+    // commit queue elects one leader, whose epoch holds everything
+    // admitted so far; the other flushers find their writes covered and
+    // only wait for its fsync — so the WAL grows by a single coalesced
+    // frame (one fsync serves every writer) instead of one frame per
+    // writer, however the threads are scheduled.
+    let engine = open();
     let writers = 4u64;
     let per_writer = 32u64;
     let epoch_before = engine.epoch();
     let wal_before = engine.wal_len().unwrap();
     let engine_ref = &engine;
+    let admitted = Barrier::new(writers as usize);
+    let admitted = &admitted;
     std::thread::scope(|s| {
         for w in 0..writers {
             s.spawn(move || {
@@ -138,6 +125,7 @@ fn main() {
                         .execute(Request::Update(p, 7_000_000 + w * 1000 + i))
                         .unwrap();
                 }
+                admitted.wait();
                 // Every thread asks for durability; one fsync serves all.
                 engine_ref.flush().unwrap();
             });
@@ -151,10 +139,7 @@ fn main() {
         engine.wal_len().unwrap(),
         engine.durable_epoch(),
     );
-    assert!(
-        frames < writers,
-        "concurrent flushes must coalesce below one epoch per writer"
-    );
+    assert_eq!(frames, 1, "concurrent flushes coalesce into one epoch");
     assert_eq!(engine.durable_epoch(), engine.epoch(), "flush acknowledged");
     drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
