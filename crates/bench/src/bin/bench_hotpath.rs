@@ -26,7 +26,7 @@ use sfc_index::{
     BPlusTree, Backend, DiskModel, LruBufferPool, MemoryBackend, Planner, QueryOptions, Record,
     ShardedTable, DEFAULT_NODE_CAPACITY,
 };
-use sfc_net::{Client, Replica, Server};
+use sfc_net::{Client, Replica, ReplicaState, Server};
 use sfc_workloads::{client_streams, mixed_op_stream, zipf_points, OpMix, StreamOp, ZipfSampler};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -1340,12 +1340,12 @@ fn main() {
             let table = ShardedTable::build(curve, Vec::new(), DiskModel::ssd(), 4).unwrap();
             let engine = Arc::new(Engine::new(table, EngineConfig::with_epoch_ops(1 << 20)));
             let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-            let replica = Replica::<Onion2D, u64, 2>::start(
+            let follower =
+                ShardedTable::build(Onion2D::new(side).unwrap(), Vec::new(), DiskModel::ssd(), 4)
+                    .unwrap();
+            let replica = Replica::start(
                 &server.local_addr().to_string(),
-                Onion2D::new(side).unwrap(),
-                DiskModel::ssd(),
-                4,
-                &EngineConfig::default(),
+                Engine::<Onion2D, u64, 2>::new(follower, EngineConfig::default()),
             )
             .unwrap();
             for (i, op) in writes.iter().enumerate() {
@@ -1355,11 +1355,18 @@ fn main() {
                 }
             }
             let committed = engine.stats().epochs;
-            while replica.applied_epoch() < committed {
-                assert!(!replica.is_failed(), "{:?}", replica.take_fault());
+            let applied = loop {
+                let status = replica.status();
+                assert!(
+                    status.state != ReplicaState::Failed,
+                    "{:?}",
+                    status.last_error
+                );
+                if status.applied >= committed {
+                    break status.applied;
+                }
                 std::hint::spin_loop();
-            }
-            let applied = replica.applied_epoch();
+            };
             replica.stop();
             server.shutdown();
             applied
@@ -1380,7 +1387,7 @@ fn main() {
     // "non-healing" twin — the alternative to failover is rebuilding
     // the replica from epoch 0.
     {
-        use sfc_net::{NetConfig, ReplicaConfig, RetryPolicy};
+        use sfc_net::{ReplicaConfig, RetryPolicy};
         use sfc_workloads::{ChaosInjector, ChaosProxy};
         use std::sync::Arc;
         let side = 1u32 << 7;
@@ -1402,18 +1409,15 @@ fn main() {
         let injector = ChaosInjector::new();
         let proxy =
             ChaosProxy::spawn(&server.local_addr().to_string(), Arc::clone(&injector)).unwrap();
-        let replica = Replica::<Onion2D, u64, 2>::start_with(
+        let follower =
+            ShardedTable::build(Onion2D::new(side).unwrap(), Vec::new(), DiskModel::ssd(), 4)
+                .unwrap();
+        let replica = Replica::start_with(
             &proxy.addr(),
-            Onion2D::new(side).unwrap(),
-            DiskModel::ssd(),
-            4,
-            &EngineConfig::default(),
+            Engine::<Onion2D, u64, 2>::new(follower, EngineConfig::default()),
             ReplicaConfig {
-                net: NetConfig {
-                    connect_timeout: Duration::from_secs(2),
-                    request_deadline: Some(Duration::from_secs(5)),
-                    retry: RetryPolicy::none(),
-                },
+                connect_timeout: Duration::from_secs(2),
+                subscribe_deadline: Duration::from_secs(5),
                 reconnect: RetryPolicy {
                     max_retries: 1000,
                     base_backoff: Duration::from_millis(1),
@@ -1424,8 +1428,16 @@ fn main() {
         .unwrap();
         let converge = |target: u64| {
             let deadline = Instant::now() + Duration::from_secs(30);
-            while replica.applied_epoch() < target {
-                assert!(!replica.is_failed(), "{:?}", replica.take_fault());
+            loop {
+                let status = replica.status();
+                assert!(
+                    status.state != ReplicaState::Failed,
+                    "{:?}",
+                    status.last_error
+                );
+                if status.applied >= target {
+                    break;
+                }
                 assert!(
                     Instant::now() < deadline,
                     "failover bench never reconverged"
@@ -1443,7 +1455,7 @@ fn main() {
             }
             let committed = engine.stats().epochs;
             converge(committed);
-            replica.reconnects()
+            replica.status().reconnects
         });
         comparisons.push(Comparison {
             name: "engine/replica_failover/onion2d/sever_1k_writes/reconverge",

@@ -93,6 +93,13 @@ pub enum SfcError {
         /// resuming is only possible for `requested >= horizon`.
         horizon: u64,
     },
+    /// A write reached an engine that only follows a transactor's epoch
+    /// stream (a read replica). It was refused before admission, so
+    /// sending it to the transactor instead is safe.
+    ReadOnly {
+        /// Which write was refused, and where writes go instead.
+        context: String,
+    },
 }
 
 impl SfcError {
@@ -115,6 +122,7 @@ impl SfcError {
             SfcError::TornFrame { .. } => 11,
             SfcError::AmbiguousWrite { .. } => 12,
             SfcError::EpochTruncated { .. } => 13,
+            SfcError::ReadOnly { .. } => 14,
         }
     }
 
@@ -126,7 +134,10 @@ impl SfcError {
     /// but re-executing is harmless); writes must not — that ambiguity
     /// is exactly what [`AmbiguousWrite`](Self::AmbiguousWrite) names.
     pub fn is_pre_execution(&self) -> bool {
-        matches!(self, SfcError::Unavailable { .. })
+        matches!(
+            self,
+            SfcError::Unavailable { .. } | SfcError::ReadOnly { .. }
+        )
     }
 
     /// Whether this error is a transport-level failure (the connection
@@ -171,6 +182,7 @@ impl fmt::Display for SfcError {
                 "epoch {requested} is behind the checkpoint horizon {horizon}: \
                  the WAL no longer holds that history, bootstrap from a snapshot"
             ),
+            SfcError::ReadOnly { context } => write!(f, "read-only engine: {context}"),
         }
     }
 }
@@ -232,9 +244,12 @@ mod tests {
                 requested: 3,
                 horizon: 9,
             },
+            SfcError::ReadOnly {
+                context: "Insert".into(),
+            },
         ];
         let codes: Vec<u16> = all.iter().map(SfcError::code).collect();
-        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]);
+        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]);
     }
 
     #[test]
@@ -244,6 +259,11 @@ mod tests {
         };
         assert!(busy.is_pre_execution());
         assert!(!busy.is_transport());
+        // A replica's refusal of a write: never admitted, not transport.
+        let refused = SfcError::ReadOnly {
+            context: "Insert".into(),
+        };
+        assert!(refused.is_pre_execution() && !refused.is_transport());
         let lost = SfcError::ConnectionLost {
             context: "reset".into(),
         };

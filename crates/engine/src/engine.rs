@@ -404,9 +404,11 @@ pub struct Engine<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
     /// before any shard mutates; see the [`durable`](crate) docs.
     pub(crate) durability: Option<crate::durable::Durability>,
     /// The live epoch feed ([`Engine::subscribe_epochs`]). Behind an
-    /// `Arc` so subscriptions survive independently of the engine (and
-    /// of [`Engine::into_table`] disassembling it).
+    /// `Arc` so subscriptions survive independently of the engine.
     feed: std::sync::Arc<FeedShared<D, V>>,
+    /// Set by [`Engine::into_follower`]: the engine refuses writes and
+    /// applies epochs only through [`Engine::apply_epoch`].
+    follower: bool,
     gets: AtomicU64,
     queries: AtomicU64,
     writes: AtomicU64,
@@ -451,7 +453,17 @@ where
             flush_failures: AtomicU64::new(0),
             auto_flush_watermark: AtomicU64::new(0),
             config,
+            follower: false,
         }
+    }
+
+    /// Turns this engine into a **follower** of a transactor's epoch
+    /// stream, for good: `Insert`/`Update`/`Delete` are refused with
+    /// [`SfcError::ReadOnly`], and epochs arrive only through
+    /// [`Self::apply_epoch`]. Reads and the admin verbs serve as before.
+    pub fn into_follower(mut self) -> Self {
+        self.follower = true;
+        self
     }
 
     /// The underlying sharded table (stats, shard sizes, direct queries).
@@ -494,8 +506,8 @@ where
     /// after this call is delivered — in order, without gaps — as a
     /// [`FeedEvent::Epoch`] carrying the epoch's ops. This is the
     /// replication tap: a transactor's serving layer streams these
-    /// frames to read replicas, which replay them through the same
-    /// `apply_batch` path recovery uses.
+    /// frames to read replicas, which apply them to a follower engine
+    /// through [`Self::apply_epoch`].
     ///
     /// Epochs committed *before* the call (at or below
     /// [`EpochSubscription::start_epoch`]) are not replayed here; catch
@@ -746,36 +758,7 @@ where
         // Only the leader applies, so the table's next version is this
         // epoch: `apply_batch` stamps exactly `epoch` on success.
         let epoch = self.epoch() + 1;
-        // Commit (durable engines): the epoch's frame is appended — and,
-        // depending on [`CommitPolicy::max_epochs`], synced inline or
-        // handed to the sync pipeline — before any shard mutates. The
-        // durable commit *point* stays the synced append: it is what
-        // explicit flushes wait for before acknowledging.
-        let committed = match &self.durability {
-            Some(d) => d.commit(epoch, &batch),
-            None => Ok(()),
-        };
-        let result = match committed {
-            Ok(()) => match self.table.apply_batch(batch) {
-                Ok(_) => Ok(()),
-                Err(e) => {
-                    // The frame is on disk but the table refused the
-                    // epoch: un-commit it so the log never holds an epoch
-                    // the table does not, and the retried flush can
-                    // re-commit the same epoch number. (Best-effort: if
-                    // the rollback itself fails on top of an apply
-                    // failure — two independent failures on a path that
-                    // is unreachable today — recovery would replay the
-                    // orphaned frame, which re-applies the same ops the
-                    // re-queued batch holds.)
-                    if let Some(d) = &self.durability {
-                        let _ = d.rollback_last(epoch);
-                    }
-                    Err(e)
-                }
-            },
-            Err(e) => Err(e),
-        };
+        let result = self.commit_and_apply(epoch, batch);
         {
             let mut log = self.log.write().expect("write log poisoned");
             let mut applying = self.applying.write().expect("applying buffer poisoned");
@@ -785,7 +768,7 @@ where
                 // flush retries it in order. Whichever half failed, the
                 // WAL holds no frame for this epoch by now — a failed
                 // append truncates itself, a committed frame whose apply
-                // failed was rolled back above — so the retry re-commits
+                // failed was un-committed — so the retry re-commits
                 // the same epoch number cleanly. (A batch that failed
                 // *after partially applying* may re-apply some ops on
                 // retry — acceptable for a path that is unreachable
@@ -812,14 +795,66 @@ where
         Ok(applied)
     }
 
-    /// Consumes the engine, flushing pending writes, and returns the
-    /// table — the epoch-boundary state a model comparison reads.
+    /// Commits `batch` as epoch `epoch` and applies it to the table (the
+    /// caller leads, and publishes the epoch on success). On durable
+    /// engines the epoch's frame is appended — and, depending on
+    /// [`CommitPolicy::max_epochs`], synced inline or handed to the sync
+    /// pipeline — before any shard mutates. The durable commit *point*
+    /// stays the synced append: it is what explicit flushes wait for
+    /// before acknowledging.
+    fn commit_and_apply(&self, epoch: u64, batch: Vec<BatchOp<D, V>>) -> Result<(), SfcError> {
+        if let Some(d) = &self.durability {
+            d.commit(epoch, &batch)?;
+        }
+        self.table.apply_batch(batch).map(drop).inspect_err(|_| {
+            // The frame is on disk but the table refused the epoch:
+            // un-commit it so the log never holds an epoch the table does
+            // not, and a retry can re-commit the same epoch number.
+            // (Best-effort: if the rollback itself fails on top of an
+            // apply failure — two independent failures on a path that is
+            // unreachable today — recovery would replay the orphaned
+            // frame, which re-applies the same ops a retry holds.)
+            if let Some(d) = &self.durability {
+                let _ = d.rollback_last(epoch);
+            }
+        })
+    }
+
+    /// Applies epoch `epoch` of a transactor's history, with its ops in
+    /// submission order — the follower's one write entry, which
+    /// `sfc-net`'s replica drives. Under flush leadership it commits,
+    /// applies and publishes the epoch exactly as a flush would its own,
+    /// so a durable follower logs every epoch it applies and serves its
+    /// own subscribers.
     ///
     /// # Errors
-    /// Propagates [`Self::flush`] errors.
-    pub fn into_table(self) -> Result<ShardedTable<C, V, D, B>, SfcError> {
-        self.flush()?;
-        Ok(self.table)
+    /// [`SfcError::Storage`] on an engine that is not a
+    /// [follower](Self::into_follower), and for any epoch other than
+    /// [`Self::epoch`]` + 1` or an empty one (a gap or a replay in the
+    /// stream), leaving the state unchanged; otherwise the commit's or
+    /// the apply's own error.
+    pub fn apply_epoch(&self, epoch: u64, ops: Vec<BatchOp<D, V>>) -> Result<(), SfcError> {
+        if !self.follower {
+            return Err(SfcError::Storage {
+                context: format!("epoch {epoch} offered to an engine that is not a follower"),
+            });
+        }
+        self.acquire_lead();
+        let expect = self.epoch() + 1;
+        let result = if epoch != expect || ops.is_empty() {
+            Err(SfcError::Storage {
+                context: format!(
+                    "epoch stream gap: got epoch {epoch} ({} ops), expected {expect}",
+                    ops.len()
+                ),
+            })
+        } else {
+            let published = ops.clone();
+            self.commit_and_apply(epoch, ops)
+                .map(|()| self.feed.publish(epoch, &published))
+        };
+        self.finish_lead();
+        result
     }
 
     /// Validates a write target against the universe so the epoch apply
@@ -839,6 +874,11 @@ where
     /// Admits one write; auto-flushes when the log reaches the epoch
     /// threshold.
     fn admit(&self, op: BatchOp<D, V>) -> Result<Admitted, SfcError> {
+        if self.follower {
+            return Err(SfcError::ReadOnly {
+                context: "this engine follows a transactor's epoch stream; write there".into(),
+            });
+        }
         self.check_point(op.point())?;
         let epoch = self.epoch();
         let backlog = {
@@ -1044,17 +1084,6 @@ where
             }
         })
     }
-
-    /// Executes a stream of requests in order, collecting every response.
-    ///
-    /// # Errors
-    /// On the first failing request (earlier requests stay executed).
-    pub fn run_stream(
-        &self,
-        requests: impl IntoIterator<Item = Request<D, V>>,
-    ) -> Result<Vec<Response<D, V>>, SfcError> {
-        requests.into_iter().map(|r| self.execute(r)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -1208,14 +1237,98 @@ mod tests {
         assert_eq!(e.query_as_of(e.epoch(), &q).unwrap().records, live);
     }
 
+    fn one_update(v: u32) -> Vec<BatchOp<2, u32>> {
+        vec![BatchOp::Update(Point::new([1, 2]), v)]
+    }
+
     #[test]
-    fn into_table_flushes_first() {
-        let e = engine(8, 2, 1_000_000);
-        e.execute(Request::Update(Point::new([2, 2]), 777)).unwrap();
-        let table = e.into_table().unwrap();
+    fn apply_epoch_takes_exactly_the_next_epoch_on_a_follower() {
+        let leader = engine(8, 2, 100);
+        assert!(matches!(
+            leader.apply_epoch(1, one_update(7)),
+            Err(SfcError::Storage { .. })
+        ));
+        assert_eq!(leader.epoch(), 0, "a non-follower applies nothing");
+
+        let f = engine(8, 2, 100).into_follower();
+        let feed = f.subscribe_epochs();
+        f.apply_epoch(1, one_update(7)).unwrap();
+        f.apply_epoch(2, one_update(8)).unwrap();
+        for (epoch, ops) in [(4, one_update(9)), (2, one_update(9)), (3, Vec::new())] {
+            let err = f.apply_epoch(epoch, ops).unwrap_err();
+            assert!(matches!(err, SfcError::Storage { .. }), "{err}");
+            assert_eq!(
+                f.epoch(),
+                2,
+                "a gap, a replay or an empty epoch changes nothing"
+            );
+        }
         assert_eq!(
-            table.get(Point::new([2, 2])).unwrap().map(|g| g.value),
-            Some(777)
+            f.execute(Request::Get(Point::new([1, 2]))).unwrap(),
+            Response::Value(Some(8))
         );
+        // Applied epochs reach the follower's own subscribers.
+        for epoch in 1..=2 {
+            assert!(matches!(
+                feed.next_timeout(Duration::from_secs(5)),
+                Some(FeedEvent::Epoch(e, _)) if e == epoch
+            ));
+        }
+    }
+
+    #[test]
+    fn a_follower_refuses_writes_but_flushes() {
+        let f = engine(8, 2, 1).into_follower();
+        for write in [
+            Request::Insert(Point::new([1, 1]), 1),
+            Request::Update(Point::new([1, 1]), 2),
+            Request::Delete(Point::new([1, 1])),
+        ] {
+            let err = f.execute(write).unwrap_err();
+            assert!(matches!(err, SfcError::ReadOnly { .. }), "{err}");
+            assert!(err.is_pre_execution());
+        }
+        assert_eq!(f.stats().writes, 0, "no refused write was admitted");
+        f.apply_epoch(1, one_update(5)).unwrap();
+        assert_eq!(
+            f.execute(Request::Flush).unwrap(),
+            Response::Flushed { applied: 0 }
+        );
+        assert_eq!(f.epoch(), 1);
+    }
+
+    #[test]
+    fn a_durable_follower_logs_its_epochs_and_checkpoints() {
+        let dir = std::env::temp_dir().join(format!("sfc-follower-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            Engine::<Onion2D, u32, 2>::open(
+                &dir,
+                Onion2D::new(8).unwrap(),
+                DiskModel::ssd(),
+                2,
+                EngineConfig::default(),
+            )
+            .unwrap()
+            .into_follower()
+        };
+        let f = open();
+        for epoch in 1..=3 {
+            f.apply_epoch(epoch, one_update(epoch as u32)).unwrap();
+        }
+        assert_eq!(
+            f.execute(Request::Checkpoint).unwrap(),
+            Response::Checkpointed { epoch: 3 }
+        );
+        f.apply_epoch(4, one_update(4)).unwrap();
+        drop(f);
+        let f = open();
+        assert_eq!(f.epoch(), 4, "snapshot at 3 plus the logged epoch 4");
+        assert_eq!(
+            f.execute(Request::Get(Point::new([1, 2]))).unwrap(),
+            Response::Value(Some(4))
+        );
+        drop(f);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -225,7 +225,9 @@ proptest! {
                 .unwrap(),
                 EngineConfig::with_epoch_ops(epoch_ops),
             );
-            engine.run_stream(ops.iter().cloned()).unwrap();
+            for op in &ops {
+                engine.execute(op.clone()).unwrap();
+            }
             engine.flush().unwrap();
             let q = RectQuery::new([0, 0], [side, side]).unwrap();
             let (result, _) = engine.query(&q).unwrap();

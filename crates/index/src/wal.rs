@@ -309,7 +309,8 @@ impl WalCodec for SfcError {
             | SfcError::DeadlineExceeded { context }
             | SfcError::ConnectionLost { context }
             | SfcError::TornFrame { context }
-            | SfcError::AmbiguousWrite { context } => context.encode(buf),
+            | SfcError::AmbiguousWrite { context }
+            | SfcError::ReadOnly { context } => context.encode(buf),
             SfcError::EpochTruncated { requested, horizon } => {
                 requested.encode(buf);
                 horizon.encode(buf);
@@ -356,6 +357,9 @@ impl WalCodec for SfcError {
             13 => Some(SfcError::EpochTruncated {
                 requested: cur.u64()?,
                 horizon: cur.u64()?,
+            }),
+            14 => Some(SfcError::ReadOnly {
+                context: String::decode(cur)?,
             }),
             _ => None,
         }

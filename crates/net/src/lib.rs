@@ -27,11 +27,12 @@
 //!   loopback tests pin that the answers are identical.
 //! * **Replication** — [`Replica`]: a transactor ships committed WAL
 //!   epoch frames over `SubscribeEpochs` (WAL catch-up, then the live
-//!   epoch feed); replicas replay them through the same `apply_batch`
-//!   path recovery uses and serve **epoch-prefix consistent** reads —
-//!   including time-travel [`Replica::query_as_of`] — while exposing
-//!   their lag ([`Replica::lag`]) against the transactor's durable
-//!   epoch.
+//!   epoch feed); a replica hands each to a follower engine's
+//!   [`Engine::apply_epoch`](sfc_engine::Engine::apply_epoch), whose
+//!   reads — through [`Replica::engine`], in process or behind a
+//!   [`Server`] — are **epoch-prefix consistent**, time travel
+//!   included, while [`Replica::status`] exposes the lag against the
+//!   transactor's durable epoch.
 //!
 //! ```
 //! use onion_core::{Onion2D, Point};

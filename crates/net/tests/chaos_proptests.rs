@@ -11,7 +11,11 @@
 //! 2. every intermediate state it ever serves is a committed epoch
 //!    prefix of the transactor (the mid-stream probes);
 //! 3. chaos is never terminal: the replica ends in a non-`Failed`
-//!    state with its fault slot empty.
+//!    state.
+//!
+//! The follower behind the replica is drawn per case: a memory engine,
+//! or a disk-resident durable one (`Engine::open_stored`) that logs
+//! every epoch it applies.
 //!
 //! The kill/stall *schedule* is exactly reproducible from the seed
 //! (the injector's op clock counts forwarded chunks); thread
@@ -33,10 +37,10 @@ use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, DynCurve, CURVE_NAMES};
 use sfc_clustering::RectQuery;
 use sfc_engine::{Engine, EngineConfig, Request, Response};
-use sfc_index::DiskModel;
-use sfc_net::{Client, NetConfig, Replica, ReplicaConfig, ReplicaState, RetryPolicy, Server};
+use sfc_index::{Backend, DiskModel, Record, ShardedTable, StoreConfig};
+use sfc_net::{Client, Replica, ReplicaConfig, ReplicaState, RetryPolicy, Server};
 use sfc_workloads::{mixed_op_stream, ChaosInjector, ChaosProxy, NetFault, OpMix, StreamOp};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,11 +85,8 @@ fn chaos_seed(drawn: u64) -> u64 {
 /// terminal faults would be a bug here, not patience running out).
 fn healing_config() -> ReplicaConfig {
     ReplicaConfig {
-        net: NetConfig {
-            connect_timeout: Duration::from_secs(2),
-            request_deadline: Some(Duration::from_secs(5)),
-            retry: RetryPolicy::none(),
-        },
+        connect_timeout: Duration::from_secs(2),
+        subscribe_deadline: Duration::from_secs(5),
         reconnect: RetryPolicy {
             max_retries: 500,
             base_backoff: Duration::from_millis(2),
@@ -111,24 +112,27 @@ fn schedule_faults(injector: &ChaosInjector, rng: &mut StdRng) -> usize {
     n
 }
 
+/// An empty in-memory follower engine.
+fn memory_follower(curve_name: &str, shards: usize) -> Engine<DynCurve<2>, u64, 2> {
+    let curve = curve_2d(curve_name, SIDE).unwrap();
+    let table = ShardedTable::build(curve, Vec::new(), DiskModel::ssd(), shards).unwrap();
+    Engine::new(table, EngineConfig::default())
+}
+
 /// Starts a replica through the proxy, riding out any scheduled fault
 /// that strikes the initial connect itself (each fault fires exactly
-/// once, so retrying the start drains them).
-fn start_replica(
+/// once, so retrying the start drains them). A failed start consumes
+/// its engine, so each attempt gets a fresh one from `follower`.
+fn start_replica<B>(
     proxy_addr: &str,
-    curve_name: &str,
-    shards: usize,
-) -> Replica<DynCurve<2>, u64, 2> {
+    follower: impl Fn() -> Engine<DynCurve<2>, u64, 2, B>,
+) -> Replica<DynCurve<2>, u64, 2, B>
+where
+    B: Backend<Record<2, u64>> + Send + Sync + 'static,
+{
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match Replica::<DynCurve<2>, u64, 2>::start_with(
-            proxy_addr,
-            curve_2d(curve_name, SIDE).unwrap(),
-            DiskModel::ssd(),
-            shards,
-            &EngineConfig::default(),
-            healing_config(),
-        ) {
+        match Replica::start_with(proxy_addr, follower(), healing_config()) {
             Ok(r) => return r,
             Err(e) => {
                 assert!(
@@ -148,10 +152,15 @@ fn transactor_records(engine: &Engine<DynCurve<2>, u64, 2>) -> Vec<(onion_core::
     }
 }
 
-fn replica_records(replica: &Replica<DynCurve<2>, u64, 2>) -> Vec<(onion_core::Point<2>, u64)> {
+fn replica_records<B>(replica: &Replica<DynCurve<2>, u64, 2, B>) -> Vec<(onion_core::Point<2>, u64)>
+where
+    B: Backend<Record<2, u64>> + Send + Sync + 'static,
+{
     replica
+        .engine()
         .query(&full_rect())
         .unwrap()
+        .0
         .records
         .into_iter()
         .map(|r| (r.point, r.value))
@@ -160,11 +169,52 @@ fn replica_records(replica: &Replica<DynCurve<2>, u64, 2>) -> Vec<(onion_core::P
 
 /// One full chaos case: durable transactor, proxied replica, seeded
 /// fault schedule, mid-stream prefix probes, final byte-identity.
-fn chaos_case(seed: u64, curve_name: &str, t_shards: usize, r_shards: usize) -> Result<(), String> {
-    let dir = test_dir(&format!("chaos_{curve_name}_{t_shards}_{r_shards}_{seed}"));
+/// `stored` picks the follower's backend: memory, or a disk-resident
+/// durable engine in the case's directory.
+fn chaos_case(
+    seed: u64,
+    curve_name: &str,
+    t_shards: usize,
+    r_shards: usize,
+    stored: bool,
+) -> Result<(), String> {
+    let dir = test_dir(&format!(
+        "chaos_{curve_name}_{t_shards}_{r_shards}_{stored}_{seed}"
+    ));
+    if stored {
+        let follower_dir = dir.join("follower");
+        chaos_run(seed, curve_name, t_shards, &dir, || {
+            Engine::open_stored(
+                &follower_dir,
+                curve_2d(curve_name, SIDE).unwrap(),
+                DiskModel::ssd(),
+                r_shards,
+                StoreConfig::default(),
+                EngineConfig::default(),
+            )
+            .unwrap()
+        })
+    } else {
+        chaos_run(seed, curve_name, t_shards, &dir, || {
+            memory_follower(curve_name, r_shards)
+        })
+    }
+}
+
+/// [`chaos_case`] for one follower backend.
+fn chaos_run<B>(
+    seed: u64,
+    curve_name: &str,
+    t_shards: usize,
+    dir: &Path,
+    follower: impl Fn() -> Engine<DynCurve<2>, u64, 2, B>,
+) -> Result<(), String>
+where
+    B: Backend<Record<2, u64>> + Send + Sync + 'static,
+{
     let engine = Arc::new(
         Engine::open(
-            &dir,
+            dir,
             curve_2d(curve_name, SIDE).unwrap(),
             DiskModel::ssd(),
             t_shards,
@@ -180,7 +230,7 @@ fn chaos_case(seed: u64, curve_name: &str, t_shards: usize, r_shards: usize) -> 
     let proxy = ChaosProxy::spawn(&server.local_addr().to_string(), Arc::clone(&injector)).unwrap();
 
     // The replica subscribes THROUGH the chaos; the writer goes direct.
-    let replica = start_replica(&proxy.addr(), curve_name, r_shards);
+    let replica = start_replica(&proxy.addr(), follower);
     let mut client =
         Client::<DynCurve<2>, u64, 2>::connect(&server.local_addr().to_string()).unwrap();
 
@@ -192,17 +242,18 @@ fn chaos_case(seed: u64, curve_name: &str, t_shards: usize, r_shards: usize) -> 
         if i % 15 == 14 {
             client.flush().unwrap();
             // Chaos must never be terminal in this topology.
+            let status = replica.status();
             prop_assert!(
-                !replica.is_failed(),
+                status.state != ReplicaState::Failed,
                 "replica parked a terminal fault mid-chaos: {:?}",
-                replica.take_fault()
+                status.last_error
             );
             // Prefix probe: whatever epoch the replica has applied, its
             // pinned state there is the transactor's state there —
             // served-while-healing reads are still committed prefixes.
-            let applied = replica.applied_epoch();
+            let applied = replica.engine().epoch();
             if applied > 0 {
-                if let Ok(replica_view) = replica.query_as_of(applied, &q) {
+                if let Ok(replica_view) = replica.engine().query_as_of(applied, &q) {
                     if let Ok(Response::Records(transactor_view)) =
                         engine.execute(Request::QueryAsOf {
                             epoch: applied,
@@ -227,17 +278,18 @@ fn chaos_case(seed: u64, curve_name: &str, t_shards: usize, r_shards: usize) -> 
     // its applied epoch, and drain the WAL catch-up.
     let committed = engine.stats().epochs;
     let deadline = Instant::now() + Duration::from_secs(30);
-    while replica.applied_epoch() < committed {
+    while replica.engine().epoch() < committed {
+        let status = replica.status();
         prop_assert!(
-            !replica.is_failed(),
+            status.state != ReplicaState::Failed,
             "replica gave up instead of healing: {:?}",
-            replica.take_fault()
+            status.last_error
         );
         prop_assert!(
             Instant::now() < deadline,
             "replica stuck at epoch {} of {committed} (reconnects: {})",
-            replica.applied_epoch(),
-            replica.reconnects()
+            replica.engine().epoch(),
+            replica.status().reconnects
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -259,7 +311,7 @@ fn chaos_case(seed: u64, curve_name: &str, t_shards: usize, r_shards: usize) -> 
     replica.stop();
     proxy.shutdown();
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
     Ok(())
 }
 
@@ -282,11 +334,12 @@ fn self_healing_replica_reconverges_under_arbitrary_schedules() {
         let curve_name = CURVE_NAMES[(i as usize) % CURVE_NAMES.len()];
         let t_shards = shard_matrix[rng.random_range(0..shard_matrix.len())];
         let r_shards = shard_matrix[rng.random_range(0..shard_matrix.len())];
-        if let Err(msg) = chaos_case(seed, curve_name, t_shards, r_shards) {
+        let stored = rng.random_bool(0.5);
+        if let Err(msg) = chaos_case(seed, curve_name, t_shards, r_shards, stored) {
             panic!(
                 "chaos case {i}/{cases} failed \
                  [SFC_CHAOS_SEED={seed}, curve {curve_name}, \
-                 {t_shards}→{r_shards} shards]: {msg}"
+                 {t_shards}→{r_shards} shards, stored follower: {stored}]: {msg}"
             );
         }
     }
@@ -331,19 +384,20 @@ fn killed_mid_catchup_replica_resumes_from_its_applied_epoch() {
     // retries are a different path, already chaos-swept above).
     let injector = ChaosInjector::new();
     let proxy = ChaosProxy::spawn(&server.local_addr().to_string(), Arc::clone(&injector)).unwrap();
-    let replica = start_replica(&proxy.addr(), "onion", 5);
+    let replica = start_replica(&proxy.addr(), || memory_follower("onion", 5));
     let deadline = Instant::now() + Duration::from_secs(30);
-    while replica.applied_epoch() < committed {
+    while replica.engine().epoch() < committed {
+        let status = replica.status();
         assert!(
-            !replica.is_failed(),
+            status.state != ReplicaState::Failed,
             "replica failed during clean catch-up: {:?}",
-            replica.take_fault()
+            status.last_error
         );
         assert!(Instant::now() < deadline, "clean catch-up never completed");
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(
-        replica.reconnects(),
+        replica.status().reconnects,
         0,
         "the clean phase must not reconnect"
     );
@@ -367,11 +421,12 @@ fn killed_mid_catchup_replica_resumes_from_its_applied_epoch() {
     assert_eq!(committed, 20);
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    while replica.applied_epoch() < committed {
+    while replica.engine().epoch() < committed {
+        let status = replica.status();
         assert!(
-            !replica.is_failed(),
+            status.state != ReplicaState::Failed,
             "replica failed instead of resuming: {:?}",
-            replica.take_fault()
+            status.last_error
         );
         assert!(
             Instant::now() < deadline,
@@ -385,7 +440,7 @@ fn killed_mid_catchup_replica_resumes_from_its_applied_epoch() {
         "the kill schedule never fired — the test proved nothing"
     );
     assert!(
-        replica.reconnects() >= 1,
+        replica.status().reconnects >= 1,
         "kills fired ({}) but the replica never counted a reconnect",
         injector.injected()
     );
@@ -418,44 +473,34 @@ fn reconnect_budget_exhaustion_parks_a_typed_fault() {
     let proxy = ChaosProxy::spawn(&server.local_addr().to_string(), Arc::clone(&injector)).unwrap();
 
     let config = ReplicaConfig {
-        net: NetConfig {
-            connect_timeout: Duration::from_millis(500),
-            request_deadline: Some(Duration::from_secs(2)),
-            retry: RetryPolicy::none(),
-        },
+        connect_timeout: Duration::from_millis(500),
+        subscribe_deadline: Duration::from_secs(2),
         reconnect: RetryPolicy {
             max_retries: 3,
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(10),
         },
     };
-    let replica = Replica::<DynCurve<2>, u64, 2>::start_with(
-        &proxy.addr(),
-        curve_2d("onion", SIDE).unwrap(),
-        DiskModel::ssd(),
-        1,
-        &EngineConfig::default(),
-        config,
-    )
-    .unwrap();
-    assert_eq!(replica.state(), ReplicaState::Streaming);
+    let replica = Replica::start_with(&proxy.addr(), memory_follower("onion", 1), config).unwrap();
+    assert_eq!(replica.status().state, ReplicaState::Streaming);
 
     // Tear the proxy down entirely: every reconnect now meets a dead
     // address. The budget (3 attempts) must exhaust into Failed.
     proxy.shutdown();
     let deadline = Instant::now() + Duration::from_secs(15);
-    while !replica.is_failed() {
+    while replica.status().state != ReplicaState::Failed {
         assert!(
             Instant::now() < deadline,
             "replica never parked despite a dead upstream (state: {:?})",
-            replica.state()
+            replica.status().state
         );
         std::thread::sleep(Duration::from_millis(10));
     }
     let status = replica.status();
     assert_eq!(status.state, ReplicaState::Failed);
     let fault = replica
-        .take_fault()
+        .status()
+        .last_error
         .expect("a parked replica names its fault");
     assert!(
         matches!(
@@ -467,7 +512,7 @@ fn reconnect_budget_exhaustion_parks_a_typed_fault() {
         "the terminal fault is a typed transport-layer error, got {fault:?}"
     );
     // The prefix it DID apply is still served.
-    let _ = replica.query(&full_rect()).unwrap();
+    let _ = replica.engine().query(&full_rect()).unwrap();
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -136,14 +136,17 @@ fn arb_error(rng: &mut StdRng, variant: usize) -> SfcError {
         11 => SfcError::AmbiguousWrite {
             context: arb_string(rng),
         },
-        _ => SfcError::EpochTruncated {
+        12 => SfcError::EpochTruncated {
             requested: rng.random_range(0..u64::MAX),
             horizon: rng.random_range(0..u64::MAX),
+        },
+        _ => SfcError::ReadOnly {
+            context: arb_string(rng),
         },
     }
 }
 
-const ERROR_VARIANTS: usize = 13;
+const ERROR_VARIANTS: usize = 14;
 
 fn arb_records(rng: &mut StdRng) -> Vec<Record<2, u64>> {
     (0..rng.random_range(0..12usize))
@@ -334,7 +337,7 @@ fn error_codes_are_pinned() {
     let codes: Vec<u16> = (0..ERROR_VARIANTS)
         .map(|v| arb_error(&mut rng, v).code())
         .collect();
-    assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]);
+    assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]);
 }
 
 #[test]

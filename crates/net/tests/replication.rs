@@ -7,23 +7,32 @@
 //!   replays them from the transactor's WAL, then hands off to the live
 //!   feed without a gap (the exactly-once delivery protocol);
 //! * **Time travel:** a replica's retention window answers `query_as_of`
-//!   for the same epochs the transactor can;
+//!   for the same epochs the transactor can, and a durable follower
+//!   answers evicted epochs from its own WAL;
 //! * **Epoch-prefix consistency (proptest):** any state a replica ever
 //!   exposes equals the transactor's state at the replica's applied
 //!   epoch — never a torn batch, never a reordering — across random
-//!   curves, shard counts, and flush schedules.
+//!   curves, shard counts, flush schedules and follower backends
+//!   (memory, or disk-resident and durable);
+//! * **A follower is an engine:** a durable follower's WAL is the
+//!   transactor's, byte for byte; a restarted follower resumes from its
+//!   recovered epoch past a transactor checkpoint; a disk-resident
+//!   follower behind its own `Server` reads like the transactor and
+//!   refuses writes with a typed `ReadOnly`, in process and over TCP
+//!   alike.
 
-use onion_core::Point;
+use onion_core::{Point, SfcError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfc_baselines::{curve_2d, DynCurve, CURVE_NAMES};
 use sfc_clustering::RectQuery;
-use sfc_engine::{Engine, EngineConfig, Request, Response};
-use sfc_index::{DiskModel, ShardedTable};
-use sfc_net::{Client, Replica, Server};
+use sfc_engine::{Engine, EngineConfig, Request, Response, WAL_FILE};
+use sfc_index::{Backend, DiskModel, Record, RetentionPolicy, ShardedTable, StoreConfig};
+use sfc_net::{Client, Replica, ReplicaState, Server};
 use sfc_workloads::{mixed_op_stream, OpMix, StreamOp};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,44 +52,77 @@ fn mk_memory_engine(curve_name: &str, shards: usize) -> Engine<DynCurve<2>, u64,
     Engine::new(table, EngineConfig::with_epoch_ops(1 << 20))
 }
 
+fn open_durable(
+    dir: &Path,
+    curve_name: &str,
+    shards: usize,
+    config: EngineConfig,
+) -> Engine<DynCurve<2>, u64, 2> {
+    Engine::open(
+        dir,
+        curve_2d(curve_name, SIDE).unwrap(),
+        DiskModel::ssd(),
+        shards,
+        config,
+    )
+    .unwrap()
+}
+
 fn full_rect() -> RectQuery<2> {
     RectQuery::new(FULL.0, FULL.1).unwrap()
 }
 
 /// Waits until the replica has applied `epoch` (bounded; replication is
 /// asynchronous but must converge quickly on loopback).
-fn await_applied(replica: &Replica<DynCurve<2>, u64, 2>, epoch: u64) {
+fn await_applied<B>(replica: &Replica<DynCurve<2>, u64, 2, B>, epoch: u64)
+where
+    B: Backend<Record<2, u64>> + Send + Sync + 'static,
+{
     let deadline = Instant::now() + Duration::from_secs(10);
-    while replica.applied_epoch() < epoch {
+    while replica.engine().epoch() < epoch {
+        let status = replica.status();
         assert!(
-            !replica.is_failed(),
+            status.state != ReplicaState::Failed,
             "replica failed while catching up: {:?}",
-            replica.take_fault()
+            status.last_error
         );
         assert!(
             Instant::now() < deadline,
             "replica stuck at epoch {} (want {epoch})",
-            replica.applied_epoch()
+            status.applied
         );
         std::thread::sleep(Duration::from_millis(5));
     }
 }
 
-fn transactor_records(engine: &Engine<DynCurve<2>, u64, 2>) -> Vec<(Point<2>, u64)> {
+fn transactor_records<B>(engine: &Engine<DynCurve<2>, u64, 2, B>) -> Vec<(Point<2>, u64)>
+where
+    B: Backend<Record<2, u64>> + Send + Sync,
+{
     match engine.execute(Request::Query(full_rect())).unwrap() {
         Response::Records(rs) => rs.into_iter().map(|r| (r.point, r.value)).collect(),
         other => panic!("query answered with {other:?}"),
     }
 }
 
-fn replica_records(replica: &Replica<DynCurve<2>, u64, 2>) -> Vec<(Point<2>, u64)> {
-    replica
-        .query(&full_rect())
-        .unwrap()
-        .records
-        .into_iter()
-        .map(|r| (r.point, r.value))
-        .collect()
+fn replica_records<B>(replica: &Replica<DynCurve<2>, u64, 2, B>) -> Vec<(Point<2>, u64)>
+where
+    B: Backend<Record<2, u64>> + Send + Sync + 'static,
+{
+    transactor_records(replica.engine())
+}
+
+/// Commits `epochs` epochs of 6 updates each straight on `engine`.
+fn commit_epochs(engine: &Engine<DynCurve<2>, u64, 2>, epochs: std::ops::Range<u64>) {
+    for epoch in epochs {
+        for i in 0..6u32 {
+            let p = Point::new([(i + epoch as u32) % SIDE, epoch as u32 % SIDE]);
+            engine
+                .execute(Request::Update(p, epoch * 100 + u64::from(i)))
+                .unwrap();
+        }
+        engine.flush().unwrap();
+    }
 }
 
 /// Live replication: subscribe first, then write — the replica applies
@@ -91,16 +133,9 @@ fn replica_converges_and_reports_lag() {
     let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
     // Replica re-partitions: 3 shards against the transactor's 2.
-    let replica = Replica::<DynCurve<2>, u64, 2>::start(
-        &addr,
-        curve_2d("onion", SIDE).unwrap(),
-        DiskModel::ssd(),
-        3,
-        &EngineConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(replica.applied_epoch(), 0);
-    assert!(replica.is_empty());
+    let replica = Replica::start(&addr, mk_memory_engine("onion", 3)).unwrap();
+    assert_eq!(replica.status().applied, 0);
+    assert!(replica.engine().table().is_empty());
 
     let mut client = Client::<DynCurve<2>, u64, 2>::connect(&addr).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
@@ -118,11 +153,18 @@ fn replica_converges_and_reports_lag() {
     assert!(committed >= epochs, "at least every forced flush committed");
 
     await_applied(&replica, committed);
-    assert_eq!(replica.applied_epoch(), committed);
-    assert_eq!(replica.lag(), 0, "quiescent replica must report zero lag");
+    assert_eq!(replica.status().applied, committed);
+    assert_eq!(
+        replica.status().lag,
+        0,
+        "quiescent replica must report zero lag"
+    );
     assert_eq!(replica_records(&replica), transactor_records(&engine));
-    assert_eq!(replica.len(), transactor_records(&engine).len());
-    assert!(!replica.is_failed());
+    assert_eq!(
+        replica.engine().table().len(),
+        transactor_records(&engine).len()
+    );
+    assert_ne!(replica.status().state, ReplicaState::Failed);
 
     replica.stop();
     server.shutdown();
@@ -158,12 +200,9 @@ fn late_replica_catches_up_from_the_wal_and_hands_off_live() {
     assert_eq!(committed_before, 4);
 
     let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let replica = Replica::<DynCurve<2>, u64, 2>::start(
+    let replica = Replica::start(
         &server.local_addr().to_string(),
-        curve_2d("hilbert", SIDE).unwrap(),
-        DiskModel::ssd(),
-        5,
-        &EngineConfig::default(),
+        mk_memory_engine("hilbert", 5),
     )
     .unwrap();
     await_applied(&replica, committed_before);
@@ -178,8 +217,13 @@ fn late_replica_catches_up_from_the_wal_and_hands_off_live() {
     let committed = engine.stats().epochs;
     await_applied(&replica, committed);
     assert_eq!(replica_records(&replica), transactor_records(&engine));
-    assert_eq!(replica.lag(), 0);
-    assert!(!replica.is_failed(), "{:?}", replica.take_fault());
+    assert_eq!(replica.status().lag, 0);
+    let status = replica.status();
+    assert!(
+        status.state != ReplicaState::Failed,
+        "{:?}",
+        status.last_error
+    );
 
     replica.stop();
     server.shutdown();
@@ -193,12 +237,9 @@ fn late_replica_catches_up_from_the_wal_and_hands_off_live() {
 fn replica_time_travel_matches_the_transactor() {
     let engine = Arc::new(mk_memory_engine("z-order", 1));
     let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let replica = Replica::<DynCurve<2>, u64, 2>::start(
+    let replica = Replica::start(
         &server.local_addr().to_string(),
-        curve_2d("z-order", SIDE).unwrap(),
-        DiskModel::ssd(),
-        2,
-        &EngineConfig::default(),
+        mk_memory_engine("z-order", 2),
     )
     .unwrap();
 
@@ -220,7 +261,7 @@ fn replica_time_travel_matches_the_transactor() {
 
     let q = full_rect();
     for epoch in 1..=committed {
-        let from_replica = replica.query_as_of(epoch, &q).unwrap().records;
+        let from_replica = replica.engine().query_as_of(epoch, &q).unwrap().records;
         let from_transactor = match engine
             .execute(Request::QueryAsOf { epoch, query: q })
             .unwrap()
@@ -234,10 +275,246 @@ fn replica_time_travel_matches_the_transactor() {
         );
     }
     // An unretained epoch is a typed error, not a wrong answer.
-    assert!(replica.query_as_of(committed + 10, &q).is_err());
+    assert!(replica.engine().query_as_of(committed + 10, &q).is_err());
 
     replica.stop();
     server.shutdown();
+}
+
+/// A durable follower logs exactly the epochs the transactor committed,
+/// so over the same epochs, with no checkpoint between, its WAL is the
+/// transactor's byte for byte — whether an epoch reached it by WAL
+/// catch-up or by the live feed, and although the two sides shard
+/// differently. That checks the codec and exactly-once delivery without
+/// trusting either side.
+#[test]
+fn durable_follower_logs_the_transactors_wal_byte_for_byte() {
+    let dir = test_dir("net-follower-wal-identity");
+    let engine = Arc::new(open_durable(
+        &dir.join("transactor"),
+        "onion",
+        2,
+        EngineConfig::with_epoch_ops(1 << 20),
+    ));
+    commit_epochs(&engine, 0..3);
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let follower = open_durable(&dir.join("follower"), "onion", 3, EngineConfig::default());
+    let replica = Replica::start(&server.local_addr().to_string(), follower).unwrap();
+    commit_epochs(&engine, 3..6);
+    await_applied(&replica, 6);
+    replica.stop(); // drops the follower: its WAL pipeline drains
+    server.shutdown();
+    drop(engine);
+
+    let read = |side: &str| std::fs::read(dir.join(side).join(WAL_FILE)).unwrap();
+    let transactor_wal = read("transactor");
+    assert!(transactor_wal.len() > 64, "six epochs were logged");
+    assert!(
+        read("follower") == transactor_wal,
+        "the follower's WAL differs from the transactor's"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A durable follower restarted after the transactor checkpointed past
+/// the epochs it missed... does not need them: it resumes from its own
+/// recovered epoch, which the transactor's WAL still reaches.
+#[test]
+fn restarted_durable_follower_resumes_past_a_transactor_checkpoint() {
+    let dir = test_dir("net-follower-restart");
+    let engine = Arc::new(open_durable(
+        &dir.join("transactor"),
+        "hilbert",
+        2,
+        EngineConfig::with_epoch_ops(1 << 20),
+    ));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let follower_dir = dir.join("follower");
+    let replica = Replica::start(
+        &addr,
+        open_durable(&follower_dir, "hilbert", 3, EngineConfig::default()),
+    )
+    .unwrap();
+    commit_epochs(&engine, 0..4);
+    await_applied(&replica, 4);
+    replica.stop();
+
+    assert_eq!(engine.checkpoint().unwrap(), 4);
+    commit_epochs(&engine, 4..6);
+
+    let follower = open_durable(&follower_dir, "hilbert", 3, EngineConfig::default());
+    assert_eq!(follower.epoch(), 4, "the follower recovers what it applied");
+    let replica = Replica::start(&addr, follower).unwrap();
+    await_applied(&replica, 6);
+    assert_eq!(replica_records(&replica), transactor_records(&engine));
+    let status = replica.status();
+    assert_eq!((status.applied, status.last_error), (6, None));
+
+    replica.stop();
+    server.shutdown();
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A disk-resident follower is served like any engine: behind its own
+/// `Server` it answers the read verbs exactly as the transactor does,
+/// and refuses every write with `ReadOnly` (code 14) — the same error
+/// in process and over TCP, never an ambiguous write.
+#[test]
+fn stored_follower_serves_reads_and_refuses_writes_over_tcp() {
+    let dir = test_dir("net-follower-stored-serving");
+    let engine = Arc::new(mk_memory_engine("onion", 2));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let store = StoreConfig {
+        page_size: 256,
+        pool_pages: 2,
+    };
+    let follower = Engine::open_stored(
+        &dir,
+        curve_2d("onion", SIDE).unwrap(),
+        DiskModel::ssd(),
+        3,
+        store,
+        EngineConfig::default(),
+    )
+    .unwrap();
+    let replica = Replica::start(&server.local_addr().to_string(), follower).unwrap();
+    commit_epochs(&engine, 0..5);
+    await_applied(&replica, 5);
+
+    let follower_server = Server::spawn(Arc::clone(replica.engine()), "127.0.0.1:0").unwrap();
+    let mut reader =
+        Client::<DynCurve<2>, u64, 2>::connect(&follower_server.local_addr().to_string()).unwrap();
+    let q = full_rect();
+    let mut reads = vec![Request::Query(q)];
+    reads.extend((1..=5).map(|epoch| Request::QueryAsOf { epoch, query: q }));
+    reads.extend((0..SIDE).map(|x| Request::Get(Point::new([x, x % 5]))));
+    for request in reads {
+        let from_transactor = engine.execute(request.clone()).unwrap();
+        assert_eq!(reader.execute(request).unwrap(), from_transactor);
+    }
+
+    let p = Point::new([1, 1]);
+    for write in [
+        Request::Insert(p, 1),
+        Request::Update(p, 2),
+        Request::Delete(p),
+    ] {
+        let local = replica.engine().execute(write.clone()).unwrap_err();
+        assert!(matches!(local, SfcError::ReadOnly { .. }), "{local:?}");
+        assert_eq!(local.code(), 14);
+        assert_eq!(reader.execute(write).unwrap_err(), local);
+    }
+    assert_eq!(
+        replica.engine().pending(),
+        0,
+        "no refused write was admitted"
+    );
+    assert_eq!(replica_records(&replica), transactor_records(&engine));
+
+    follower_server.shutdown();
+    replica.stop();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// With no retained versions, a durable follower answers every past
+/// epoch by replaying its own `snapshot + WAL prefix` — and the answer
+/// is the transactor's.
+#[test]
+fn durable_follower_answers_cold_time_travel_from_its_own_wal() {
+    let dir = test_dir("net-follower-cold-as-of");
+    let engine = Arc::new(mk_memory_engine("z-order", 2));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let config = EngineConfig {
+        retention: RetentionPolicy {
+            epochs: 0,
+            ..RetentionPolicy::default()
+        },
+        ..EngineConfig::default()
+    };
+    let replica = Replica::start(
+        &server.local_addr().to_string(),
+        open_durable(&dir, "z-order", 1, config),
+    )
+    .unwrap();
+    commit_epochs(&engine, 0..5);
+    await_applied(&replica, 5);
+
+    let q = full_rect();
+    for epoch in 1..=5 {
+        assert_eq!(
+            replica.engine().query_as_of(epoch, &q).unwrap().records,
+            engine.query_as_of(epoch, &q).unwrap().records,
+            "epoch {epoch} time-travel diverged"
+        );
+    }
+
+    replica.stop();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One epoch-prefix case against `follower`, whatever its backend.
+fn prefix_case<B>(
+    seed: u64,
+    curve_name: &str,
+    t_shards: usize,
+    follower: Engine<DynCurve<2>, u64, 2, B>,
+) -> Result<(), String>
+where
+    B: Backend<Record<2, u64>> + Send + Sync + 'static,
+{
+    let engine = Arc::new(mk_memory_engine(curve_name, t_shards));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let replica = Replica::start(&server.local_addr().to_string(), follower).unwrap();
+
+    let mut client =
+        Client::<DynCurve<2>, u64, 2>::connect(&server.local_addr().to_string()).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let stream: Vec<StreamOp<2>> =
+        mixed_op_stream::<2, _>(SIDE, 120, &OpMix::write_only(), 0.5, 4, &mut rng);
+    let q = full_rect();
+    for (i, op) in stream.into_iter().enumerate() {
+        client.execute(op.into()).unwrap();
+        if i % 15 == 14 {
+            client.flush().unwrap();
+            // Mid-stream probe: pin whatever epoch the replica has
+            // applied and compare it to the transactor AT THAT EPOCH
+            // (the live heads may already disagree — that is lag,
+            // not inconsistency).
+            let applied = replica.engine().epoch();
+            if applied > 0 {
+                if let Ok(replica_view) = replica.engine().query_as_of(applied, &q) {
+                    let transactor_view = match engine.execute(Request::QueryAsOf {
+                        epoch: applied,
+                        query: q,
+                    }) {
+                        Ok(Response::Records(rs)) => rs,
+                        // The transactor's retention may have evicted
+                        // this epoch already; skip the probe then.
+                        _ => continue,
+                    };
+                    prop_assert_eq!(
+                        replica_view.records,
+                        transactor_view,
+                        "replica's epoch-{} state is not the transactor's prefix",
+                        applied
+                    );
+                }
+            }
+        }
+    }
+    client.flush().unwrap();
+    let committed = engine.stats().epochs;
+    await_applied(&replica, committed);
+    prop_assert_eq!(replica_records(&replica), transactor_records(&engine));
+    prop_assert_eq!(replica.status().lag, 0);
+
+    replica.stop();
+    server.shutdown();
+    Ok(())
 }
 
 proptest! {
@@ -246,68 +523,33 @@ proptest! {
     /// Epoch-prefix consistency: whatever epoch the replica reports
     /// having applied, its pinned state at that epoch is byte-for-byte
     /// the transactor's state at the same epoch — sampled mid-stream,
-    /// while epochs are still in flight.
+    /// while epochs are still in flight — for a memory follower and for
+    /// a disk-resident durable one.
     #[test]
     fn replica_state_is_always_an_epoch_prefix_of_the_transactor(
         seed in 0u64..1_000_000,
         curve_idx in 0usize..CURVE_NAMES.len(),
         t_shards in prop::sample::select(vec![1usize, 2, 5]),
         r_shards in prop::sample::select(vec![1usize, 2, 5]),
+        stored in prop::sample::select(vec![false, true]),
     ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
         let curve_name = CURVE_NAMES[curve_idx];
-        let engine = Arc::new(mk_memory_engine(curve_name, t_shards));
-        let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-        let replica = Replica::<DynCurve<2>, u64, 2>::start(
-            &server.local_addr().to_string(),
-            curve_2d(curve_name, SIDE).unwrap(),
-            DiskModel::ssd(),
-            r_shards,
-            &EngineConfig::default(),
-        )
-        .unwrap();
-
-        let mut client =
-            Client::<DynCurve<2>, u64, 2>::connect(&server.local_addr().to_string()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stream: Vec<StreamOp<2>> =
-            mixed_op_stream::<2, _>(SIDE, 120, &OpMix::write_only(), 0.5, 4, &mut rng);
-        let q = full_rect();
-        for (i, op) in stream.into_iter().enumerate() {
-            client.execute(op.into()).unwrap();
-            if i % 15 == 14 {
-                client.flush().unwrap();
-                // Mid-stream probe: pin whatever epoch the replica has
-                // applied and compare it to the transactor AT THAT EPOCH
-                // (the live heads may already disagree — that is lag,
-                // not inconsistency).
-                let applied = replica.applied_epoch();
-                if applied > 0 {
-                    if let Ok(replica_view) = replica.query_as_of(applied, &q) {
-                        let transactor_view = match engine
-                            .execute(Request::QueryAsOf { epoch: applied, query: q })
-                        {
-                            Ok(Response::Records(rs)) => rs,
-                            // The transactor's retention may have evicted
-                            // this epoch already; skip the probe then.
-                            _ => continue,
-                        };
-                        prop_assert_eq!(
-                            replica_view.records,
-                            transactor_view,
-                            "replica's epoch-{} state is not the transactor's prefix",
-                            applied
-                        );
-                    }
-                }
-            }
+        if stored {
+            let dir = test_dir(&format!("net-prefix-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+            let follower = Engine::open_stored(
+                &dir,
+                curve_2d(curve_name, SIDE).unwrap(),
+                DiskModel::ssd(),
+                r_shards,
+                StoreConfig::default(),
+                EngineConfig::default(),
+            )
+            .unwrap();
+            prefix_case(seed, curve_name, t_shards, follower)?;
+            std::fs::remove_dir_all(&dir).unwrap();
+        } else {
+            prefix_case(seed, curve_name, t_shards, mk_memory_engine(curve_name, r_shards))?;
         }
-        client.flush().unwrap();
-        let committed = engine.stats().epochs;
-        await_applied(&replica, committed);
-        prop_assert_eq!(replica_records(&replica), transactor_records(&engine));
-        prop_assert_eq!(replica.lag(), 0);
-
-        replica.stop();
-        server.shutdown();
     }
 }
