@@ -570,8 +570,9 @@ fn main() {
         });
     }
 
-    // Write path: a full insert + delete cycle riding B+-tree splits
-    // (timing-only — the old table had no delete to compare against).
+    // Write path: a full insert + delete cycle riding B+-tree splits, as
+    // 4096-op epochs through `apply_batch`, the table's only writer:
+    // insert every cell, then delete every cell (timing-only).
     {
         let side = 1u32 << 8;
         let curve = Onion2D::new(side).unwrap();
@@ -582,13 +583,22 @@ fn main() {
             name: "index/write_path/insert_delete/onion2d/65k",
             baseline_ns: None,
             optimized_ns: time_ns(reps, || {
-                let mut t: ShardedTable<Onion2D, u32, 2> =
+                let t: ShardedTable<Onion2D, u32, 2> =
                     ShardedTable::build(curve, Vec::new(), DiskModel::ssd(), 1).unwrap();
-                for (i, &p) in points.iter().enumerate() {
-                    t.insert(p, i as u32).unwrap();
+                for (c, chunk) in points.chunks(4096).enumerate() {
+                    let inserts: Vec<sfc_index::BatchOp<2, u32>> = chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &p)| sfc_index::BatchOp::Insert(p, (c * 4096 + i) as u32))
+                        .collect();
+                    t.apply_batch(inserts).unwrap();
                 }
-                for &p in &points {
-                    t.delete(p).unwrap();
+                for chunk in points.chunks(4096) {
+                    let deletes: Vec<sfc_index::BatchOp<2, u32>> = chunk
+                        .iter()
+                        .map(|&p| sfc_index::BatchOp::Delete(p))
+                        .collect();
+                    t.apply_batch(deletes).unwrap();
                 }
                 t.len() as u64
             }),
@@ -945,9 +955,10 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // The write path the epoch log buys: curve-order-sorted batches
-    // through `apply_batch` vs the same Zipf-ordered writes as random
-    // single-record inserts. Both start from an empty 4-shard table.
+    // The write path the epoch log buys: curve-order-sorted 4096-op
+    // batches through `apply_batch` vs the same Zipf-ordered writes as
+    // 1-op batches, one epoch per write. Both start from an empty
+    // 4-shard table.
     {
         let side = 1u32 << 9;
         let mut rng = StdRng::seed_from_u64(33);
@@ -965,9 +976,10 @@ fn main() {
         comparisons.push(Comparison {
             name: "engine/write_epochs/onion2d/zipf100k",
             baseline_ns: Some(time_ns(reps, || {
-                let mut t = empty_table();
+                let t = empty_table();
                 for &(p, v) in &records {
-                    t.insert(p, v).unwrap();
+                    t.apply_batch(vec![sfc_index::BatchOp::Insert(p, v)])
+                        .unwrap();
                 }
                 t.len() as u64
             })),

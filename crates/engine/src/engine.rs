@@ -997,10 +997,12 @@ where
     /// read behind [`Request::QueryAsOf`]. Fast path: the retention window
     /// still holds the version, and the scan pins it like any other
     /// (lock-free, no replay). Cold path (durable engines only): the
-    /// epoch's state is reconstructed from `snapshot + WAL prefix`
-    /// through the live log handle — exactly the recovery computation,
-    /// evaluated at `epoch` instead of at the tail — so `as_of(e)` always
-    /// equals what a crash-recovery at epoch `e` would have served.
+    /// epoch's state is reconstructed from `snapshot + WAL prefix`, read
+    /// through the live log handle, into a throwaway table
+    /// (`restore_entries`, then `apply_batch`) — exactly the recovery
+    /// computation, evaluated at `epoch` instead of at the tail — so
+    /// `as_of(e)` always equals what a crash-recovery at epoch `e` would
+    /// have served.
     ///
     /// Like [`Request::Query`], this reads committed epoch state only: writes
     /// still pending in the log are invisible until flushed.
@@ -1040,7 +1042,18 @@ where
                 ),
             });
         };
-        self.table.query_rect_replayed(entries, ops, q)
+        // Rebuild the epoch in a throwaway table over the same curve,
+        // model and shard layout, through the live restore and apply
+        // paths, and answer through the one query executor.
+        let history: ShardedTable<&C, V, D> = ShardedTable::build(
+            self.table.curve(),
+            Vec::new(),
+            *self.table.model(),
+            self.table.shard_count(),
+        )?;
+        history.restore_entries(entries)?;
+        history.apply_batch(ops)?;
+        history.query_rect(q, &sfc_index::QueryOptions::default())
     }
 
     /// Executes one request — the one dispatcher for every verb, in

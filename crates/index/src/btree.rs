@@ -191,21 +191,6 @@ impl<V> BPlusTree<V> {
         self.len == 0
     }
 
-    /// Tree height (1 for a lone leaf).
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut id = self.root;
-        loop {
-            match &*self.nodes[id] {
-                Node::Leaf { .. } => return h,
-                Node::Internal { children, .. } => {
-                    id = children[0];
-                    h += 1;
-                }
-            }
-        }
-    }
-
     /// Descends to a leaf. With `leftmost`, routes to the leftmost leaf that
     /// can hold `key` (correct start for range scans over duplicate keys);
     /// otherwise to the rightmost (where a point insert/lookup lands).
@@ -254,7 +239,7 @@ impl<V> BPlusTree<V> {
     /// [`Arc::make_mut`] sees the page shared and copies it instead of
     /// editing it in place. This is what lets `ShardedTable::get` hand out
     /// values without cloning them.
-    pub fn get_pinned(&self, key: u64) -> Option<EntryGuard<V>> {
+    pub(crate) fn get_pinned(&self, key: u64) -> Option<EntryGuard<V>> {
         let leaf = self.find_leaf(key, false);
         let Node::Leaf { keys, .. } = &*self.nodes[leaf] else {
             unreachable!()
@@ -698,8 +683,8 @@ impl<V> BPlusTree<V> {
     }
 }
 
-/// A pinned point-read handle from [`BPlusTree::get_pinned`] (and from
-/// every [`Backend::get_pinned`](crate::Backend::get_pinned)).
+/// A pinned point-read handle from every
+/// [`Backend::get_pinned`](crate::Backend::get_pinned).
 ///
 /// For in-memory trees the guard owns a reference to the leaf *page*
 /// holding the entry, not a copy of the value: dereferencing is free, and
@@ -833,6 +818,17 @@ impl<'a, V> Iterator for RangeIter<'a, V> {
 mod tests {
     use super::*;
 
+    /// Tree height (1 for a lone leaf).
+    fn height<V>(t: &BPlusTree<V>) -> usize {
+        let mut h = 1;
+        let mut id = t.root;
+        while let Node::Internal { children, .. } = &*t.nodes[id] {
+            id = children[0];
+            h += 1;
+        }
+        h
+    }
+
     #[test]
     fn empty_tree() {
         let t: BPlusTree<u32> = BPlusTree::new(4);
@@ -850,7 +846,7 @@ mod tests {
         }
         assert_eq!(t.len(), 1000);
         t.check_invariants().unwrap();
-        assert!(t.height() > 2, "splits must have grown the tree");
+        assert!(height(&t) > 2, "splits must have grown the tree");
         for k in [0u64, 1, 499, 999] {
             assert!(t.get(k).is_some(), "missing key {k}");
         }

@@ -90,7 +90,7 @@ impl LruBufferPool {
     /// evicted to make room. `O(1)`. Callers that keep page *contents*
     /// resident alongside this pool (the segment leaf cache) use the
     /// victim to drop their copy, so memory tracks the pool's bound.
-    pub fn access_evicting(&mut self, page: u64) -> (bool, Option<u64>) {
+    pub(crate) fn access_evicting(&mut self, page: u64) -> (bool, Option<u64>) {
         if let Some(&slot) = self.resident.get(&page) {
             self.hits += 1;
             if self.head != slot {
@@ -142,16 +142,6 @@ impl LruBufferPool {
         self.misses
     }
 
-    /// Hit ratio in `[0, 1]`; 0 for an untouched pool.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of pages currently resident.
     pub fn resident(&self) -> usize {
         self.resident.len()
@@ -162,6 +152,16 @@ impl LruBufferPool {
 mod tests {
     use super::*;
 
+    /// Hit ratio in `[0, 1]`; 0 for an untouched pool.
+    fn hit_ratio(pool: &LruBufferPool) -> f64 {
+        let total = pool.hits() + pool.misses();
+        if total == 0 {
+            0.0
+        } else {
+            pool.hits() as f64 / total as f64
+        }
+    }
+
     #[test]
     fn cold_accesses_miss_then_hit() {
         let mut pool = LruBufferPool::new(4);
@@ -170,7 +170,7 @@ mod tests {
         assert!(pool.access(1));
         assert_eq!(pool.hits(), 1);
         assert_eq!(pool.misses(), 2);
-        assert!((pool.hit_ratio() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((hit_ratio(&pool) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -272,10 +272,10 @@ mod tests {
             }
         }
         assert!(
-            clustered.hit_ratio() > scattered.hit_ratio(),
+            hit_ratio(&clustered) > hit_ratio(&scattered),
             "clustered {:.2} vs scattered {:.2}",
-            clustered.hit_ratio(),
-            scattered.hit_ratio()
+            hit_ratio(&clustered),
+            hit_ratio(&scattered)
         );
     }
 }

@@ -24,15 +24,16 @@
 //!   Rectangle queries are decomposed into the curve's cluster ranges, so
 //!   **seeks per query = the paper's clustering number**, and the shards
 //!   scan concurrently under [`std::thread::scope`], each reporting its
-//!   own [`IoStats`]. `Send + Sync`, with single-record writes, batched
-//!   epoch writes ([`ShardedTable::apply_batch`]), batched queries and
-//!   [`ShardedTable::knn`]. Shard state is **epoch MVCC**: the live state
-//!   is an immutable, epoch-stamped [`TableVersion`]; every read pins one
-//!   (no lock held while scanning, so a scan observes exactly one epoch)
-//!   and `apply_batch` copies-on-write only the shards and B+-tree pages
-//!   a batch touches before installing the new version with a pointer
-//!   swap. A [`RetentionPolicy`]-bounded window of recent versions backs
-//!   [`ShardedTable::snapshot_at`] time-travel reads;
+//!   own [`IoStats`]. `Send + Sync`; every write is an epoch batch
+//!   through [`ShardedTable::apply_batch`] (a single-record write is a
+//!   1-op batch), and reads also come batched and as
+//!   [`ShardedTable::knn`]. Shard state is **epoch MVCC**: the live state is an immutable, epoch-stamped
+//!   version; every read pins one (no lock held while scanning, so a scan
+//!   observes exactly one epoch) and `apply_batch` copies-on-write only
+//!   the shards and B+-tree pages a batch touches before installing the
+//!   new version with a pointer swap. A [`RetentionPolicy`]-bounded window
+//!   of recent versions backs [`ShardedTable::snapshot_at`] time-travel
+//!   reads;
 //! * **Planning** — [`Planner`] / [`QueryPlan`]: an adaptive query planner
 //!   that chooses each rectangle query's decomposition budget (exact
 //!   cluster ranges, gap-coalesced, or one covering range) from a cost
@@ -92,12 +93,10 @@ pub use btree::{BPlusTree, EntryGuard, RangeIter, DEFAULT_NODE_CAPACITY};
 pub use cache::LruBufferPool;
 pub use checksum::{crc32, crc32_portable};
 pub use disk::{DiskModel, IoStats};
-pub use partition::{
-    evaluate_partitioning, owner_of, partition_universe, try_owner_of, Partition, PartitionMetrics,
-};
-pub use plan::{record_density, PlanStrategy, Planner, QueryPlan};
+pub use partition::{evaluate_partitioning, partition_universe, Partition, PartitionMetrics};
+pub use plan::{PlanStrategy, Planner, QueryPlan};
 pub use segment::{SegmentTree, SEGMENT_MAGIC};
-pub use shard::{BatchOp, RetentionPolicy, ShardedTable, TableSnapshot, TableVersion};
+pub use shard::{BatchOp, RetentionPolicy, ShardedTable, TableSnapshot};
 pub use store::{FileStore, PageStore, StoreStats};
 pub use stored::{FileBackend, StoreConfig, StoreFactory};
 pub use table::{QueryOptions, QueryResult, Record, ValueGuard};

@@ -51,7 +51,7 @@ pub fn partition_universe<const D: usize, C: SpaceFillingCurve<D>>(
 /// cell's curve index is not covered by `parts` (possible when `parts` is a
 /// truncated or hand-built partitioning rather than a full
 /// [`partition_universe`] result).
-pub fn try_owner_of<const D: usize, C: SpaceFillingCurve<D>>(
+pub(crate) fn try_owner_of<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
     parts: &[Partition],
     p: Point<D>,
@@ -69,7 +69,7 @@ pub fn try_owner_of<const D: usize, C: SpaceFillingCurve<D>>(
 /// `debug_assert!` vanished in release builds, leaving an opaque
 /// out-of-bounds index panic). Use [`try_owner_of`] to handle gaps without
 /// panicking.
-pub fn owner_of<const D: usize, C: SpaceFillingCurve<D>>(
+pub(crate) fn owner_of<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
     parts: &[Partition],
     p: Point<D>,

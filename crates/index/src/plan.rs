@@ -71,9 +71,8 @@ use std::sync::Mutex;
 /// `density` input of [`Planner::plan_ranges`]'s cost model (how many
 /// entries a scanned key span is expected to yield). May exceed 1 when
 /// cells hold duplicate records. The single definition shared by
-/// `ShardedTable::density`, `TableSnapshot::density` and the planned
-/// query path.
-pub fn record_density(records: usize, cells: u64) -> f64 {
+/// `ShardedTable::density` and the planned query path.
+pub(crate) fn record_density(records: usize, cells: u64) -> f64 {
     if cells == 0 {
         0.0
     } else {
@@ -116,7 +115,7 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// The strategy class this plan falls into.
-    pub fn strategy(&self) -> PlanStrategy {
+    pub(crate) fn strategy(&self) -> PlanStrategy {
         if self.ranges.len() >= self.clusters {
             PlanStrategy::FullDecomposition
         } else if self.ranges.len() == 1 {
@@ -290,7 +289,7 @@ impl Planner {
 
     /// Feeds one sharded query's per-shard breakdown into the latency-skew
     /// estimate (EWMA of critical path ÷ mean over involved shards).
-    pub fn observe_shards(&self, per_shard: &[IoStats]) {
+    pub(crate) fn observe_shards(&self, per_shard: &[IoStats]) {
         let times: Vec<f64> = per_shard
             .iter()
             .filter(|s| s.seeks > 0)
@@ -317,7 +316,7 @@ impl Planner {
     /// with these *measured* per-seek/per-page rates instead of the
     /// [`DiskModel`] defaults — the table layers call this automatically
     /// for planned queries served by a real page store.
-    pub fn observe_latency(&self, seeks: u64, pages: u64, wall_us: f64) {
+    pub(crate) fn observe_latency(&self, seeks: u64, pages: u64, wall_us: f64) {
         if (seeks == 0 && pages == 0) || !wall_us.is_finite() || wall_us < 0.0 {
             return;
         }
@@ -325,10 +324,10 @@ impl Planner {
         cal.observe(seeks as f64, pages as f64, wall_us);
     }
 
-    /// The measured `(seek_us, transfer_us)` rates fitted from
-    /// [`Self::observe_latency`] feedback, or `None` while the planner is
-    /// still pricing with the [`DiskModel`] defaults (too few decayed
-    /// samples to trust a fit).
+    /// The measured `(seek_us, transfer_us)` rates fitted from the
+    /// wall-clock latency of planned queries on real page stores, or
+    /// `None` while the planner is still pricing with the [`DiskModel`]
+    /// defaults (too few decayed samples to trust a fit).
     pub fn measured_costs(&self) -> Option<(f64, f64)> {
         self.calibration
             .lock()
@@ -367,7 +366,7 @@ impl Planner {
     /// evaluates `cost(B)` for every budget `B` and returns the cheapest
     /// materialized plan. `full` must be sorted and disjoint — what
     /// [`sfc_clustering::ClusterScratch::ranges_of`] produces.
-    pub fn plan_ranges(&self, full: &[(u64, u64)], density: f64) -> QueryPlan {
+    pub(crate) fn plan_ranges(&self, full: &[(u64, u64)], density: f64) -> QueryPlan {
         let clusters = full.len();
         let hit_rate = self.hit_rate();
         let skew = self.shard_skew();

@@ -32,21 +32,17 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
-/// One deferred write against a sharded table, applied through
-/// [`ShardedTable::apply_batch`]. Carries the same semantics as the
-/// corresponding single-record methods: `Insert` allows duplicates,
-/// `Update` replaces-or-inserts, `Delete` removes the first record at the
-/// point.
+/// One write against a sharded table, applied through
+/// [`ShardedTable::apply_batch`] — the table's only writer; a
+/// single-record write is a 1-op batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchOp<const D: usize, V> {
-    /// Insert a record (duplicates allowed, like
-    /// [`ShardedTable::insert`]).
+    /// Insert a record (duplicates allowed); displaces nothing.
     Insert(Point<D>, V),
-    /// Replace the payload at a point, inserting if vacant (like
-    /// [`ShardedTable::update`]).
+    /// Replace the newest payload at a point, returning the old one;
+    /// inserts if the cell is vacant.
     Update(Point<D>, V),
-    /// Remove the first record at a point (like
-    /// [`ShardedTable::delete`]).
+    /// Remove the oldest record at a point, returning its payload.
     Delete(Point<D>),
 }
 
@@ -98,27 +94,18 @@ impl Default for RetentionPolicy {
 /// itself shares all unwritten B+-tree pages. Readers holding a version
 /// (via [`ShardedTable::snapshot`]/[`ShardedTable::snapshot_at`], or
 /// implicitly for the duration of any query) observe it forever unchanged.
-pub struct TableVersion<B> {
+pub(crate) struct TableVersion<B> {
+    /// The number of applied batches since the table was built (or the
+    /// epoch stamped by recovery).
     epoch: u64,
     shards: Vec<Arc<B>>,
     records: u64,
 }
 
 impl<B> TableVersion<B> {
-    /// The epoch this version materializes: the number of applied batches
-    /// since the table was built (or the epoch stamped by recovery).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Records stored in this version.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.records as usize
-    }
-
-    /// Whether this version holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
     }
 }
 
@@ -152,20 +139,17 @@ fn cow_shard<V, B: Backend<V>>(slot: &mut Arc<B>) -> &mut B {
 /// rows at any shard count, and a 1-shard table is the plain SFC-ordered
 /// table of the paper's application (§I).
 ///
-/// Shard state lives in an immutable, epoch-stamped [`TableVersion`]
-/// behind an atomic pointer: every read path **pins** the current version
-/// (one `Arc` clone under a momentarily-held lock) and then scans it with
-/// no lock held at all, while [`Self::apply_batch`] builds the next
-/// version copy-on-write — forking only the shards (and within them only
-/// the B+-tree pages) the batch writes — and installs it with a pointer
-/// swap. Readers and the writer therefore never block each other, and
-/// **every scan observes exactly one epoch**, even when it straddles
-/// shards mid-apply. Superseded versions stay reachable for
-/// [`Self::snapshot_at`] time-travel reads within a bounded
-/// [`RetentionPolicy`] window; the single-record write methods keep their
-/// `&mut self` signatures for callers that own the table exclusively and
-/// edit the current version in place (copying any page a pinned reader
-/// still protects).
+/// Shard state lives in an immutable, epoch-stamped version behind an
+/// atomic pointer: every read path **pins** the current version (one
+/// `Arc` clone under a momentarily-held lock) and then scans it with no
+/// lock held at all, while [`Self::apply_batch`] — the table's only
+/// writer — builds the next version copy-on-write, forking only the
+/// shards (and within them only the B+-tree pages) the batch writes, and
+/// installs it with a pointer swap. Readers and the writer therefore
+/// never block each other, and **every scan observes exactly one
+/// epoch**, even when it straddles shards mid-apply. Superseded versions
+/// stay reachable for [`Self::snapshot_at`] time-travel reads within a
+/// bounded [`RetentionPolicy`] window.
 pub struct ShardedTable<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
     curve: C,
     parts: Vec<Partition>,
@@ -182,7 +166,7 @@ pub struct ShardedTable<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
     write_gate: Mutex<()>,
     model: DiskModel,
     scratch: ScratchPool<D>,
-    /// Total stored records, maintained by every write path so
+    /// Total stored records, kept equal to the current version's count so
     /// [`Self::len`]/[`Self::density`] — called per planned query — never
     /// touch the version lock (a query would otherwise pay two lock
     /// hops per plan).
@@ -396,17 +380,6 @@ where
             .clear();
     }
 
-    /// Exclusive in-place access to the current version for the
-    /// single-record `&mut self` writers. Pages a live pin still protects
-    /// are copied, not edited ([`Arc::make_mut`] / [`cow_shard`]).
-    fn current_mut(&mut self) -> &mut TableVersion<B> {
-        let cur = self
-            .current
-            .get_mut()
-            .expect("version pointer poisoned by a panicked writer");
-        Arc::make_mut(cur)
-    }
-
     /// The retention policy bounding [`Self::snapshot_at`]'s window.
     pub fn retention(&self) -> RetentionPolicy {
         self.retention
@@ -553,74 +526,11 @@ where
         pos
     }
 
-    /// Inserts a record into the shard owning its curve key.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    pub fn insert(&mut self, point: Point<D>, value: V) -> Result<(), SfcError> {
-        let key = self.curve.index_of(point)?;
-        let shard = self.shard_of_key(key);
-        let ver = self.current_mut();
-        cow_shard(&mut ver.shards[shard]).insert(key, Record { point, value });
-        ver.records += 1;
-        self.add_records(1);
-        Ok(())
-    }
-
-    /// Removes the record at `point`, returning its payload.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    pub fn delete(&mut self, point: Point<D>) -> Result<Option<V>, SfcError> {
-        let key = self.curve.index_of(point)?;
-        let shard = self.shard_of_key(key);
-        let ver = self.current_mut();
-        let removed = cow_shard(&mut ver.shards[shard])
-            .remove(key)
-            .map(|rec| rec.value);
-        if removed.is_some() {
-            ver.records -= 1;
-            self.add_records(-1);
-        }
-        Ok(removed)
-    }
-
-    /// Replaces the payload at `point` in place, returning the previous
-    /// one; inserts (and returns `None`) if the cell is vacant.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    pub fn update(&mut self, point: Point<D>, value: V) -> Result<Option<V>, SfcError> {
-        let key = self.curve.index_of(point)?;
-        let shard = self.shard_of_key(key);
-        let ver = self.current_mut();
-        let backend = cow_shard(&mut ver.shards[shard]);
-        if let Some(rec) = backend.get_mut(key) {
-            Ok(Some(std::mem::replace(&mut rec.value, value)))
-        } else {
-            backend.insert(key, Record { point, value });
-            ver.records += 1;
-            self.add_records(1);
-            Ok(None)
-        }
-    }
-
-    /// Adjusts the lock-free record counter by `delta`.
-    fn add_records(&self, delta: i64) {
-        use std::sync::atomic::Ordering;
-        if delta >= 0 {
-            self.records.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.records
-                .fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
-        }
-    }
-
     /// Validates and keys a batch (one [`SpaceFillingCurve::fill_indices`]
     /// call) and stable-sorts it into curve order, returning the per-op
-    /// keys and the sorted submission-index permutation — the shared
-    /// front half of every batch-apply path. Stable sort: ops on the
-    /// same key keep their submission order.
+    /// keys and the sorted submission-index permutation — the front half
+    /// of [`Self::apply_batch`]. Stable sort: ops on the same key keep
+    /// their submission order.
     fn key_batch(&self, ops: &[BatchOp<D, V>]) -> Result<(Vec<u64>, Vec<usize>), SfcError> {
         let universe = self.curve.universe();
         let points: Vec<Point<D>> = ops.iter().map(BatchOp::point).collect();
@@ -639,39 +549,17 @@ where
         Ok((keys, order))
     }
 
-    /// Streams shard `shard`'s entries in ascending key order through the
-    /// backend's [`Backend::persist`] hook — the building block of
-    /// curve-ordered snapshots ([`write_snapshot`](crate::write_snapshot)
-    /// walks shards in partition order, so the concatenation of these
-    /// streams is the whole table in curve-key order).
-    ///
-    /// The stream is taken from one pinned version, so a snapshot walking
-    /// all shards through this method observes exactly one epoch even if
-    /// batches land between per-shard calls — but only *per call*; use
-    /// [`Self::snapshot`] and [`TableSnapshot::persist_shard`] to hold one
-    /// epoch across the whole walk.
-    ///
-    /// # Errors
-    /// On storage failure reading a disk-resident shard.
-    ///
-    /// # Panics
-    /// If `shard` is out of range.
-    pub fn persist_shard(
-        &self,
-        shard: usize,
-        sink: &mut dyn FnMut(u64, &Record<D, V>),
-    ) -> Result<(), SfcError> {
-        self.pin().shards[shard].persist(sink)
-    }
-
     /// Replaces the table's entire contents with `entries` — keyed
     /// records sorted ascending by curve key, as produced by
     /// [`read_snapshot`](crate::read_snapshot) or by concatenating
-    /// [`Self::persist_shard`] streams. The entries are re-cut at *this*
-    /// table's partition boundaries and handed to each shard's
+    /// [`TableSnapshot::persist_shard`] streams. The entries are re-cut
+    /// at *this* table's partition boundaries and handed to each shard's
     /// [`Backend::restore`], so a snapshot taken at one shard count
     /// restores into any other: same committed state, identical
-    /// [`Self::query_rect`] answers, whatever the layout.
+    /// [`Self::query_rect`] answers, whatever the layout. Time-travel
+    /// reads past the retention window rebuild an epoch this way too:
+    /// restore the last snapshot into a throwaway table, apply the WAL
+    /// prefix through [`Self::apply_batch`], and query it.
     ///
     /// Keys are trusted to match this table's curve (they are validated
     /// against the universe, but not re-derived from the points — the
@@ -684,7 +572,15 @@ where
     /// failures are reported, never panicked, so a durable engine's
     /// `open` can surface them.
     pub fn restore_entries(&self, entries: Vec<(u64, Record<D, V>)>) -> Result<(), SfcError> {
-        self.check_entries(&entries, "restoring table")?;
+        let cells = self.curve.universe().cell_count();
+        if let Some(&(key, _)) = entries.iter().find(|&&(k, _)| k >= cells) {
+            return Err(SfcError::IndexOutOfBounds { index: key, cells });
+        }
+        if !entries.windows(2).all(|w| w[0].0 <= w[1].0) {
+            return Err(SfcError::Storage {
+                context: "restoring table: snapshot entries are not in curve-key order".into(),
+            });
+        }
         let total = entries.len() as u64;
         let mut remainder = entries;
         // Cut the sorted entries at partition boundaries, back to front
@@ -800,25 +696,6 @@ where
             return Err(SfcError::PointOutOfBounds {
                 point: Point::new(q.hi()).to_string(),
                 side,
-            });
-        }
-        Ok(())
-    }
-
-    /// Checks that snapshot `entries` are keyed inside the universe and
-    /// sorted by curve key; `context` names the caller in the error.
-    fn check_entries(
-        &self,
-        entries: &[(u64, Record<D, V>)],
-        context: &str,
-    ) -> Result<(), SfcError> {
-        let cells = self.curve.universe().cell_count();
-        if let Some(&(key, _)) = entries.iter().find(|&&(k, _)| k >= cells) {
-            return Err(SfcError::IndexOutOfBounds { index: key, cells });
-        }
-        if !entries.windows(2).all(|w| w[0].0 <= w[1].0) {
-            return Err(SfcError::Storage {
-                context: format!("{context}: snapshot entries are not in curve-key order"),
             });
         }
         Ok(())
@@ -1063,60 +940,6 @@ where
         })
     }
 
-    /// Answers a rectangle query against a **reconstructed historical**
-    /// state: `entries` (a curve-keyed snapshot stream, sorted ascending)
-    /// with the WAL-prefix `ops` replayed on top, evaluated under this
-    /// table's curve. The cold half of time-travel reads — the serving
-    /// layer calls this when [`Self::snapshot_at`] misses the retention
-    /// window and the epoch has to be rebuilt from disk.
-    ///
-    /// Replay reuses the exact batch-apply semantics of the live path
-    /// (same keying, same stable curve-order sort, same per-op
-    /// application), so the records returned are byte-identical to what
-    /// [`Self::query_rect`] would have answered at that epoch. The scan
-    /// runs over a single throwaway in-memory backend, with the ranges
-    /// split at this table's shard boundaries: `ranges_scanned` and the
-    /// shape of `shard_io` (one entry per shard) match an exact
-    /// [`Self::query_rect`], while the I/O figures are the replay scan's
-    /// own cost, not the historical layout's.
-    ///
-    /// # Errors
-    /// If any replayed op or snapshot key lies outside the curve's
-    /// universe, or if the query does not fit inside it.
-    pub fn query_rect_replayed(
-        &self,
-        entries: Vec<(u64, Record<D, V>)>,
-        ops: Vec<BatchOp<D, V>>,
-        q: &RectQuery<D>,
-    ) -> Result<QueryResult<D, V>, SfcError> {
-        self.check_fits(q)?;
-        self.check_entries(&entries, "replaying history")?;
-        let (keys, order) = self.key_batch(&ops)?;
-        let mut backend: MemoryBackend<Record<D, V>> = MemoryBackend::bulk_load(entries);
-        let mut slots: Vec<Option<BatchOp<D, V>>> = ops.into_iter().map(Some).collect();
-        let mut delta = 0i64;
-        for (_, key, op) in take_run(&mut slots, &keys, &order, 0..order.len()) {
-            apply_one(&mut backend, key, op, &mut delta);
-        }
-        let (work, pieces) = self.split_ranges(self.scratch.checkout().ranges_of(&self.curve, q));
-        let mut records = Vec::new();
-        let mut io = IoStats::default();
-        let mut shard_io = vec![IoStats::default(); work.len()];
-        for (ranges, stats) in work.iter().zip(&mut shard_io) {
-            if !ranges.is_empty() {
-                *stats = scan_shard(&backend, ranges, q, false, &mut records)?;
-                io.absorb(*stats);
-            }
-        }
-        Ok(QueryResult {
-            records,
-            ranges_scanned: pieces,
-            io,
-            shard_io,
-            plan: None,
-        })
-    }
-
     /// Plans a rectangle query without executing it (the `EXPLAIN` entry
     /// point): the plan is made on the *global* decomposition, before any
     /// shard-boundary splitting, so its budget reflects the query's true
@@ -1350,22 +1173,6 @@ where
         self.version.epoch
     }
 
-    /// Records stored at this epoch.
-    pub fn len(&self) -> usize {
-        self.version.len()
-    }
-
-    /// Whether this epoch's table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.version.is_empty()
-    }
-
-    /// Record density at this epoch (records per curve cell) — what the
-    /// planner uses when costing a query against this snapshot.
-    pub fn density(&self) -> f64 {
-        crate::plan::record_density(self.version.len(), self.table.curve.universe().cell_count())
-    }
-
     /// Pinned point lookup at this epoch (see [`ShardedTable::get`]).
     ///
     /// # Errors
@@ -1379,9 +1186,10 @@ where
     }
 
     /// Streams shard `shard`'s entries at this epoch in ascending key
-    /// order — the fixed-epoch form of
-    /// [`ShardedTable::persist_shard`], which durable checkpoints walk so
-    /// the whole snapshot file is one epoch.
+    /// order through the backend's [`Backend::persist`] hook.
+    /// [`write_snapshot`](crate::write_snapshot) walks every shard of one
+    /// snapshot in partition order, so its file is the whole table at one
+    /// epoch, in curve-key order, whatever batches land meanwhile.
     ///
     /// # Errors
     /// On storage failure reading a disk-resident shard.
@@ -1416,8 +1224,8 @@ where
 
 /// Moves the ops at positions `run` of the curve-sorted permutation
 /// `order` out of `slots`, as `(submission index, key, op)` in curve order
-/// — the op stream both `apply_batch` schedules and history replay feed
-/// to [`apply_one`]. The permutation visits `slots` with a data-dependent
+/// — the op stream both `apply_batch` schedules feed to [`apply_one`].
+/// The permutation visits `slots` with a data-dependent
 /// stride the hardware prefetcher cannot follow, so each step hints the
 /// slot a few ops ahead into cache.
 fn take_run<'a, const D: usize, V>(
@@ -1437,8 +1245,8 @@ fn take_run<'a, const D: usize, V>(
 
 /// Applies one write to a shard backend, accumulating the record-count
 /// delta and returning the displaced payload — the single op kernel
-/// both `apply_batch` schedules and history replay share, so their
-/// semantics cannot drift apart.
+/// both `apply_batch` schedules share, so their semantics cannot drift
+/// apart.
 fn apply_one<const D: usize, V, B: Backend<Record<D, V>>>(
     backend: &mut B,
     key: u64,
@@ -1618,17 +1426,19 @@ mod tests {
             "out-of-universe builds are rejected"
         );
         for shards in [1usize, 4] {
-            let mut t: ShardedTable<Onion2D, u32, 2> =
+            let t: ShardedTable<Onion2D, u32, 2> =
                 ShardedTable::build(curve, Vec::new(), DiskModel::ssd(), shards).unwrap();
             assert!(t.is_empty());
+            // One write per batch, so each routes on its own.
+            let write = |op| t.apply_batch(vec![op]).unwrap().pop().unwrap();
             // Reverse submission order: incremental inserts must land
             // exactly where a bulk build would put them.
             let mut model = Model::new(Vec::new());
             for (p, v) in dense_records(side).into_iter().rev() {
-                t.insert(p, v).unwrap();
+                assert_eq!(write(BatchOp::Insert(p, v)), None);
                 model.insert(p, v);
             }
-            assert_eq!(t.len(), 256);
+            assert_eq!(t.len(), model.len());
             let all = RectQuery::new([0, 0], [side, side]).unwrap();
             assert_eq!(
                 rows(&t.query_rect(&all, &QueryOptions::default()).unwrap()),
@@ -1641,19 +1451,25 @@ mod tests {
                 "dense data balances: {sizes:?}"
             );
             let p = Point::new([3, 9]);
-            assert_eq!(t.get(p).unwrap().map(|g| g.cloned()), Some(3009));
-            assert_eq!(t.update(p, 1).unwrap(), Some(3009), "update returns old");
-            assert_eq!(t.get(p).unwrap().map(|g| g.value), Some(1));
-            assert_eq!(t.delete(p).unwrap(), Some(1));
+            assert_eq!(t.get(p).unwrap().map(|g| g.cloned()), model.get(p));
+            assert_eq!(model.get(p), Some(3009));
+            let update = write(BatchOp::Update(p, 1));
+            assert_eq!(update, model.update(p, 1), "update returns old");
+            assert_eq!(t.get(p).unwrap().map(|g| g.value), model.get(p));
+            assert_eq!(write(BatchOp::Delete(p)), model.delete(p));
             assert!(t.get(p).unwrap().is_none());
-            assert_eq!(t.delete(p).unwrap(), None, "second delete is a no-op");
-            assert_eq!(t.len(), 255);
+            assert_eq!(write(BatchOp::Delete(p)), None, "second delete is a no-op");
+            assert_eq!(t.len(), model.len());
             // Out-of-universe writes are rejected and change nothing.
             let outside = Point::new([16, 0]);
-            assert!(t.insert(outside, 0).is_err());
-            assert!(t.delete(outside).is_err());
-            assert!(t.update(outside, 0).is_err());
-            assert_eq!(t.len(), 255);
+            for op in [
+                BatchOp::Insert(outside, 0),
+                BatchOp::Delete(outside),
+                BatchOp::Update(outside, 0),
+            ] {
+                assert!(t.apply_batch(vec![op]).is_err());
+            }
+            assert_eq!(t.len(), model.len());
             assert_eq!(
                 t.get(Point::new([20, 0])).err(),
                 Some(SfcError::PointOutOfBounds {
@@ -1662,14 +1478,13 @@ mod tests {
                 })
             );
             // Queries reflect the writes.
-            model.delete(p);
             let q = RectQuery::new([2, 8], [4, 4]).unwrap();
             assert_eq!(
                 rows(&t.query_rect(&q, &QueryOptions::default()).unwrap()),
                 model.query(&curve, &q)
             );
             // Update on a vacant cell inserts.
-            assert_eq!(t.update(p, 42).unwrap(), None);
+            assert_eq!(write(BatchOp::Update(p, 42)), model.update(p, 42));
             assert_eq!(t.get(p).unwrap().map(|g| g.value), Some(42));
             assert_eq!(t.len(), 256);
         }
@@ -1707,12 +1522,9 @@ mod tests {
     #[test]
     fn apply_batch_matches_sequential_writes() {
         let side = 16u32;
-        let mut sequential: ShardedTable<Onion2D, u32, 2> =
-            ShardedTable::build(Onion2D::new(side).unwrap(), Vec::new(), DiskModel::ssd(), 4)
-                .unwrap();
+        let curve = Onion2D::new(side).unwrap();
         let batched: ShardedTable<Onion2D, u32, 2> =
-            ShardedTable::build(Onion2D::new(side).unwrap(), Vec::new(), DiskModel::ssd(), 4)
-                .unwrap();
+            ShardedTable::build(curve, Vec::new(), DiskModel::ssd(), 4).unwrap();
         // A mixed batch in adversarial (reverse-curve-ish) submission
         // order, including same-point sequences whose order matters.
         let mut ops: Vec<BatchOp<2, u32>> = Vec::new();
@@ -1727,30 +1539,28 @@ mod tests {
         ops.push(BatchOp::Insert(p, 42));
         ops.push(BatchOp::Delete(Point::new([2, 2])));
         ops.push(BatchOp::Delete(Point::new([2, 2]))); // second is a no-op
-        let mut expected = Vec::new();
-        for op in ops.clone() {
-            expected.push(match op {
+
+        // The model applies the same writes one by one, in submission
+        // order.
+        let mut sequential = Model::new(Vec::new());
+        let expected: Vec<Option<u32>> = ops
+            .iter()
+            .map(|op| match *op {
                 BatchOp::Insert(p, v) => {
-                    sequential.insert(p, v).unwrap();
+                    sequential.insert(p, v);
                     None
                 }
-                BatchOp::Update(p, v) => sequential.update(p, v).unwrap(),
-                BatchOp::Delete(p) => sequential.delete(p).unwrap(),
-            });
-        }
+                BatchOp::Update(p, v) => sequential.update(p, v),
+                BatchOp::Delete(p) => sequential.delete(p),
+            })
+            .collect();
         let results = batched.apply_batch(ops).unwrap();
         assert_eq!(results, expected, "displaced payloads in submission order");
         assert_eq!(batched.len(), sequential.len());
         let q = RectQuery::new([0, 0], [side, side]).unwrap();
         assert_eq!(
-            batched
-                .query_rect(&q, &QueryOptions::default())
-                .unwrap()
-                .records,
-            sequential
-                .query_rect(&q, &QueryOptions::default())
-                .unwrap()
-                .records
+            rows(&batched.query_rect(&q, &QueryOptions::default()).unwrap()),
+            sequential.query(&curve, &q)
         );
     }
 

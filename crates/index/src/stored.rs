@@ -139,7 +139,7 @@ impl<V: WalCodec + Clone, S: PageStore> FileBackend<V, S> {
     ///
     /// # Errors
     /// On I/O failure or unsorted input.
-    pub fn create_with(
+    pub(crate) fn create_with(
         dir: &Path,
         stem: &str,
         cfg: StoreConfig,

@@ -488,7 +488,7 @@ pub fn encode_epoch_payload_into<const D: usize, V: WalCodec>(
 }
 
 /// [`encode_epoch_payload_into`] into a fresh allocation.
-pub fn encode_epoch_payload<const D: usize, V: WalCodec>(
+pub(crate) fn encode_epoch_payload<const D: usize, V: WalCodec>(
     epoch: u64,
     ops: &[BatchOp<D, V>],
 ) -> Vec<u8> {
@@ -990,8 +990,10 @@ impl Wal {
 /// Writes a point-in-time snapshot of `table` at `epoch` to `path`,
 /// atomically (temporary file + rename): a crash mid-write leaves the
 /// previous snapshot untouched. Entries are streamed shard by shard via
-/// [`Backend::persist`], so the file holds the whole table in curve-key
-/// order, sectioned by the table's partitions.
+/// [`Backend::persist`] from one pinned version
+/// ([`ShardedTable::snapshot`]), so the file holds the whole table at one
+/// epoch in curve-key order, sectioned by the table's partitions, even
+/// if batches are applied while it is written.
 ///
 /// # Errors
 /// On I/O failure.
@@ -1005,7 +1007,8 @@ where
     V: Clone + WalCodec,
     B: Backend<Record<D, V>>,
 {
-    let parts = table.partitions().to_vec();
+    let parts = table.partitions();
+    let version = table.snapshot();
     let mut body = Vec::new();
     epoch.encode(&mut body);
     (parts.len() as u32).encode(&mut body);
@@ -1016,7 +1019,7 @@ where
         let count_at = body.len();
         0u64.encode(&mut body);
         let mut count = 0u64;
-        table.persist_shard(shard, &mut |key, rec| {
+        version.persist_shard(shard, &mut |key, rec| {
             key.encode(&mut body);
             rec.encode(&mut body);
             count += 1;

@@ -1,19 +1,28 @@
-//! Allocation bounds of the sequence decoder: a hostile length prefix must
-//! not make [`decode_seq`] reserve more memory than the frame it arrived
-//! in. WAL replay, snapshot reads and the wire protocol's `Records` and
+//! Allocation bounds of the decoders: a hostile length prefix must not
+//! make [`decode_seq`] reserve more memory than the frame it arrived in.
+//! WAL replay, snapshot reads and the wire protocol's `Records` and
 //! `Epoch` responses all decode through it, so a 64 MiB frame claiming
 //! `u32::MAX` elements must not reserve gigabytes before the first
-//! element fails to decode.
+//! element fails to decode. Hostile `SFCSNP01` snapshot files — bodies
+//! whose checksum matches, so the decoder and not the checksum must
+//! reject them — get a typed error from [`read_snapshot`], never a panic,
+//! within a stated allocation cap.
 //!
 //! A std-only global allocator records the largest single allocation
 //! (or reallocation) made on the current thread. The record is
 //! thread-local, so tests running in parallel do not see each other's
 //! allocations.
 
-use onion_core::Point;
-use sfc_index::{decode_seq, encode_seq, BatchOp, Record, WalCursor};
+use onion_core::{Onion2D, Point, SfcError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sfc_index::{
+    crc32, decode_seq, encode_seq, read_snapshot, write_snapshot, BatchOp, DiskModel, Record,
+    ShardedTable, WalCursor, SNAPSHOT_MAGIC,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::{Path, PathBuf};
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
@@ -117,4 +126,105 @@ fn well_formed_sequences_still_decode() {
     // this vector outgrows its first reservation and must grow normally.
     assert_eq!(decode_seq::<BatchOp<2, u64>>(&mut cur), Some(ops));
     assert_eq!(cur.remaining(), 0);
+}
+
+/// `read_snapshot`'s allocation cap: no single allocation beyond twice
+/// the file's length, plus 1 KiB for the path and the error text it
+/// formats (which dominate only for files of a few hundred bytes).
+fn snapshot_cap(file_len: usize) -> usize {
+    2 * file_len + 1024
+}
+
+fn snapshot_dir() -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("hostile-snapshots");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Writes `body` to `path` as an `SFCSNP01` file whose checksum matches
+/// it; returns the file's length.
+fn write_snapshot_body(path: &Path, body: &[u8]) -> usize {
+    let mut bytes = SNAPSHOT_MAGIC.to_vec();
+    bytes.extend_from_slice(&crc32(body).to_le_bytes());
+    bytes.extend_from_slice(body);
+    std::fs::write(path, &bytes).unwrap();
+    bytes.len()
+}
+
+/// `read_snapshot` must refuse `body` with a typed `Storage` error, and
+/// allocate no more than [`snapshot_cap`] on the way.
+fn assert_refused(name: &str, body: &[u8]) {
+    let path = snapshot_dir().join(format!("{name}.snap"));
+    let len = write_snapshot_body(&path, body);
+    let (res, largest) = largest_allocation(|| read_snapshot::<2, u64>(&path));
+    std::fs::remove_file(&path).unwrap();
+    assert!(
+        matches!(res, Err(SfcError::Storage { .. })),
+        "{name}: expected a Storage error, got {res:?}"
+    );
+    assert!(
+        largest <= snapshot_cap(len),
+        "{name}: allocated {largest} bytes reading a {len}-byte snapshot"
+    );
+}
+
+/// The body of a real snapshot: 3 shards over 40 records.
+fn valid_snapshot_body() -> Vec<u8> {
+    let records: Vec<(Point<2>, u64)> = (0..40u32)
+        .map(|i| (Point::new([i % 16, i / 3]), u64::from(i) << 8))
+        .collect();
+    let table =
+        ShardedTable::build(Onion2D::new(16).unwrap(), records, DiskModel::ssd(), 3).unwrap();
+    let path = snapshot_dir().join("valid.snap");
+    write_snapshot(&path, 7, &table).unwrap();
+    let (epoch, entries) = read_snapshot::<2, u64>(&path).unwrap().unwrap();
+    assert_eq!((epoch, entries.len()), (7, 40));
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes[12..].to_vec()
+}
+
+#[test]
+fn hostile_snapshot_counts_are_refused_within_the_cap() {
+    let filler = 1usize << 20;
+    // `u32::MAX` shard sections, then 1 MiB of zeros: 43,690 empty
+    // sections decode before the bytes run out.
+    let mut body = 3u64.to_le_bytes().to_vec();
+    body.extend_from_slice(&u32::MAX.to_le_bytes());
+    body.resize(body.len() + filler, 0);
+    assert_refused("u32-max-shards", &body);
+
+    // One section claiming `u64::MAX` entries over 1 MiB of 0xFF: every
+    // 24 bytes is a well-formed entry, so 43,690 decode before the bytes
+    // run out, into a vector that stays within twice the file.
+    let mut body = 3u64.to_le_bytes().to_vec();
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&0u64.to_le_bytes());
+    body.extend_from_slice(&u64::MAX.to_le_bytes());
+    body.extend_from_slice(&u64::MAX.to_le_bytes());
+    body.resize(body.len() + filler, 0xFF);
+    assert_refused("u64-max-count", &body);
+}
+
+#[test]
+fn truncated_snapshot_bodies_are_refused() {
+    let body = valid_snapshot_body();
+    // Every strict prefix of a well-formed body, checksummed as if whole.
+    for cut in 0..body.len() {
+        assert_refused("truncated", &body[..cut]);
+    }
+    // Trailing bytes after the last section are refused too.
+    let mut long = body;
+    long.push(0);
+    assert_refused("trailing-byte", &long);
+}
+
+#[test]
+fn random_snapshot_bodies_are_refused() {
+    let mut rng = StdRng::seed_from_u64(0x5F5C_5350);
+    for round in 0..64 {
+        let len = rng.random_range(0..4096usize);
+        let body: Vec<u8> = (0..len).map(|_| rng.random_range(0..=u8::MAX)).collect();
+        assert_refused(&format!("random-{round}"), &body);
+    }
 }

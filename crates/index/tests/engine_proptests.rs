@@ -213,7 +213,7 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed);
             let curve = curve_2d(name, side).unwrap();
             let mut model: Model<2, u64> = Model::new(Vec::new());
-            let mut sharded: ShardedTable<_, u64, 2> = ShardedTable::build(
+            let sharded: ShardedTable<_, u64, 2> = ShardedTable::build(
                 curve_2d(name, side).unwrap(),
                 Vec::new(),
                 DiskModel::ssd(),
@@ -225,20 +225,23 @@ proptest! {
                 match rng.random_range(0..4u32) {
                     0 => {
                         prop_assert_eq!(
-                            sharded.delete(p).unwrap(),
-                            model.delete(p),
+                            sharded.apply_batch(vec![BatchOp::Delete(p)]).unwrap(),
+                            vec![model.delete(p)],
                             "{} delete", name
                         );
                     }
                     1 => {
                         prop_assert_eq!(
-                            sharded.update(p, step).unwrap(),
-                            model.update(p, step),
+                            sharded.apply_batch(vec![BatchOp::Update(p, step)]).unwrap(),
+                            vec![model.update(p, step)],
                             "{} update", name
                         );
                     }
                     _ => {
-                        sharded.insert(p, step).unwrap();
+                        prop_assert_eq!(
+                            sharded.apply_batch(vec![BatchOp::Insert(p, step)]).unwrap(),
+                            vec![None]
+                        );
                         model.insert(p, step);
                     }
                 }
