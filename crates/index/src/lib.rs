@@ -22,12 +22,15 @@
 //!   ranges ([`partition_universe`], with communication metrics for the
 //!   load-balancing application); a 1-shard table is the plain SFC table.
 //!   Rectangle queries are decomposed into the curve's cluster ranges, so
-//!   **seeks per query = the paper's clustering number**, and the shards
-//!   scan concurrently under [`std::thread::scope`], each reporting its
-//!   own [`IoStats`]. `Send + Sync`; every write is an epoch batch
+//!   **seeks per query = the paper's clustering number**, and a query
+//!   scans its shards one after another on the caller's thread, each
+//!   reporting its own [`IoStats`] (priced as one disk per shard: the
+//!   model, not the execution). `Send + Sync`, so concurrency comes from
+//!   concurrent callers; [`ShardedTable::query_rect_batch`] is the one
+//!   read that fans out over the shards. Every write is an epoch batch
 //!   through [`ShardedTable::apply_batch`] (a single-record write is a
-//!   1-op batch), and reads also come batched and as
-//!   [`ShardedTable::knn`]. Shard state is **epoch MVCC**: the live state is an immutable, epoch-stamped
+//!   1-op batch), and reads also come as [`ShardedTable::knn`]. Shard
+//!   state is **epoch MVCC**: the live state is an immutable, epoch-stamped
 //!   version; every read pins one (no lock held while scanning, so a scan
 //!   observes exactly one epoch) and `apply_batch` copies-on-write only
 //!   the shards and B+-tree pages a batch touches before installing the
@@ -61,7 +64,7 @@
 //! let rows = table.query_rect(&q, &opts).unwrap();
 //! assert_eq!(rows.records.len(), 10);
 //!
-//! // The same query through four concurrent shards returns the same rows.
+//! // The same query over four shards returns the same rows.
 //! let sharded = ShardedTable::build(Onion2D::new(64).unwrap(), records, DiskModel::hdd(), 4).unwrap();
 //! assert_eq!(sharded.query_rect(&q, &opts).unwrap().records, rows.records);
 //! ```

@@ -290,16 +290,18 @@ impl Planner {
     /// Feeds one sharded query's per-shard breakdown into the latency-skew
     /// estimate (EWMA of critical path ÷ mean over involved shards).
     pub(crate) fn observe_shards(&self, per_shard: &[IoStats]) {
-        let times: Vec<f64> = per_shard
+        // One pass, no allocation: this runs on every planned query.
+        let (max, sum, count) = per_shard
             .iter()
             .filter(|s| s.seeks > 0)
             .map(|s| s.time_us(&self.model))
-            .collect();
-        if times.is_empty() {
+            .fold((0.0f64, 0.0f64, 0usize), |(max, sum, n), t| {
+                (max.max(t), sum + t, n + 1)
+            });
+        if count == 0 {
             return;
         }
-        let max = times.iter().fold(0.0f64, |a, &b| a.max(b));
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
+        let mean = sum / count as f64;
         let skew = if mean > 0.0 { max / mean } else { 1.0 };
         let new = (skew * MILLI) as u64;
         // EWMA in integer milli-units; races lose an update, never corrupt.

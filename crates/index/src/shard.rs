@@ -1,5 +1,5 @@
 //! The sharding layer: `ShardedTable`, a curve-partitioned table whose
-//! shards execute queries concurrently.
+//! shards each model one independent disk.
 //!
 //! §I of the paper motivates SFC partitioning for distributed spatial data
 //! and load balancing: [`partition_universe`](crate::partition_universe)
@@ -7,9 +7,13 @@
 //! worker. `ShardedTable` turns that into a query engine: records are
 //! placed in the shard owning their curve key, a rectangle query's cluster
 //! ranges are split at shard boundaries, and the per-shard pieces are
-//! scanned concurrently under [`std::thread::scope`] — each shard modelling
-//! an independent disk/worker, so a query's modelled latency is the
-//! *slowest* shard's I/O, not the sum.
+//! scanned in shard order on the caller's thread. What is *modelled* and
+//! what is *executed* differ: each shard's I/O is reported apart
+//! ([`QueryResult::shard_io`]) and priced as its own disk, so a query's
+//! modelled latency is the *slowest* shard's I/O, not the sum, while the
+//! scan itself spawns no thread. Concurrency comes from concurrent callers
+//! (e.g. a server's connection threads); [`ShardedTable::query_rect_batch`]
+//! is the one read that fans out over the shards.
 //!
 //! Skewed data stresses this design exactly as it does real systems: the
 //! partitioning balances *cells*, not records, so a hotspot concentrates
@@ -131,8 +135,8 @@ fn cow_shard<V, B: Backend<V>>(slot: &mut Arc<B>) -> &mut B {
     Arc::get_mut(slot).expect("slot was just made unique")
 }
 
-/// A spatial table split into contiguous curve-range shards that are
-/// scanned concurrently, with MVCC epoch versions.
+/// A spatial table split into contiguous curve-range shards, each
+/// modelling one disk, with MVCC epoch versions.
 ///
 /// Shards are ordered by curve range, so concatenating per-shard results in
 /// shard order preserves global curve-key order — a query returns the same
@@ -864,9 +868,9 @@ where
     }
 
     /// Answers a rectangle query: decomposes it into cluster ranges, splits
-    /// them at shard boundaries, and scans the shards concurrently
-    /// ([`std::thread::scope`]), merging records in shard order — which is
-    /// curve-key order, so the rows are the same at any shard count.
+    /// them at shard boundaries, and scans the shards one after another on
+    /// the calling thread, in shard order — which is curve-key order, so
+    /// the rows are the same at any shard count.
     ///
     /// `opts` selects the decomposition: the exact cluster ranges (the
     /// default — seeks per query = the paper's clustering number), or the
@@ -876,8 +880,9 @@ where
     /// identical either way; only the seek/read-amplification trade moves.
     ///
     /// [`QueryResult::io`] *sums* the shards' I/O (total work);
-    /// [`QueryResult::shard_io`] keeps each shard's share, from which a
-    /// parallel critical path `max(time_us)` can be computed.
+    /// [`QueryResult::shard_io`] keeps each shard's share, from which the
+    /// modelled critical path of one disk per shard, `max(time_us)`, can
+    /// be computed. That is a model of the I/O, not of the execution.
     ///
     /// # Errors
     /// If the query does not fit inside the universe.
@@ -954,13 +959,16 @@ where
         Ok(planner.plan_ranges(full, self.density()))
     }
 
-    /// Scans a per-shard worklist against one pinned version, inline for
-    /// a single involved shard and under [`std::thread::scope`]
-    /// otherwise. No lock is held anywhere in the scan — the version is
+    /// Scans a per-shard worklist against one pinned version, one shard
+    /// after another in shard (= curve-key) order on the calling thread,
+    /// appending to one record vector. A query's shard pieces are too
+    /// small to pay for a thread each; concurrency comes from concurrent
+    /// callers. No lock is held anywhere in the scan — the version is
     /// immutable — so scans never wait on writers (or each other). With
     /// `filter`, records outside `q` are dropped (plans absorb gap
     /// cells); without it they are debug-asserted impossible (exact
-    /// decompositions never scan outside the query).
+    /// decompositions never scan outside the query). The first storage
+    /// failure fails the whole query.
     fn scan_work(
         &self,
         version: &TableVersion<B>,
@@ -970,54 +978,19 @@ where
     ) -> Result<(Vec<Record<D, V>>, Vec<IoStats>), SfcError> {
         let mut per_shard = vec![IoStats::default(); version.shards.len()];
         let mut records = Vec::new();
-        let involved = work.iter().filter(|w| !w.is_empty()).count();
-        if involved <= 1 {
-            // One shard (or none): scan inline, no thread overhead.
-            for (shard, ranges) in work.iter().enumerate() {
-                if !ranges.is_empty() {
-                    let backend: &B = &version.shards[shard];
-                    per_shard[shard] = scan_shard(backend, ranges, q, filter, &mut records)?;
-                }
-            }
-        } else {
-            type WorkerOut<const D: usize, V> =
-                Result<(usize, Vec<Record<D, V>>, IoStats), SfcError>;
-            let chunks: Vec<WorkerOut<D, V>> = std::thread::scope(|s| {
-                let handles: Vec<_> = work
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ranges)| !ranges.is_empty())
-                    .map(|(shard, ranges)| {
-                        let backend: &B = &version.shards[shard];
-                        s.spawn(move || {
-                            let mut recs = Vec::new();
-                            // Storage failure is a result, not a panic: a
-                            // torn segment page must fail the query, not
-                            // poison the process.
-                            let stats = scan_shard(backend, ranges, q, filter, &mut recs)?;
-                            Ok((shard, recs, stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            // Handles were spawned in shard order, so concatenation keeps
-            // global curve-key order.
-            for chunk in chunks {
-                let (shard, recs, stats) = chunk?;
-                per_shard[shard] = stats;
-                records.extend(recs);
+        for (shard, ranges) in work.iter().enumerate() {
+            if !ranges.is_empty() {
+                per_shard[shard] =
+                    scan_shard(&*version.shards[shard], ranges, q, filter, &mut records)?;
             }
         }
         Ok((records, per_shard))
     }
 
     /// Answers a batch of exact rectangle queries with one pin and one
-    /// thread scope: each shard worker scans its sub-ranges of *every*
-    /// query, so the per-query spawn cost is amortized across the batch.
+    /// thread scope — the one read that fans out over the shards: each
+    /// shard worker scans its sub-ranges of *every* query, so the spawn
+    /// cost is amortized across the batch.
     /// Each result equals what [`Self::query_rect`] would return for that
     /// query, I/O stats included.
     ///
@@ -1212,7 +1185,7 @@ where
     B: Backend<Record<D, V>> + Send + Sync,
 {
     /// Answers a rectangle query against this epoch — same decomposition,
-    /// sharding, and concurrency as [`ShardedTable::query_rect`], but the
+    /// sharding, and executor as [`ShardedTable::query_rect`], but the
     /// scanned state is this snapshot's version.
     ///
     /// # Errors
