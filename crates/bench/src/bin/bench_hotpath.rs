@@ -100,6 +100,12 @@ fn main() {
     }
 
     let mut comparisons: Vec<Comparison> = Vec::new();
+    // Millisecond-scale wall-clock kernels whose best of 2 (`--quick`)
+    // can land wholly in a slow phase of the host and read ~2x on
+    // unchanged code: `curve_walk/onion2d`, `clustering/entry_scan` and
+    // `exact_average` take the min over at least 12 reps, as
+    // `index/segment_scan` does.
+    let floor_reps = reps.max(12);
 
     // Full-curve walks: per-index unrank (ScalarOnly inherits the default
     // `fill_walk`, i.e. one unrank per cell) vs. the run-emitting batched
@@ -115,8 +121,8 @@ fn main() {
         let slow = ScalarOnly(onion);
         comparisons.push(Comparison {
             name: "curve_walk/onion2d/side1024",
-            baseline_ns: Some(time_ns(reps, || walk_sum(&slow))),
-            optimized_ns: time_ns(reps, || walk_sum(&onion)),
+            baseline_ns: Some(time_ns(floor_reps, || walk_sum(&slow))),
+            optimized_ns: time_ns(floor_reps, || walk_sum(&onion)),
         });
     }
     {
@@ -139,10 +145,10 @@ fn main() {
         let q = RectQuery::new([(side - l) / 2, (side - l) / 3], [l, l]).unwrap();
         comparisons.push(Comparison {
             name: "clustering/entry_scan/onion2d/side1024/l512",
-            baseline_ns: Some(time_ns(reps, || {
+            baseline_ns: Some(time_ns(floor_reps, || {
                 clustering_number_with(&slow, &q, ClusterMethod::EntryScan)
             })),
-            optimized_ns: time_ns(reps, || {
+            optimized_ns: time_ns(floor_reps, || {
                 clustering_number_with(&onion, &q, ClusterMethod::EntryScan)
             }),
         });
@@ -176,10 +182,10 @@ fn main() {
         let slow = ScalarOnly(onion);
         comparisons.push(Comparison {
             name: "exact_average/onion2d/side256/shape32",
-            baseline_ns: Some(time_ns(reps, || {
+            baseline_ns: Some(time_ns(floor_reps, || {
                 average_clustering_exact(&slow, [32, 32]).unwrap().to_bits()
             })),
-            optimized_ns: time_ns(reps, || {
+            optimized_ns: time_ns(floor_reps, || {
                 average_clustering_exact(&onion, [32, 32])
                     .unwrap()
                     .to_bits()
@@ -1039,14 +1045,15 @@ fn main() {
     // flushed in 512-op epochs through an in-memory engine (baseline)
     // vs a durable one. Same epoch contents on both sides (identical
     // stream, identical auto-flush cadence), so the pair isolates
-    // exactly the commit cost. Since PR 5 the durable side runs the
-    // group-commit/pipelined path: frames encode into a reused buffer,
-    // append without blocking, and fsync on the sync thread while the
-    // next epoch's admissions and apply proceed — only the final
-    // explicit flush waits for the disk. The "speedup" is the fraction
-    // of write throughput that survives turning durability on — honest
-    // overhead tracking, expected below 1x (it was 0.19x when every
-    // epoch paid a blocking fsync).
+    // exactly the commit cost. The durable side runs the default
+    // pipeline depth: frames encode into a reused buffer and queue; the
+    // background sync thread appends and fsyncs a group whenever the
+    // backlog nears the window, while the next epochs' admissions and
+    // applies proceed, and the final explicit flush runs the last group
+    // on its own thread — only it waits for the disk. The "speedup" is
+    // the fraction of write throughput that survives turning durability
+    // on — honest overhead tracking, expected below 1x (it was 0.19x
+    // when every epoch paid a blocking fsync).
     {
         let side = 1u32 << 9;
         let mut rng = StdRng::seed_from_u64(55);
@@ -1097,10 +1104,12 @@ fn main() {
         });
         drop(dur_engine);
 
-        // Old vs new commit path, like-for-like on the same durable
-        // stream: the PR-4 synchronous discipline (append + fsync before
-        // every apply, `CommitPolicy::synchronous()`) vs the pipelined
-        // default. This is the pair the wal_commit ratio above moves on.
+        // Depth 0 vs the default depth of the one commit path,
+        // like-for-like on the same durable stream: at depth 0
+        // (`CommitPolicy::synchronous()`) every commit waits for its own
+        // group sync (append + fsync) before the epoch applies; the
+        // default lets up to 16 epochs ride unsynced. This is the pair
+        // the wal_commit ratio above moves on.
         let sync_dir = bench_dir.with_extension("sync");
         let _ = std::fs::remove_dir_all(&sync_dir);
         let sync_engine = open_durable(&sync_dir, CommitPolicy::synchronous());
@@ -1119,13 +1128,14 @@ fn main() {
 
         // Group commit under concurrent flushers: N writer threads each
         // admit a run of updates and call `flush` (i.e. demand
-        // durability) per round. Baseline: the synchronous commit path,
-        // where every leader's flush pays its own blocking fsync.
-        // Optimized: the pipelined path, where waiters park on the sync
-        // thread's watermark and one disk barrier acknowledges every
-        // flusher that arrived while it ran. 1writers is the honest
-        // control — with no concurrency to coalesce, both sides pay one
-        // fsync per round and the ratio sits near 1x.
+        // durability) per round. Baseline: depth 0, where every leader's
+        // commit waits for its own sync. Optimized: the default depth,
+        // where the leader commits without waiting and each flusher then
+        // waits for durability: whoever finds no group running syncs for
+        // everyone, and one disk barrier acknowledges every flusher that
+        // arrived while it ran. 1writers is the control: with no
+        // concurrency to coalesce, both sides pay one fsync per round on
+        // the flushing thread itself, so the ratio should read about 1x.
         for writers in [1usize, 4] {
             let rounds = 8usize;
             let per_round = 64u64;

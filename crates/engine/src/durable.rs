@@ -6,17 +6,21 @@
 //!
 //! 1. **Commit:** [`Engine::flush`] encodes each staged batch as one
 //!    WAL frame payload (into a reused buffer — steady-state commits
-//!    allocate nothing) and queues it to a dedicated sync thread, which
-//!    frames, checksums and appends whole groups with one write
+//!    allocate nothing) and queues it for the next *group sync*, which
+//!    frames, checksums and appends every queued payload with one write
 //!    ([`Wal::append_payloads_unsynced`], the log's one appender) and
-//!    fsyncs once per group, so the encode and apply of epoch `N+1`
-//!    overlap the fsync of epoch `N`. The **commit point is unchanged**:
-//!    an explicit `flush` returns `Ok` only once every epoch it covers is
-//!    appended *and* fsynced — the synced append — and auto-flushed
-//!    epochs become durable in the background, in order, bounded by
+//!    fsyncs once. Whoever waits for durability runs the group sync on
+//!    its own thread when none is running — an explicit `flush`, a
+//!    checkpoint, a replication stream, a commit at the pipeline
+//!    window's edge — so a lone flusher pays one fsync and no hand-off;
+//!    a background sync thread runs it only when the backlog nears the
+//!    window, and drains the queue on shutdown. The **commit point is
+//!    unchanged**: an explicit `flush` returns `Ok` only once every epoch
+//!    it covers is appended *and* fsynced — the synced append — and
+//!    auto-flushed epochs become durable in order, bounded by
 //!    [`CommitPolicy::max_epochs`](crate::CommitPolicy::max_epochs)
-//!    frames of lag ([`CommitPolicy::synchronous`](crate::CommitPolicy)
-//!    restores the strictly write-ahead append+fsync-then-apply path).
+//!    frames of lag (depth 0, [`CommitPolicy::synchronous`](crate::CommitPolicy),
+//!    makes every commit wait for its own sync before the epoch applies).
 //!    Concurrent flushers **group-commit**: one leader stages everything
 //!    admitted so far and everyone shares its epochs and syncs. Flush
 //!    leadership is the one serializer of the write path: only the
@@ -61,14 +65,14 @@
 //! multi-shard reopening, and group-commit/pipelined-vs-synchronous
 //! byte-identity of the log itself.
 //!
-//! If an fsync **fails**, the pipeline poisons itself: already-applied
-//! epochs past the failure stay served from memory, but every further
-//! commit (and every explicit `flush`/`checkpoint`) returns the sync
+//! If an append or fsync **fails**, the pipeline poisons itself, at any
+//! depth: already-applied epochs past the failure stay served from
+//! memory, but every further commit (and every explicit
+//! `flush`/`checkpoint`, and every replication stream) returns the sync
 //! error and [`EngineStats::flush_failures`](crate::EngineStats)
 //! grows — the log device needs attention and the engine should be
-//! reopened. This is the same fail-stop posture the synchronous path
-//! takes, surfaced at the next acknowledgement point instead of inside
-//! the (unacknowledged) auto-flush.
+//! reopened. The error surfaces at the next acknowledgement point, not
+//! inside the (unacknowledged) auto-flush.
 //!
 //! Durability is strictly pay-as-you-go: an engine built with
 //! [`Engine::new`] carries `None` state and its flush path is byte-for-
@@ -84,7 +88,7 @@ use sfc_index::{
 };
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// File name of the write-ahead log inside a durable engine's directory.
@@ -95,25 +99,16 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// [`Engine::open_stored`]).
 pub const SEGMENT_DIR: &str = "segments";
 
-/// The open log plus the reusable payload buffer synchronous commits
-/// encode into — one lock guards both, so the encode-append sequence is
-/// a single critical section with no allocation.
-struct WalWriter {
-    wal: Wal,
-    payload: Vec<u8>,
-}
-
-/// State shared between the engine and its WAL sync thread: the queue of
-/// encoded-but-unwritten frame payloads, which epochs have been
-/// committed (`requested`) and which are known durable (`synced`), plus
-/// the poison slot for a failed append or fsync.
+/// The commit pipeline's bookkeeping: the queue of encoded-but-unwritten
+/// frame payloads, which epochs have been committed (`requested`) and
+/// which are known durable (`synced`), whether a group sync is running,
+/// plus the poison slot for a failed append or fsync.
 struct SyncState {
     /// Encoded payloads handed off by `commit`, in epoch order, awaiting
-    /// the sync thread's append+fsync pass. Commit touches neither the
-    /// file nor the checksum: the write path pays one encode and one
-    /// queue push per epoch, and the frame assembly (CRC included), the
-    /// appends, and the fsync all happen on the sync thread, overlapped
-    /// with the next epochs' admissions and applies.
+    /// the next group sync. Commit touches neither the file nor the
+    /// checksum: the write path pays one encode and one queue push per
+    /// epoch, and the frame assembly (CRC included), the append and the
+    /// fsync all happen in [`SyncShared::sync_group`].
     pending: std::collections::VecDeque<(u64, Vec<u8>)>,
     /// Recycled payload buffers: the steady-state pipeline allocates
     /// nothing.
@@ -123,57 +118,64 @@ struct SyncState {
     /// Highest epoch whose frame is appended *and* fsync-confirmed.
     /// `synced == requested` means the pipeline is drained.
     synced: u64,
+    /// Whether a group sync is running. At most one runs at a time: a
+    /// thread that needs durability meanwhile waits for it on `done`.
+    syncing: bool,
     /// The first fsync failure, kept permanently: a failed fsync leaves
     /// the kernel's view of earlier writes undefined, so the pipeline
     /// refuses further commits rather than guessing (reopen to recover).
     failed: Option<String>,
-    /// Threads blocked in [`SyncShared::wait_synced`] right now.
-    /// The sync thread syncs eagerly while anyone waits, and lazily
-    /// (letting frames accumulate up to the pipeline window) otherwise —
-    /// an fsync also contends with concurrent appends on the file's
-    /// inode lock, so an unneeded sync slows the write path twice.
-    waiters: usize,
     /// Set by `Drop`: the sync thread drains outstanding work, then
     /// exits.
     shutdown: bool,
 }
 
-/// The condvar pair around [`SyncState`]: `work` wakes the sync thread,
-/// `done` wakes commit backpressure and durability waiters.
+/// The commit pipeline: [`SyncState`] with its condvar pair, and the log
+/// itself. `work` wakes the background sync thread; `done` wakes threads
+/// waiting for `synced` to advance.
 struct SyncShared {
     state: Mutex<SyncState>,
     work: Condvar,
     done: Condvar,
+    /// The open log. Only [`Self::sync_group`] appends to it; rollbacks,
+    /// checkpoint resets and re-reads lock it too.
+    wal: Mutex<Wal>,
+    /// A second handle to the log file, so a group's `sync_data` runs
+    /// outside the `wal` lock: `wal_len` readers and re-reads stay
+    /// responsive during the I/O.
+    file: File,
     /// Unsynced-frame count at which the sync thread acts without being
-    /// asked (one below the pipeline window, so commits never stall).
+    /// asked (one below the pipeline window, so commits rarely wait at
+    /// its edge).
     trigger: u64,
 }
 
 impl SyncShared {
-    fn new(recovered_epoch: u64, trigger: u64) -> Self {
-        SyncShared {
+    fn new(wal: Wal, recovered_epoch: u64, trigger: u64) -> Result<Self, SfcError> {
+        Ok(SyncShared {
             state: Mutex::new(SyncState {
                 pending: std::collections::VecDeque::new(),
                 spare: Vec::new(),
                 requested: recovered_epoch,
                 synced: recovered_epoch,
+                syncing: false,
                 failed: None,
-                waiters: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
+            file: wal.sync_handle()?,
+            wal: Mutex::new(wal),
             trigger,
-        }
+        })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SyncState> {
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
         self.state.lock().expect("WAL sync state poisoned")
     }
 
-    /// Highest epoch committed to the pipeline so far.
-    fn requested(&self) -> u64 {
-        self.lock().requested
+    fn lock_wal(&self) -> MutexGuard<'_, Wal> {
+        self.wal.lock().expect("WAL handle poisoned")
     }
 
     /// A recycled payload buffer for the next commit to encode into.
@@ -181,23 +183,27 @@ impl SyncShared {
         self.lock().spare.pop().unwrap_or_default()
     }
 
-    /// Queues `epoch`'s encoded payload for the sync thread, waking it
-    /// only when it would actually act — an unconditional wakeup would
-    /// cost a context switch per epoch just for the thread to decide to
-    /// keep being lazy.
-    fn enqueue(&self, epoch: u64, payload: Vec<u8>) {
+    /// Queues `epoch`'s encoded payload for the next group sync, waking
+    /// the sync thread only when the backlog reaches its trigger — an
+    /// unconditional wakeup would cost a context switch per epoch just
+    /// for the thread to decide to keep waiting. A poisoned pipeline
+    /// refuses the epoch.
+    fn enqueue(&self, epoch: u64, payload: Vec<u8>) -> Result<(), SfcError> {
         let mut st = self.lock();
+        if let Some(e) = &st.failed {
+            return Err(pipeline_poisoned(e));
+        }
         st.pending.push_back((epoch, payload));
         st.requested = st.requested.max(epoch);
-        if st.waiters > 0 || st.requested - st.synced >= self.trigger || st.shutdown {
+        if st.requested - st.synced >= self.trigger {
             self.work.notify_all();
         }
+        Ok(())
     }
 
     /// Marks epochs up to `epoch` durable without an fsync of our own —
-    /// used by synchronous commits (which fsync inline) and by
-    /// checkpoints (whose snapshot supersedes the log, making any still-
-    /// queued payloads obsolete). Absorbing also clears a poisoned
+    /// used by checkpoints, whose snapshot supersedes the log, making any
+    /// still-queued payloads obsolete. Absorbing also clears a poisoned
     /// pipeline: the caller has just made every applied epoch durable
     /// through an independent, fully synced channel (the snapshot), so
     /// refusing further commits would contradict the durability it
@@ -211,45 +217,80 @@ impl SyncShared {
         self.done.notify_all();
     }
 
-    /// Backpressure: waits until appending `epoch` would leave at most
-    /// `depth` frames in flight, or the pipeline is poisoned.
-    fn acquire_slot(&self, epoch: u64, depth: usize) -> Result<(), SfcError> {
+    /// Blocks until every epoch up to `epoch` is durable, or the pipeline
+    /// is poisoned. Whoever waits syncs: when no group is running, the
+    /// caller runs [`Self::sync_group`] on its own thread, and the group
+    /// covers every epoch committed so far, so a lone flusher pays its
+    /// fsync with no hand-off; otherwise it waits for the running group
+    /// and checks again. Epochs past the last committed one at the call
+    /// (or retracted while waiting) are not waited for — nothing would
+    /// ever make them durable.
+    fn wait_synced(&self, epoch: u64) -> Result<(), SfcError> {
         let mut st = self.lock();
+        let target = epoch.min(st.requested);
         loop {
+            if st.synced >= target.min(st.requested) {
+                return Ok(());
+            }
             if let Some(e) = &st.failed {
                 return Err(pipeline_poisoned(e));
             }
-            if epoch.saturating_sub(st.synced) <= depth as u64 {
-                return Ok(());
-            }
-            st = self.done.wait(st).expect("WAL sync state poisoned");
+            st = if st.syncing {
+                self.done.wait(st).expect("WAL sync state poisoned")
+            } else {
+                self.sync_group(st)
+            };
         }
     }
 
-    /// Blocks until every epoch up to `epoch` is durable (or poisoned).
-    /// Registers as a waiter, which flips the lazy sync thread into
-    /// eager mode for the duration. Waiting on [`Self::requested`]
-    /// quiesces the pipeline: every frame committed so far is appended
-    /// and synced (or the pipeline is poisoned, and the sync thread does
-    /// no further I/O) when it returns.
-    fn wait_synced(&self, epoch: u64) -> Result<(), SfcError> {
+    /// [`Self::wait_synced`] on every epoch committed so far: when it
+    /// returns, every committed frame is appended and synced (or the
+    /// pipeline is poisoned, and no group runs any more).
+    fn quiesce(&self) -> Result<(), SfcError> {
+        self.wait_synced(u64::MAX)
+    }
+
+    /// One group commit, the one place frames reach the disk: drains the
+    /// queue, frames and appends every payload with one write
+    /// ([`Wal::append_payloads_unsynced`], the log's one appender), then
+    /// syncs once outside both locks — fsync is a file-prefix barrier, so
+    /// one sync confirms the whole group (group commit at the disk). It
+    /// publishes `synced`, or the poison on failure, and recycles the
+    /// payload buffers. Takes the state guard with no group running and
+    /// returns it re-acquired; `syncing` is set across the I/O.
+    fn sync_group<'a>(&'a self, mut st: MutexGuard<'a, SyncState>) -> MutexGuard<'a, SyncState> {
+        st.syncing = true;
+        let target = st.requested;
+        let group: Vec<(u64, Vec<u8>)> = st.pending.drain(..).collect();
+        drop(st);
+        // Its own statement, so the WAL guard drops before the sync.
+        let appended = self.lock_wal().append_payloads_unsynced(&group);
+        let result = appended
+            .map_err(|e| format!("appending epoch group: {e}"))
+            .and_then(|()| {
+                self.file
+                    .sync_data()
+                    .map_err(|e| format!("syncing WAL frames: {e}"))
+            });
         let mut st = self.lock();
-        if st.synced >= epoch {
-            return Ok(());
+        st.syncing = false;
+        match result {
+            Ok(()) => {
+                st.synced = st.synced.max(target);
+                for (_, mut buf) in group {
+                    buf.clear();
+                    st.spare.push(buf);
+                }
+            }
+            Err(e) => st.failed = Some(e),
         }
-        st.waiters += 1;
-        self.work.notify_all();
-        let result = loop {
-            if st.synced >= epoch {
-                break Ok(());
-            }
-            if let Some(e) = &st.failed {
-                break Err(pipeline_poisoned(e));
-            }
-            st = self.done.wait(st).expect("WAL sync state poisoned");
-        };
-        st.waiters -= 1;
-        result
+        self.done.notify_all();
+        // The sync thread may have found this group running and gone back
+        // to sleep on a backlog that is still due.
+        if st.requested - st.synced >= self.trigger {
+            self.work.notify_all();
+        }
+        st
     }
 
     /// Clamps both watermarks back to `epoch` and drops any queued
@@ -274,80 +315,40 @@ fn pipeline_poisoned(cause: &str) -> SfcError {
     }
 }
 
-/// The sync thread: drains the queue of encoded payloads — framing,
-/// checksumming, and appending each in epoch order — then fsyncs once,
-/// covering the whole group (fsync is a file-prefix barrier, so one sync
-/// confirms all outstanding epochs — group commit at the disk). The
-/// write path's own thread never touches the file or the checksum.
-///
-/// It acts *lazily*: only when a thread is actually waiting for
-/// durability, when the backlog nears the pipeline window (`trigger`
-/// frames — so commits never stall on backpressure in steady state), or
-/// on shutdown. Batching the appends also means the file's inode is
-/// touched once per group rather than once per epoch, and never from two
-/// threads at once. Exits after draining on shutdown, so dropping an
-/// engine loses nothing.
-fn run_syncer(file: File, wal: Arc<Mutex<WalWriter>>, shared: Arc<SyncShared>) {
-    let trigger = shared.trigger;
+/// The sync thread, the pipeline's background half: it keeps
+/// auto-flushed epochs durable when nobody waits for them, running
+/// [`SyncShared::sync_group`] once the backlog reaches `trigger` frames
+/// (so commits rarely reach the window's edge) and draining what is
+/// left on shutdown, so dropping an engine loses nothing. Threads that
+/// wait for durability sync for themselves.
+fn run_syncer(shared: &SyncShared) {
     let mut st = shared.lock();
     loop {
         let backlog = st.requested - st.synced;
-        if st.failed.is_none()
+        if !st.syncing
+            && st.failed.is_none()
             && backlog > 0
-            && (st.waiters > 0 || backlog >= trigger || st.shutdown)
+            && (backlog >= shared.trigger || st.shutdown)
         {
-            let target = st.requested;
-            let group: Vec<(u64, Vec<u8>)> = st.pending.drain(..).collect();
-            drop(st);
-            let mut result = Ok(());
-            if !group.is_empty() {
-                let mut w = wal.lock().expect("WAL handle poisoned");
-                // One buffered write for the whole group: one syscall,
-                // one inode touch, per fsync.
-                if let Err(e) = w.wal.append_payloads_unsynced(&group) {
-                    result = Err(format!("appending epoch group: {e}"));
-                }
-            }
-            // Sync outside the WAL lock: `wal_len` readers and a
-            // concurrent rollback drain stay responsive during the I/O.
-            if result.is_ok() {
-                result = file
-                    .sync_data()
-                    .map_err(|e| format!("syncing WAL frames: {e}"));
-            }
-            st = shared.lock();
-            match result {
-                Ok(()) => {
-                    st.synced = st.synced.max(target);
-                    // Recycle the payload buffers for future commits.
-                    for (_, mut buf) in group {
-                        buf.clear();
-                        st.spare.push(buf);
-                    }
-                }
-                Err(e) => st.failed = Some(e),
-            }
-            shared.done.notify_all();
-            continue;
-        }
-        if st.shutdown {
+            st = shared.sync_group(st);
+        } else if st.shutdown && !st.syncing {
             return;
+        } else {
+            st = shared.work.wait(st).expect("WAL sync state poisoned");
         }
-        st = shared.work.wait(st).expect("WAL sync state poisoned");
     }
 }
 
-/// The durable half of an engine: the open WAL (plus its reusable encode
-/// buffer), the directory it lives in, and the sync pipeline. It holds
-/// no typed state: the methods that encode or decode frames are generic
-/// over the engine's payload codec.
+/// The durable half of an engine: the directory it lives in and the
+/// commit pipeline (which owns the open WAL). It holds no typed state:
+/// the methods that encode or decode frames are generic over the
+/// engine's payload codec.
 pub(crate) struct Durability {
     dir: PathBuf,
-    wal: Arc<Mutex<WalWriter>>,
     sync: Arc<SyncShared>,
     syncer: Option<JoinHandle<()>>,
     /// [`CommitPolicy::max_epochs`](crate::CommitPolicy::max_epochs):
-    /// pipeline depth; `0` = synchronous commits.
+    /// pipeline depth; `0` = every commit waits for its own sync.
     depth: usize,
 }
 
@@ -355,36 +356,28 @@ impl Durability {
     /// Commits one epoch frame. Called only by the flush leader, so
     /// commits are totally ordered and epochs strictly increase.
     ///
-    /// With `depth == 0` this is the synchronous append+fsync of PR 4 —
-    /// when it returns, the epoch is durable. With a positive depth the
-    /// payload is encoded (into a recycled buffer — no allocation, no
-    /// checksum, no syscall on this thread) and queued for the sync
-    /// thread, which frames, appends, and fsyncs whole groups in epoch
-    /// order; the call blocks only when more than `depth` epochs are
-    /// already in flight. Epochs become durable in commit order either
-    /// way.
+    /// The payload is encoded (into a recycled buffer — no allocation,
+    /// no checksum, no syscall on this thread) and queued for the next
+    /// group sync, which frames, appends and fsyncs it with every other
+    /// queued epoch, in epoch order. Then the call waits until at most
+    /// `depth` epochs are unsynced, running the group itself if none is
+    /// running — so depth 0 returns only once this very epoch is
+    /// durable, and a positive depth blocks only at the window's edge.
     pub(crate) fn commit<const D: usize, V: WalCodec>(
         &self,
         epoch: u64,
         ops: &[BatchOp<D, V>],
     ) -> Result<(), SfcError> {
-        if self.depth == 0 {
-            let mut w = self.wal.lock().expect("WAL handle poisoned");
-            let WalWriter { wal, payload } = &mut *w;
-            encode_epoch_payload_into(epoch, ops, payload);
-            wal.append_payload(epoch, payload)?;
-            self.sync.absorb(epoch);
-            return Ok(());
-        }
-        self.sync.acquire_slot(epoch, self.depth)?;
         let mut payload = self.sync.payload_buf();
         encode_epoch_payload_into(epoch, ops, &mut payload);
-        self.sync.enqueue(epoch, payload);
-        Ok(())
+        self.sync.enqueue(epoch, payload)?;
+        self.sync
+            .wait_synced(epoch.saturating_sub(self.depth as u64))
     }
 
-    /// Blocks until every epoch up to `epoch` is fsync-confirmed — the
-    /// commit point explicit flushes acknowledge.
+    /// Blocks until every committed epoch up to `epoch` is
+    /// fsync-confirmed — the commit point explicit flushes acknowledge —
+    /// running the group sync on this thread when none is running.
     pub(crate) fn wait_durable(&self, epoch: u64) -> Result<(), SfcError> {
         self.sync.wait_synced(epoch)
     }
@@ -404,12 +397,12 @@ impl Durability {
     /// already ends at an older, still-acknowledged frame, which must
     /// not be cut away.
     pub(crate) fn rollback_last(&self, epoch: u64) -> Result<(), SfcError> {
-        let _ = self.sync.wait_synced(self.sync.requested());
-        let mut w = self.wal.lock().expect("WAL handle poisoned");
-        if w.wal.last_epoch() == epoch {
-            w.wal.rollback_last()?;
+        let _ = self.sync.quiesce();
+        let mut wal = self.sync.lock_wal();
+        if wal.last_epoch() == epoch {
+            wal.rollback_last()?;
         }
-        self.sync.retract(w.wal.last_epoch());
+        self.sync.retract(wal.last_epoch());
         Ok(())
     }
 
@@ -432,15 +425,14 @@ impl Durability {
         &self,
         epoch: u64,
     ) -> Result<HistoricalState<D, V>, SfcError> {
-        self.sync.wait_synced(self.sync.requested())?;
-        let mut w = self.wal.lock().expect("WAL handle poisoned");
+        self.sync.quiesce()?;
+        let mut wal = self.sync.lock_wal();
         let (snapshot_epoch, entries) =
             read_snapshot::<D, V>(&self.dir.join(SNAPSHOT_FILE))?.unwrap_or_default();
         if snapshot_epoch > epoch {
             return Ok(None);
         }
-        let ops = w
-            .wal
+        let ops = wal
             .read_frames::<D, V>()?
             .into_iter()
             .filter(|f| f.epoch > snapshot_epoch && f.epoch <= epoch)
@@ -462,9 +454,8 @@ impl Durability {
         &self,
         from_excl: u64,
     ) -> Result<Vec<sfc_index::EpochFrame<D, V>>, SfcError> {
-        self.sync.wait_synced(self.sync.requested())?;
-        let mut w = self.wal.lock().expect("WAL handle poisoned");
-        let mut frames = w.wal.read_frames::<D, V>()?;
+        self.sync.quiesce()?;
+        let mut frames = self.sync.lock_wal().read_frames::<D, V>()?;
         // The log's oldest frame bounds how far back catch-up reaches:
         // resuming after `from_excl` needs frame `from_excl + 1` onward.
         // If a checkpoint truncated past that, say so with the horizon
@@ -660,25 +651,19 @@ where
             table.apply_batch(replay)?;
         }
         // Act one frame before the window fills, so steady-state commits
-        // never block in `acquire_slot`.
+        // rarely wait at its edge.
         let trigger = (config.commit.max_epochs as u64).saturating_sub(1).max(1);
-        let sync = Arc::new(SyncShared::new(epoch, trigger));
-        let file = wal.sync_handle()?;
-        let wal = Arc::new(Mutex::new(WalWriter {
-            wal,
-            payload: Vec::new(),
-        }));
-        // Synchronous policy (depth 0) commits inline and never enqueues:
-        // no sync thread to spawn, park, or join.
+        let sync = Arc::new(SyncShared::new(wal, epoch, trigger)?);
+        // At depth 0 every commit waits for its own group, so no backlog
+        // is ever left for a background thread: none to spawn or join.
         let syncer = if config.commit.max_epochs == 0 {
             None
         } else {
             let shared = Arc::clone(&sync);
-            let wal = Arc::clone(&wal);
             Some(
                 std::thread::Builder::new()
                     .name("sfc-wal-sync".into())
-                    .spawn(move || run_syncer(file, wal, shared))
+                    .spawn(move || run_syncer(&shared))
                     .map_err(|e| SfcError::Storage {
                         context: format!("spawning WAL sync thread: {e}"),
                     })?,
@@ -692,7 +677,6 @@ where
         let mut engine = Engine::new(table, config);
         engine.durability = Some(Durability {
             dir: dir.to_path_buf(),
-            wal,
             sync,
             syncer,
             depth: config.commit.max_epochs,
@@ -725,15 +709,15 @@ where
         self.acquire_lead();
         let result = (|| {
             self.flush_as_leader()?;
-            // Quiesce the pipeline before touching the file, so the sync
-            // thread cannot append a queued frame *after* the reset and
+            // Quiesce the pipeline before touching the file, so no group
+            // sync can append a queued frame *after* the reset and
             // resurrect epochs the snapshot already absorbed. A poisoned
             // pipeline is no error here: the synced snapshot below makes
             // every applied epoch durable again, and `absorb` clears it.
-            let _ = d.sync.wait_synced(d.sync.requested());
+            let _ = d.sync.quiesce();
             let epoch = self.epoch();
             write_snapshot(&d.dir.join(SNAPSHOT_FILE), epoch, self.table())?;
-            d.wal.lock().expect("WAL handle poisoned").wal.reset()?;
+            d.sync.lock_wal().reset()?;
             // The snapshot (written and fsynced above) now carries every
             // epoch the truncated frames held: mark them durable.
             d.sync.absorb(epoch);
@@ -766,13 +750,11 @@ where
     /// everything up to this offset survives any crash — the
     /// observability hook the crash-point tests key on, and a practical
     /// "time to checkpoint?" signal. (Mid-pipeline, recently committed
-    /// epochs may still sit in the sync thread's queue, not yet counted
+    /// epochs may still sit in the commit queue, not yet counted
     /// here; compare [`Engine::durable_epoch`] with [`Engine::epoch`]
     /// for the lag.)
     pub fn wal_len(&self) -> Option<u64> {
-        self.durability
-            .as_ref()
-            .map(|d| d.wal.lock().expect("WAL handle poisoned").wal.len())
+        self.durability.as_ref().map(|d| d.sync.lock_wal().len())
     }
 }
 

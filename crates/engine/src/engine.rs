@@ -43,15 +43,19 @@ impl sfc_index::WalCodec for Admitted {
 ///
 /// Concurrent `flush` callers always coalesce through a leader/follower
 /// commit queue: one leader stages and commits everything admitted so
-/// far, followers wait for the leader's sync to cover their writes. The
-/// policy tunes how the leader overlaps the disk:
+/// far, followers wait for the leader's sync to cover their writes.
+/// Every commit takes one path: the epoch's payload joins a queue, and
+/// a group sync appends every queued frame with one write and fsyncs
+/// once. Whoever waits for durability runs that group on its own thread
+/// when none is running (an explicit flush, a commit at the window's
+/// edge); a background sync thread runs it when the backlog nears the
+/// window. The policy sets that window:
 /// [`max_epochs`](Self::max_epochs) is the **pipeline depth** — how
 /// many committed-but-not-yet-fsynced epoch frames may be in flight
 /// while the engine goes on encoding and applying later epochs. `0`
-/// disables pipelining entirely: every commit appends *and* syncs
-/// before its epoch applies (the synchronous write path, kept as the
-/// reference for the byte-identity proptests and the
-/// `engine/wal_commit_path` bench pair).
+/// makes every commit wait for its own frame's sync before its epoch
+/// applies (the synchronous reference for the byte-identity proptests
+/// and the `engine/wal_commit_path` bench pair).
 ///
 /// Whatever the policy, the **commit point is unchanged**: when an
 /// explicit [`Engine::flush`] returns `Ok`, every epoch it covers has
@@ -70,8 +74,8 @@ pub struct CommitPolicy {
 }
 
 impl CommitPolicy {
-    /// The synchronous reference path: no pipelining, every epoch frame
-    /// is appended and fsynced before it applies.
+    /// The synchronous reference: depth 0 of the one commit path, so
+    /// every epoch frame is appended and fsynced before it applies.
     pub fn synchronous() -> Self {
         CommitPolicy { max_epochs: 0 }
     }
@@ -502,6 +506,25 @@ where
         }
     }
 
+    /// Blocks until every epoch up to `epoch` that this engine has
+    /// committed is fsync-confirmed, so a crash can no longer lose it.
+    /// When no group sync is running, the caller runs one on its own
+    /// thread (covering every epoch committed so far); otherwise it waits
+    /// for the running one. Returns at once on in-memory engines and for
+    /// epochs already durable. A replication stream calls it before it
+    /// ships each live epoch, so no follower applies an epoch its
+    /// transactor could still lose.
+    ///
+    /// # Errors
+    /// If a failed WAL append or fsync has poisoned the commit pipeline
+    /// (see the [`durable`](crate::durable) module docs).
+    pub fn wait_durable(&self, epoch: u64) -> Result<(), SfcError> {
+        match &self.durability {
+            Some(d) => d.wait_durable(epoch),
+            None => Ok(()),
+        }
+    }
+
     /// Subscribes to the engine's committed epochs: every epoch applied
     /// after this call is delivered — in order, without gaps — as a
     /// [`FeedEvent::Epoch`] carrying the epoch's ops. This is the
@@ -699,16 +722,6 @@ where
         self.flush_q.done.notify_all();
     }
 
-    /// Blocks until every epoch up to `epoch` is fsync-confirmed (no-op
-    /// for in-memory engines and for `max_epochs == 0`, where commits
-    /// sync inline).
-    fn wait_durable(&self, epoch: u64) -> Result<(), SfcError> {
-        match &self.durability {
-            Some(d) => d.wait_durable(epoch),
-            None => Ok(()),
-        }
-    }
-
     /// [`Self::flush`] with leadership already acquired — shared with
     /// [`Engine::checkpoint`], which must snapshot at the exact epoch its
     /// own flush produced. Drains the whole backlog in epochs of at most
@@ -797,11 +810,11 @@ where
 
     /// Commits `batch` as epoch `epoch` and applies it to the table (the
     /// caller leads, and publishes the epoch on success). On durable
-    /// engines the epoch's frame is appended — and, depending on
-    /// [`CommitPolicy::max_epochs`], synced inline or handed to the sync
-    /// pipeline — before any shard mutates. The durable commit *point*
-    /// stays the synced append: it is what explicit flushes wait for
-    /// before acknowledging.
+    /// engines the epoch's frame is queued for the next group sync before
+    /// any shard mutates; at [`CommitPolicy::max_epochs`] `0` the commit
+    /// also waits for that sync. The durable commit *point* stays the
+    /// synced append: it is what explicit flushes and replication
+    /// streams wait for ([`Self::wait_durable`]).
     fn commit_and_apply(&self, epoch: u64, batch: Vec<BatchOp<D, V>>) -> Result<(), SfcError> {
         if let Some(d) = &self.durability {
             d.commit(epoch, &batch)?;

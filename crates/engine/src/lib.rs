@@ -55,13 +55,15 @@
 //!   WAL suffix` on reopen — dropping the engine (or the process) at any
 //!   instant recovers the last acknowledged epoch boundary. Commits
 //!   group-commit and pipeline: concurrent [`Engine::flush`] callers
-//!   coalesce behind one leader, and frame appends + fsyncs run on a
-//!   dedicated sync thread, overlapped with the next epochs' work, under
-//!   a [`CommitPolicy`] — while an explicit `flush` still acknowledges
-//!   only synced epochs. [`Engine::checkpoint`] compacts the log into a
-//!   snapshot. See the [`durable`] module docs for the commit protocol
-//!   and the crash-consistency contract; engines built with
-//!   [`Engine::new`] pay nothing for any of it.
+//!   coalesce behind one leader, and frame appends + fsyncs run as one
+//!   group sync per batch of queued epochs — on the thread that waits
+//!   for durability, or on a background sync thread when nobody waits —
+//!   overlapped with the next epochs' work under a [`CommitPolicy`],
+//!   while an explicit `flush` still acknowledges only synced epochs.
+//!   [`Engine::checkpoint`] compacts the log into a snapshot. See the
+//!   [`durable`] module docs for the commit protocol and the
+//!   crash-consistency contract; engines built with [`Engine::new`] pay
+//!   nothing for any of it.
 //!
 //! ```
 //! use onion_core::{Onion2D, Point};

@@ -5,9 +5,9 @@
 //! sorted into curve-key order and pushed through
 //! [`ShardedTable::apply_batch`](crate::ShardedTable::apply_batch). That
 //! batch is exactly the right unit of logging: this module persists each
-//! epoch as one checksummed frame, appended in epoch order (singly or in
-//! batched groups, synced inline or by the serving layer's sync
-//! pipeline), so a crash at any instant loses at most the writes of
+//! epoch as one checksummed frame, appended in epoch order (singly and
+//! synced, or in batched groups the serving layer's commit pipeline
+//! syncs once), so a crash at any instant loses at most the writes of
 //! epochs that were never acknowledged as flushed — what survives is
 //! always an epoch-boundary prefix. Recovery is `snapshot + WAL suffix`:
 //! restore the last snapshot (entries in global curve order, sectioned by
@@ -473,9 +473,9 @@ pub struct EpochFrame<const D: usize, V> {
 
 /// Encodes one epoch's frame payload — `[epoch][op_count][ops…]` — into a
 /// caller-owned buffer (cleared first). Exposed so the serving layer can
-/// encode on its flush path and frame on its sync thread
-/// ([`Wal::append_payload`], [`Wal::append_payloads_unsynced`]), and so
-/// a reused buffer makes steady-state commits allocation-free.
+/// encode on its flush path and frame whole groups in its group sync
+/// ([`Wal::append_payloads_unsynced`]), and so a reused buffer makes
+/// steady-state commits allocation-free.
 pub fn encode_epoch_payload_into<const D: usize, V: WalCodec>(
     epoch: u64,
     ops: &[BatchOp<D, V>],
@@ -693,9 +693,11 @@ impl Wal {
         ))
     }
 
-    /// Commits one epoch: frames, checksums, appends, and syncs the
-    /// batch. When this returns `Ok`, the epoch is durable — this call is
-    /// the commit point of the serving layer's flush.
+    /// Commits one epoch on its own: frames, checksums, appends, and
+    /// syncs the batch. When this returns `Ok`, the epoch is durable. (The
+    /// serving layer commits groups instead: one
+    /// [`Self::append_payloads_unsynced`] and one sync for every epoch
+    /// queued since the last group.)
     ///
     /// # Errors
     /// On I/O failure; the file is truncated back to its last valid
@@ -709,22 +711,7 @@ impl Wal {
         epoch: u64,
         ops: &[BatchOp<D, V>],
     ) -> Result<(), SfcError> {
-        self.append_payload(epoch, &encode_epoch_payload(epoch, ops))
-    }
-
-    /// [`Self::append_epoch`] with the payload pre-encoded by
-    /// [`encode_epoch_payload_into`] (the serving layer's synchronous
-    /// commit; `epoch` must match the one encoded in `payload`, which
-    /// `append_epoch` guarantees for its own calls): one frame through
-    /// [`Self::append_payloads_unsynced`], then `sync_data`.
-    ///
-    /// # Errors
-    /// As for [`Self::append_epoch`].
-    ///
-    /// # Panics
-    /// As for [`Self::append_epoch`].
-    pub fn append_payload(&mut self, epoch: u64, payload: &[u8]) -> Result<(), SfcError> {
-        self.append_payloads_unsynced(&[(epoch, payload)])?;
+        self.append_payloads_unsynced(&[(epoch, encode_epoch_payload(epoch, ops))])?;
         if let Err(e) = self.file.sync_data() {
             // Roll the file back to the last committed frame; best-effort,
             // and replay would stop at the torn frame anyway.
@@ -748,9 +735,9 @@ impl Wal {
     /// but not yet durable. The caller owns the commit point: they
     /// survive a crash only once a subsequent [`File::sync_data`] on
     /// [`Self::sync_handle`] (or a synced append) returns — which is how
-    /// the serving layer's sync thread overlaps the encode and apply of
-    /// epoch `N+1` with the fsync of epoch `N` while keeping the
-    /// synced-append commit point for everything `flush` acknowledges.
+    /// the serving layer's group sync confirms every epoch queued since
+    /// the last one with a single fsync, while keeping the synced-append
+    /// commit point for everything `flush` acknowledges.
     ///
     /// Frames land in slice order, and append order is frame order, so
     /// syncing the file at any instant makes a *prefix* of appended
@@ -852,8 +839,8 @@ impl Wal {
             .map_err(|e| storage_err("cloning WAL handle", e))
     }
 
-    /// Un-commits the most recent [`Self::append_epoch`]: truncates the
-    /// frame away and restores the previous epoch watermark. The serving
+    /// Un-commits the most recently appended epoch: truncates its frame
+    /// away and restores the previous epoch watermark. The serving
     /// layer calls this when a committed epoch's in-memory application
     /// fails, so the log never holds an epoch the table does not — and a
     /// retried flush can re-commit the same epoch number cleanly.

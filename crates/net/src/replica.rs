@@ -128,8 +128,9 @@ pub struct ReplicaStatus {
     pub applied: u64,
     /// The transactor's fsync-confirmed epoch as of the last frame.
     pub durable: u64,
-    /// `durable - applied`, floored at zero (a follower can briefly run
-    /// ahead of a transactor that pipelines its commits).
+    /// `durable - applied`, floored at zero. A transactor ships an epoch
+    /// only once it is durable, so a follower never runs ahead of it:
+    /// each frame's `durable` is at least the epoch it carries.
     pub lag: u64,
     /// Successful reconnects over the replica's lifetime.
     pub reconnects: u64,

@@ -385,7 +385,8 @@ where
 }
 
 /// The replication tap: catch the subscriber up from the WAL, then
-/// forward live feed events until disconnect or shutdown.
+/// forward live feed events until disconnect or shutdown, each live
+/// epoch only once it is durable ([`Engine::wait_durable`]).
 ///
 /// Ordering: subscribe to the live feed *first*, then read the WAL for
 /// `(from, start_epoch]` — every epoch is thus delivered exactly once
@@ -442,15 +443,24 @@ where
     }
     while !stop.load(Ordering::Acquire) {
         match sub.next_timeout(POLL_INTERVAL) {
-            Some(FeedEvent::Epoch(epoch, ops)) => write_frame(
-                &mut stream,
-                &mut buf,
-                &Response::Epoch {
-                    epoch,
-                    durable_epoch: engine.durable_epoch(),
-                    ops: ops.to_vec(),
-                },
-            )?,
+            Some(FeedEvent::Epoch(epoch, ops)) => {
+                // Ship only what a transactor crash can no longer lose: a
+                // follower keeps every epoch it applies. A poisoned commit
+                // pipeline ends the stream with its error instead.
+                if let Err(e) = engine.wait_durable(epoch) {
+                    write_frame(&mut stream, &mut buf, &Response::<D, V>::Error(e))?;
+                    return Ok(());
+                }
+                write_frame(
+                    &mut stream,
+                    &mut buf,
+                    &Response::Epoch {
+                        epoch,
+                        durable_epoch: engine.durable_epoch(),
+                        ops: ops.to_vec(),
+                    },
+                )?;
+            }
             Some(FeedEvent::Lagged) => {
                 write_frame(&mut stream, &mut buf, &Response::<D, V>::Lagged)?;
                 return Ok(());

@@ -19,7 +19,13 @@
 //!   recovered epoch past a transactor checkpoint; a disk-resident
 //!   follower behind its own `Server` reads like the transactor and
 //!   refuses writes with a typed `ReadOnly`, in process and over TCP
-//!   alike.
+//!   alike;
+//! * **Durable before shipped:** a pipelining durable transactor ships
+//!   an auto-flushed epoch only once its frame is fsynced, so a copy of
+//!   its log taken then recovers every epoch a replica applied; and a
+//!   chain transactor → served durable follower → follower converges
+//!   with every hop reporting its upstream durable at least as far as
+//!   it applied.
 
 use onion_core::{Point, SfcError};
 use proptest::prelude::*;
@@ -453,6 +459,133 @@ fn durable_follower_answers_cold_time_travel_from_its_own_wal() {
 
     replica.stop();
     server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Waits until the replica's last frame reported its upstream durable
+/// at least as far as the replica has applied (the `durable` field is
+/// stored just after each frame applies).
+fn await_durable_covers_applied<B>(replica: &Replica<DynCurve<2>, u64, 2, B>)
+where
+    B: Backend<Record<2, u64>> + Send + Sync + 'static,
+{
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = replica.status();
+        if status.durable >= status.applied {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "replica applied past its upstream's durable epoch: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A transactor that pipelines its commits (auto-flushed epochs, no
+/// explicit flush) still ships an epoch only once it is durable: when
+/// the replica has applied five epochs, the transactor's log already
+/// holds all five, so a crash then could not take back what the replica
+/// keeps.
+#[test]
+fn replica_never_applies_an_epoch_its_transactor_can_still_lose() {
+    let dir = test_dir("net-ship-durable");
+    let engine = Arc::new(open_durable(
+        &dir.join("transactor"),
+        "onion",
+        2,
+        EngineConfig::with_epoch_ops(4),
+    ));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let replica = Replica::start(
+        &server.local_addr().to_string(),
+        mk_memory_engine("onion", 1),
+    )
+    .unwrap();
+    for i in 0..20u32 {
+        let p = Point::new([i % SIDE, (i * 7) % SIDE]);
+        engine.execute(Request::Update(p, u64::from(i))).unwrap();
+    }
+    await_applied(&replica, 5);
+    assert!(
+        engine.durable_epoch() >= 5,
+        "shipped epochs must be durable (durable {})",
+        engine.durable_epoch()
+    );
+
+    // What a crash right now would recover: a copy of the live log.
+    let crash_dir = dir.join("crash-copy");
+    std::fs::create_dir_all(&crash_dir).unwrap();
+    std::fs::copy(
+        dir.join("transactor").join(WAL_FILE),
+        crash_dir.join(WAL_FILE),
+    )
+    .unwrap();
+    let recovered = open_durable(&crash_dir, "onion", 2, EngineConfig::default());
+    assert!(
+        recovered.epoch() >= 5,
+        "the log lost epochs a replica applied (recovered {})",
+        recovered.epoch()
+    );
+
+    drop(recovered);
+    replica.stop();
+    server.shutdown();
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Chained replicas: a served durable follower is itself a transactor
+/// for a second follower. The chain converges on the transactor's rows,
+/// and each hop ships only epochs it has made durable.
+#[test]
+fn chained_replicas_converge_through_a_served_durable_follower() {
+    let dir = test_dir("net-chained-replicas");
+    let engine = Arc::new(open_durable(
+        &dir.join("transactor"),
+        "onion",
+        2,
+        EngineConfig::with_epoch_ops(4),
+    ));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let r1 = Replica::start(
+        &server.local_addr().to_string(),
+        open_durable(&dir.join("r1"), "onion", 3, EngineConfig::default()),
+    )
+    .unwrap();
+    let r1_server = Server::spawn(Arc::clone(r1.engine()), "127.0.0.1:0").unwrap();
+    let r2 = Replica::start(
+        &r1_server.local_addr().to_string(),
+        mk_memory_engine("onion", 1),
+    )
+    .unwrap();
+
+    for i in 0..40u32 {
+        let p = Point::new([(i * 3) % SIDE, (i * 5 + i / SIDE) % SIDE]);
+        engine
+            .execute(Request::Update(p, u64::from(i) * 10))
+            .unwrap();
+    }
+    engine.flush().unwrap();
+    let committed = engine.epoch();
+    assert_eq!(committed, 10, "40 writes in epochs of 4");
+
+    await_applied(&r1, committed);
+    await_applied(&r2, committed);
+    assert_eq!(replica_records(&r2), transactor_records(&engine));
+    assert_eq!(replica_records(&r1), transactor_records(&engine));
+    await_durable_covers_applied(&r1);
+    await_durable_covers_applied(&r2);
+    for status in [r1.status(), r2.status()] {
+        assert_eq!((status.applied, status.last_error), (committed, None));
+    }
+
+    r2.stop();
+    r1_server.shutdown();
+    r1.stop();
+    server.shutdown();
+    drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
