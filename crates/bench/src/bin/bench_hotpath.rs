@@ -102,8 +102,9 @@ fn main() {
     let mut comparisons: Vec<Comparison> = Vec::new();
     // Millisecond-scale wall-clock kernels whose best of 2 (`--quick`)
     // can land wholly in a slow phase of the host and read ~2x on
-    // unchanged code: `curve_walk/onion2d`, `clustering/entry_scan` and
-    // `exact_average` take the min over at least 12 reps, as
+    // unchanged code: `curve_walk/onion2d`, `clustering/entry_scan`,
+    // `exact_average`, `engine/mvcc_scan_vs_writer` and
+    // `engine/replica_failover` take the min over at least 12 reps, as
     // `index/segment_scan` does.
     let floor_reps = reps.max(12);
 
@@ -936,8 +937,8 @@ fn main() {
                         .sum()
                 })
             };
-            baseline = time_ns(reps, || run_scans(true));
-            optimized = time_ns(reps, || run_scans(false));
+            baseline = time_ns(floor_reps, || run_scans(true));
+            optimized = time_ns(floor_reps, || run_scans(false));
             stop.store(true, Ordering::Relaxed);
         });
         comparisons.push(Comparison {
@@ -1505,7 +1506,7 @@ fn main() {
                 std::hint::spin_loop();
             }
         };
-        let failover_ns = time_ns(reps.min(3), || {
+        let failover_ns = time_ns(floor_reps, || {
             proxy.kill_all();
             for (i, op) in writes.iter().enumerate() {
                 engine.execute(op.clone().into()).unwrap();
@@ -1563,11 +1564,16 @@ fn main() {
 
     // Real-I/O segment scans: one full curve-order scan of a 65k-entry
     // file-backed SFCSEG01 segment, through a 16-page buffer pool that
-    // thrashes (every rep seeks, reads, and crc-checks real pages) vs a
+    // thrashes (every rep reads, crc-checks and decodes real pages) vs a
     // pool large enough to keep the whole segment resident after the
     // warmup pass. The pair prices the buffer pool itself on genuinely
-    // disk-resident data — no simulated `DiskModel` ticks anywhere.
+    // disk-resident data — no simulated `DiskModel` ticks anywhere. The
+    // `short_ranges` pair prices one leaf miss against one hit: 2 000
+    // ranges of 8 entries, one per 32-entry stride of the key space, in
+    // a fixed shuffled order, so through the 16-page pool (~322 leaves)
+    // nearly every range misses, while the resident pool hits.
     {
+        use rand::seq::SliceRandom;
         use sfc_index::{Backend, FileBackend, StoreConfig};
         let entries: Vec<(u64, u64)> = (0..65_536u64).map(|k| (k * 3, k)).collect();
         let bench_dir = std::env::temp_dir().join(format!("sfc-bench-seg-{}", std::process::id()));
@@ -1600,6 +1606,21 @@ fn main() {
             name: "index/segment_scan/65k/pool16_vs_resident",
             baseline_ns: Some(time_ns(seg_reps, || scan_all(&thrashing))),
             optimized_ns: time_ns(seg_reps, || scan_all(&resident)),
+        });
+        let mut starts: Vec<u64> = (0..2_000u64).map(|i| i * 32 * 3).collect();
+        starts.shuffle(&mut StdRng::seed_from_u64(0x5407));
+        let scan_short = |b: &FileBackend<u64>| {
+            let mut acc = 0u64;
+            for &lo in &starts {
+                b.scan(lo, lo + 7 * 3, &mut |_, &v| acc = acc.wrapping_add(v))
+                    .unwrap();
+            }
+            acc
+        };
+        comparisons.push(Comparison {
+            name: "index/segment_scan/65k/short_ranges/pool16_vs_resident",
+            baseline_ns: Some(time_ns(seg_reps, || scan_short(&thrashing))),
+            optimized_ns: time_ns(seg_reps, || scan_short(&resident)),
         });
         drop(thrashing);
         drop(resident);

@@ -3,13 +3,16 @@
 //! Disk seeks are the paper's headline cost, but real systems also cache
 //! pages: a curve that clusters queries into few ranges touches fewer
 //! distinct pages, so repeated workloads hit the buffer pool more often.
-//! The pool counts hits/misses for a stream of page accesses and decides
-//! residency for the [`SegmentTree`](crate::SegmentTree) leaf cache; it
-//! also lets experiments compare curve layouts under a bounded cache.
+//! The pool counts hits/misses for a stream of page accesses and lets
+//! experiments compare curve layouts under a bounded cache.
 //!
 //! Every access is `O(1)`: recency is an intrusive doubly-linked list
 //! threaded through a slot arena, with a hash map from page id to slot, so
-//! a leaf cache can consult the pool on each leaf a scan touches.
+//! a leaf cache can consult the pool on each leaf a scan touches. Each
+//! slot also carries a `T` beside its page id: the
+//! [`SegmentTree`](crate::SegmentTree) leaf cache keeps a page's decoded
+//! leaf there, so one lookup decides residency and finds the contents,
+//! and an evicted page's buffers pass to the page that takes its slot.
 
 use std::collections::HashMap;
 
@@ -17,23 +20,26 @@ use std::collections::HashMap;
 const NIL: usize = usize::MAX;
 
 /// One resident page: arena slot of the intrusive recency list.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
+#[derive(Debug)]
+struct Slot<T> {
     page: u64,
     /// Towards more recently used (NIL at the head).
     prev: usize,
     /// Towards less recently used (NIL at the tail).
     next: usize,
+    /// What the pool's owner keeps for this page.
+    value: T,
 }
 
-/// A fixed-capacity LRU cache over page identifiers.
+/// A fixed-capacity LRU cache over page identifiers, each resident page
+/// owning one slot that carries a `T` (nothing, by default).
 #[derive(Debug)]
-pub struct LruBufferPool {
+pub struct LruBufferPool<T = ()> {
     capacity: usize,
     /// page id -> arena slot.
     resident: HashMap<u64, usize>,
     /// Slot arena; at most `capacity` slots are ever allocated.
-    slots: Vec<Slot>,
+    slots: Vec<Slot<T>>,
     /// Most recently used slot (NIL while empty).
     head: usize,
     /// Least recently used slot — the eviction victim (NIL while empty).
@@ -45,6 +51,14 @@ pub struct LruBufferPool {
 impl LruBufferPool {
     /// Creates a pool holding at most `capacity` pages (`capacity ≥ 1`).
     pub fn new(capacity: usize) -> Self {
+        LruBufferPool::with_slots(capacity)
+    }
+}
+
+impl<T: Default> LruBufferPool<T> {
+    /// Creates a pool holding at most `capacity` pages (`capacity ≥ 1`),
+    /// each slot carrying a `T` that starts as `T::default()`.
+    pub(crate) fn with_slots(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache needs at least one page");
         LruBufferPool {
             capacity,
@@ -59,7 +73,7 @@ impl LruBufferPool {
 
     /// Unlinks `slot` from the recency list.
     fn unlink(&mut self, slot: usize) {
-        let Slot { prev, next, .. } = self.slots[slot];
+        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
         match prev {
             NIL => self.head = next,
             p => self.slots[p].next = next,
@@ -83,30 +97,31 @@ impl LruBufferPool {
 
     /// Accesses a page; returns `true` on a cache hit. `O(1)`.
     pub fn access(&mut self, page: u64) -> bool {
-        self.access_evicting(page).0
+        self.access_slot(page).0
     }
 
-    /// Accesses a page, additionally reporting which page (if any) was
-    /// evicted to make room. `O(1)`. Callers that keep page *contents*
-    /// resident alongside this pool (the segment leaf cache) use the
-    /// victim to drop their copy, so memory tracks the pool's bound.
-    pub(crate) fn access_evicting(&mut self, page: u64) -> (bool, Option<u64>) {
+    /// Accesses a page and returns whether it was a hit, with the value
+    /// of the slot that now holds it. `O(1)`, one map lookup on a hit.
+    /// On a miss the slot is a fresh one (`T::default()`) or the least
+    /// recently used page's, still carrying that page's value: the
+    /// caller takes or overwrites it.
+    pub(crate) fn access_slot(&mut self, page: u64) -> (bool, &mut T) {
         if let Some(&slot) = self.resident.get(&page) {
             self.hits += 1;
             if self.head != slot {
                 self.unlink(slot);
                 self.link_front(slot);
             }
-            return (true, None);
+            return (true, &mut self.slots[slot].value);
         }
         self.misses += 1;
-        let mut evicted = None;
         let slot = if self.slots.len() < self.capacity {
             // Arena not full yet: allocate a fresh slot.
             self.slots.push(Slot {
                 page,
                 prev: NIL,
                 next: NIL,
+                value: T::default(),
             });
             self.slots.len() - 1
         } else {
@@ -114,13 +129,19 @@ impl LruBufferPool {
             let victim = self.tail;
             self.unlink(victim);
             self.resident.remove(&self.slots[victim].page);
-            evicted = Some(self.slots[victim].page);
             self.slots[victim].page = page;
             victim
         };
         self.resident.insert(page, slot);
         self.link_front(slot);
-        (false, evicted)
+        (false, &mut self.slots[slot].value)
+    }
+
+    /// The value of the slot holding `page`, if it is resident, without
+    /// counting an access or touching recency.
+    pub(crate) fn slot_mut(&mut self, page: u64) -> Option<&mut T> {
+        let slot = *self.resident.get(&page)?;
+        Some(&mut self.slots[slot].value)
     }
 
     /// Accesses every page overlapped by the inclusive key range, given
@@ -205,6 +226,31 @@ mod tests {
         }
         assert_eq!(pool.hits(), 0);
         assert_eq!(pool.misses(), 30);
+    }
+
+    #[test]
+    fn slot_values_follow_their_pages_and_pass_on_eviction() {
+        let mut pool: LruBufferPool<Option<u64>> = LruBufferPool::with_slots(2);
+        let (hit, value) = pool.access_slot(1);
+        assert!(!hit);
+        assert_eq!(*value, None, "a fresh slot starts at the default");
+        *value = Some(10);
+        *pool.access_slot(2).1 = Some(20);
+        assert_eq!(pool.access_slot(1), (true, &mut Some(10)));
+        // 2 is least recent: 3 takes its slot and finds 2's value there.
+        let (hit, value) = pool.access_slot(3);
+        assert!(!hit);
+        assert_eq!(value.take(), Some(20));
+        assert_eq!(pool.slot_mut(2), None, "2 is no longer resident");
+        assert_eq!(pool.slot_mut(3), Some(&mut None));
+        assert_eq!(pool.slot_mut(1), Some(&mut Some(10)));
+        assert_eq!(
+            (pool.hits(), pool.misses()),
+            (1, 3),
+            "slot_mut is no access"
+        );
+        // Nor does it touch recency: 1 is still the eviction victim.
+        assert_eq!(pool.access_slot(4), (false, &mut Some(10)));
     }
 
     /// The old `O(capacity)`-per-miss implementation, kept as an oracle:

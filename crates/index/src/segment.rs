@@ -30,6 +30,16 @@
 //! Values go through [`WalCodec`], the workspace's one byte codec; every
 //! page carries a crc32 so a torn or bit-flipped page is *detected* at
 //! read time rather than decoded into garbage.
+//!
+//! ## Reads
+//!
+//! Leaves are cached decoded, so a hit is one pool lookup and a binary
+//! search. The decoded leaf lives in the [`LruBufferPool`] slot that
+//! holds its page. A miss costs one positional page read, the crc32 and
+//! the decode, and it reuses buffers: the page is read into a spare
+//! buffer kept under the cache lock, and decoded into the vector of the
+//! leaf it evicts, unless a reader still holds that leaf. Once the pool
+//! is full, a miss allocates nothing.
 
 use crate::cache::LruBufferPool;
 use crate::checksum::crc32;
@@ -37,7 +47,6 @@ use crate::disk::IoStats;
 use crate::store::{FileStore, PageStore};
 use crate::wal::{storage_err, WalCodec, WalCursor};
 use onion_core::SfcError;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every segment file.
@@ -56,21 +65,33 @@ const ENTRY_HEADER: usize = 12;
 /// One decoded leaf held by the resident cache.
 type Leaf<V> = Arc<Vec<(u64, V)>>;
 
-/// The leaf cache: an [`LruBufferPool`] deciding residency, plus the
-/// decoded pages themselves. Evictions reported by the pool drop the
-/// decoded copy, so memory tracks the configured page budget.
+/// The leaf cache: an [`LruBufferPool`] whose slots hold the decoded
+/// leaves of their pages, so memory tracks the configured page budget.
+/// A slot is empty while its page's read is in flight or after that read
+/// failed; the next access of the page reads it again.
 #[derive(Debug)]
 struct LeafCache<V> {
-    pool: LruBufferPool,
-    resident: HashMap<u64, Leaf<V>>,
+    pool: LruBufferPool<Option<Leaf<V>>>,
+    /// Page buffers of finished misses, for the next misses to read into:
+    /// at most one per miss that ever ran concurrently.
+    spare: Vec<Vec<u8>>,
+}
+
+impl<V> LeafCache<V> {
+    fn new(pool_pages: usize) -> Self {
+        LeafCache {
+            pool: LruBufferPool::with_slots(pool_pages.max(1)),
+            spare: Vec::new(),
+        }
+    }
 }
 
 /// An immutable, file-resident B+-tree segment of `(u64, V)` entries in
 /// ascending key order (duplicates allowed, stored oldest-first).
 ///
-/// Reads are `&self` and thread-safe: the store serializes its own
-/// descriptor, and the leaf cache sits behind a mutex locked only for
-/// the O(1) residency bookkeeping plus (on a miss) one page read.
+/// Reads are `&self` and thread-safe: the leaf cache sits behind a mutex
+/// locked only for the O(1) pool bookkeeping, never across a page read
+/// or a decode.
 #[derive(Debug)]
 pub struct SegmentTree<V, S: PageStore = FileStore> {
     store: S,
@@ -216,10 +237,7 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
             store,
             fences,
             entry_count,
-            cache: Mutex::new(LeafCache {
-                pool: LruBufferPool::new(pool_pages.max(1)),
-                resident: HashMap::new(),
-            }),
+            cache: Mutex::new(LeafCache::new(pool_pages)),
         })
     }
 
@@ -289,10 +307,7 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
             store,
             fences,
             entry_count,
-            cache: Mutex::new(LeafCache {
-                pool: LruBufferPool::new(pool_pages.max(1)),
-                resident: HashMap::new(),
-            }),
+            cache: Mutex::new(LeafCache::new(pool_pages)),
         })
     }
 
@@ -311,13 +326,17 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
         &self.store
     }
 
-    /// Reads and decodes leaf `leaf` (0-based) straight from the store,
-    /// bypassing the cache.
-    fn read_leaf(&self, leaf: u64) -> Result<Leaf<V>, SfcError> {
-        let page_size = self.store.page_size();
-        let mut page = vec![0u8; page_size];
+    /// Reads leaf `leaf` (0-based) from the store into `page` (one page
+    /// long) and decodes its entries into `entries`, replacing what it
+    /// held.
+    fn read_leaf(
+        &self,
+        leaf: u64,
+        page: &mut [u8],
+        entries: &mut Vec<(u64, V)>,
+    ) -> Result<(), SfcError> {
         self.store
-            .read_page(1 + leaf, &mut page)
+            .read_page(1 + leaf, page)
             .map_err(|e| storage_err("reading segment leaf", e))?;
         let crc = u32::from_le_bytes(page[..4].try_into().expect("4 bytes"));
         if crc32(&page[4..]) != crc {
@@ -328,13 +347,14 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
         let count = u32::from_le_bytes(page[4..8].try_into().expect("4 bytes")) as usize;
         // Every entry takes at least its header, so a larger count is
         // corrupt — and must not size the allocation below.
-        if count > (page_size - PAGE_HEADER) / ENTRY_HEADER {
+        if count > (page.len() - PAGE_HEADER) / ENTRY_HEADER {
             return Err(SfcError::Storage {
                 context: format!("segment leaf page {leaf} entry count {count} exceeds the page"),
             });
         }
+        entries.clear();
+        entries.reserve(count);
         let mut cur = WalCursor::new(&page[PAGE_HEADER..]);
-        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let decoded = (|| {
                 let key = u64::decode(&mut cur)?;
@@ -352,29 +372,47 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
                 }
             }
         }
-        Ok(Arc::new(entries))
+        Ok(())
     }
 
     /// Fetches leaf `leaf` through the cache. Returns the decoded page
     /// and whether it was a cache hit.
     fn leaf(&self, leaf: u64) -> Result<(Leaf<V>, bool), SfcError> {
-        {
+        let (mut page, evicted) = {
             let mut cache = self.cache.lock().expect("leaf cache poisoned");
-            let (hit, evicted) = cache.pool.access_evicting(leaf);
-            if let Some(victim) = evicted {
-                cache.resident.remove(&victim);
+            let (hit, slot) = cache.pool.access_slot(leaf);
+            if let (true, Some(found)) = (hit, &*slot) {
+                return Ok((Arc::clone(found), true));
             }
-            if hit {
-                if let Some(found) = cache.resident.get(&leaf) {
-                    return Ok((Arc::clone(found), true));
-                }
-                // Pool said resident but the decode was dropped (poisoned
-                // insert race) — fall through to a fresh read.
+            // A miss: the slot still holds the leaf of the page it held
+            // before (if any). A hit on an empty slot takes nothing.
+            let evicted = slot.take();
+            let page = cache
+                .spare
+                .pop()
+                .unwrap_or_else(|| vec![0u8; self.store.page_size()]);
+            (page, evicted)
+        };
+        // Decode into the evicted leaf's vector unless a reader still
+        // holds that leaf.
+        let mut decoded = evicted
+            .and_then(|mut old| Arc::get_mut(&mut old).is_some().then_some(old))
+            .unwrap_or_default();
+        let read = self.read_leaf(
+            leaf,
+            &mut page,
+            Arc::get_mut(&mut decoded).expect("leaf not yet shared"),
+        );
+        let mut cache = self.cache.lock().expect("leaf cache poisoned");
+        cache.spare.push(page);
+        read?;
+        // Fill the page's slot unless it was evicted meanwhile, or a
+        // concurrent miss on the same page filled it first.
+        if let Some(slot) = cache.pool.slot_mut(leaf) {
+            if slot.is_none() {
+                *slot = Some(Arc::clone(&decoded));
             }
         }
-        let decoded = self.read_leaf(leaf)?;
-        let mut cache = self.cache.lock().expect("leaf cache poisoned");
-        cache.resident.insert(leaf, Arc::clone(&decoded));
         Ok((decoded, false))
     }
 
@@ -531,9 +569,10 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
 
     /// Streams every entry in key order straight from the store,
     /// bypassing (and not warming) the leaf cache — the persistence
-    /// path, so a snapshot never pollutes live cache statistics. The sink
-    /// receives `(key, value, dup_idx)` with `dup_idx` counting each
-    /// key's copies from the oldest.
+    /// path, so a snapshot never pollutes live cache statistics. Every
+    /// leaf is read into one page buffer and decoded into one vector.
+    /// The sink receives `(key, value, dup_idx)` with `dup_idx` counting
+    /// each key's copies from the oldest.
     ///
     /// # Errors
     /// On I/O failure or a corrupt page.
@@ -541,9 +580,11 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
         let mut cur_key = u64::MAX;
         let mut dup_idx = 0u32;
         let mut first = true;
+        let mut page = vec![0u8; self.store.page_size()];
+        let mut leaf = Vec::new();
         for leaf_no in 0..self.fences.len() as u64 {
-            let leaf = self.read_leaf(leaf_no)?;
-            for &(k, ref v) in leaf.iter() {
+            self.read_leaf(leaf_no, &mut page, &mut leaf)?;
+            for &(k, ref v) in &leaf {
                 if !first && k == cur_key {
                     dup_idx += 1;
                 } else {

@@ -16,7 +16,8 @@
 //! writes, and failed fsyncs at scheduled operation counts.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,9 +41,10 @@ pub struct StoreStats {
 /// KV-store seam under [`SegmentTree`](crate::SegmentTree) and
 /// [`FileBackend`](crate::FileBackend).
 ///
-/// All methods take `&self`: implementations serialize access internally
-/// (a file store holds its descriptor behind a mutex), so a store can be
-/// shared by concurrent readers of an immutable segment.
+/// All methods take `&self` and may be called concurrently, so a store
+/// can be shared by concurrent readers of an immutable segment (a file
+/// store reads and writes at explicit offsets on one descriptor, without
+/// a lock).
 ///
 /// Implementations must give each page `page_size` bytes at offset
 /// `page * page_size`, persist `write_page` data no later than the next
@@ -94,28 +96,24 @@ pub trait PageStore: Send + Sync {
     fn stats(&self) -> StoreStats;
 }
 
-/// File state behind the lock: the descriptor plus the byte offset the
-/// head is at, so sequential accesses are detected (and priced as zero
-/// seeks) without asking the OS.
-#[derive(Debug)]
-struct FileInner {
-    file: File,
-    /// Where the head sits after the last read/write; `u64::MAX` = unknown.
-    pos: u64,
-    /// Path of the backing file (updated by [`PageStore::publish`]).
-    path: PathBuf,
-}
-
-/// A [`PageStore`] over one ordinary file: explicit `seek`/`read`/`write`
-/// page I/O with measured counters, no mmap, no unsafe.
+/// A [`PageStore`] over one ordinary file: positional page I/O
+/// (`pread`/`pwrite`, one syscall per page and no `lseek`) with measured
+/// counters, no mmap, no unsafe.
 ///
-/// The descriptor sits behind a mutex; counters are atomics so
-/// [`PageStore::stats`] never blocks a reader.
+/// Reads and writes share the descriptor without a lock; only the path,
+/// which [`PageStore::publish`] changes, sits behind a mutex. Counters
+/// are atomics so [`PageStore::stats`] never blocks a reader.
 #[derive(Debug)]
 pub struct FileStore {
-    inner: Mutex<FileInner>,
+    file: File,
+    /// Path of the backing file (updated by [`PageStore::publish`]).
+    path: Mutex<PathBuf>,
     page_size: usize,
     pages: AtomicU64,
+    /// Byte offset just past the last access — where a disk head would
+    /// sit — so `seeks` counts the accesses that do not continue it;
+    /// `u64::MAX` = unknown.
+    pos: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
     seeks: AtomicU64,
@@ -166,9 +164,11 @@ impl FileStore {
 
     fn from_file(file: File, path: PathBuf, page_size: usize, pages: u64) -> Self {
         FileStore {
-            inner: Mutex::new(FileInner { file, pos: 0, path }),
+            file,
+            path: Mutex::new(path),
             page_size,
             pages: AtomicU64::new(pages),
+            pos: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             seeks: AtomicU64::new(0),
@@ -176,15 +176,13 @@ impl FileStore {
         }
     }
 
-    /// Positions the descriptor at `off`, counting a seek only when the
-    /// head is not already there.
-    fn position(&self, inner: &mut FileInner, off: u64) -> io::Result<()> {
-        if inner.pos != off {
-            inner.file.seek(SeekFrom::Start(off))?;
+    /// Moves the head past a page access at `off`, counting a seek when
+    /// it was not already at `off`.
+    fn position(&self, off: u64) {
+        let end = off + self.page_size as u64;
+        if self.pos.swap(end, Ordering::Relaxed) != off {
             self.seeks.fetch_add(1, Ordering::Relaxed);
-            inner.pos = off;
         }
-        Ok(())
     }
 }
 
@@ -206,17 +204,15 @@ impl PageStore for FileStore {
             ));
         }
         let off = page * self.page_size as u64;
-        let mut inner = self.inner.lock().expect("file store poisoned");
-        self.position(&mut inner, off)?;
-        match inner.file.read_exact(buf) {
+        self.position(off);
+        match self.file.read_exact_at(buf, off) {
             Ok(()) => {
-                inner.pos = off + self.page_size as u64;
                 self.reads.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(e) => {
-                // The head is somewhere mid-page now; forget it.
-                inner.pos = u64::MAX;
+                // A failed access leaves the head unknown.
+                self.pos.store(u64::MAX, Ordering::Relaxed);
                 Err(e)
             }
         }
@@ -225,37 +221,34 @@ impl PageStore for FileStore {
     fn write_page(&self, page: u64, buf: &[u8]) -> io::Result<()> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
         let off = page * self.page_size as u64;
-        let mut inner = self.inner.lock().expect("file store poisoned");
-        self.position(&mut inner, off)?;
-        match inner.file.write_all(buf) {
+        self.position(off);
+        match self.file.write_all_at(buf, off) {
             Ok(()) => {
-                inner.pos = off + self.page_size as u64;
                 self.writes.fetch_add(1, Ordering::Relaxed);
                 self.pages.fetch_max(page + 1, Ordering::Relaxed);
                 Ok(())
             }
             Err(e) => {
-                inner.pos = u64::MAX;
+                self.pos.store(u64::MAX, Ordering::Relaxed);
                 Err(e)
             }
         }
     }
 
     fn sync(&self) -> io::Result<()> {
-        let inner = self.inner.lock().expect("file store poisoned");
-        inner.file.sync_all()?;
+        self.file.sync_all()?;
         self.syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     fn path(&self) -> PathBuf {
-        self.inner.lock().expect("file store poisoned").path.clone()
+        self.path.lock().expect("file store poisoned").clone()
     }
 
     fn publish(&self, to: &Path) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("file store poisoned");
-        std::fs::rename(&inner.path, to)?;
-        inner.path = to.to_path_buf();
+        let mut path = self.path.lock().expect("file store poisoned");
+        std::fs::rename(&*path, to)?;
+        *path = to.to_path_buf();
         // Make the rename itself durable where the platform allows it.
         if let Some(dir) = to.parent() {
             if let Ok(d) = File::open(dir) {
@@ -279,15 +272,34 @@ impl PageStore for FileStore {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sfc-store-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A per-test directory under the system temp directory, removed
+    /// with everything in it when the guard drops.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("sfc-store-tests-{}-{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        fn join(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn pages_round_trip_and_counters_measure() {
-        let path = tmp("roundtrip.pages");
+        let dir = TempDir::new("roundtrip");
+        let path = dir.join("roundtrip.pages");
         let s = FileStore::create(&path, 64).unwrap();
         assert_eq!(s.page_count(), 0);
         let a = [1u8; 64];
@@ -311,12 +323,12 @@ mod tests {
         // write 0 (sequential from start), write 1 (sequential), write 4
         // (seek), read 1 (seek back), read 0 (seek back).
         assert_eq!(stats.seeks, 3);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn reopen_sees_written_pages_and_drops_torn_tail() {
-        let path = tmp("reopen.pages");
+        let dir = TempDir::new("reopen");
+        let path = dir.join("reopen.pages");
         {
             let s = FileStore::create(&path, 32).unwrap();
             s.write_page(0, &[7u8; 32]).unwrap();
@@ -335,13 +347,13 @@ mod tests {
         s.read_page(1, &mut buf).unwrap();
         assert_eq!(buf, [8u8; 32]);
         assert!(s.read_page(2, &mut buf).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn publish_renames_while_descriptor_stays_live() {
-        let from = tmp("publish.tmp");
-        let to = tmp("publish.final");
+        let dir = TempDir::new("publish");
+        let from = dir.join("publish.tmp");
+        let to = dir.join("publish.final");
         let s = FileStore::create(&from, 16).unwrap();
         s.write_page(0, &[3u8; 16]).unwrap();
         s.sync().unwrap();
@@ -352,6 +364,5 @@ mod tests {
         let mut buf = [0u8; 16];
         s.read_page(0, &mut buf).unwrap();
         assert_eq!(buf, [3u8; 16]);
-        std::fs::remove_file(&to).unwrap();
     }
 }

@@ -50,8 +50,10 @@ use std::sync::Arc;
 pub struct StoreConfig {
     /// Bytes per segment page.
     pub page_size: usize,
-    /// Decoded leaf pages kept resident per backend (the buffer pool
-    /// bound); datasets larger than this are genuinely re-read from disk.
+    /// Leaf pages kept resident, decoded, per backend: the bound of its
+    /// segment's buffer pool, whose slots hold the leaves. Once the pool
+    /// is full, a miss reuses the evicted leaf's buffers; datasets larger
+    /// than this are genuinely re-read from disk.
     pub pool_pages: usize,
 }
 

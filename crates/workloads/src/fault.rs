@@ -241,21 +241,40 @@ mod tests {
     use super::*;
     use crate::CrashSchedule;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sfc-fault-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A per-test directory under the system temp directory, removed
+    /// with everything in it when the guard drops.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("sfc-fault-tests-{}-{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        /// A 32-byte-page store at `name` in this directory, behind `inj`.
+        fn store(&self, name: &str, inj: &Arc<FaultInjector>) -> FaultStore<FileStore> {
+            FaultStore::new(
+                FileStore::create(&self.0.join(name), 32).unwrap(),
+                Arc::clone(inj),
+            )
+        }
     }
 
-    fn store(name: &str, inj: &Arc<FaultInjector>) -> FaultStore<FileStore> {
-        FaultStore::new(FileStore::create(&tmp(name), 32).unwrap(), Arc::clone(inj))
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn write_error_blocks_the_bytes() {
         let inj = FaultInjector::new();
         inj.schedule(1, Fault::WriteError);
-        let s = store("enospc.pages", &inj);
+        let dir = TempDir::new("enospc");
+        let s = dir.store("enospc.pages", &inj);
         s.write_page(0, &[1u8; 32]).unwrap(); // op 0: passes
         let err = s.write_page(1, &[2u8; 32]).unwrap_err(); // op 1: struck
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
@@ -271,7 +290,8 @@ mod tests {
     fn torn_write_succeeds_but_corrupts_the_tail_half() {
         let inj = FaultInjector::new();
         inj.schedule(0, Fault::TornWrite);
-        let s = store("torn.pages", &inj);
+        let dir = TempDir::new("torn");
+        let s = dir.store("torn.pages", &inj);
         let data = [7u8; 32];
         s.write_page(0, &data).unwrap(); // "succeeds"
         let mut back = [0u8; 32];
@@ -288,7 +308,8 @@ mod tests {
         // waits for the first read, the sync fault for the first sync.
         inj.schedule(0, Fault::ShortRead);
         inj.schedule(0, Fault::SyncError);
-        let s = store("kinds.pages", &inj);
+        let dir = TempDir::new("kinds");
+        let s = dir.store("kinds.pages", &inj);
         s.write_page(0, &[1u8; 32]).unwrap();
         s.write_page(1, &[2u8; 32]).unwrap();
         let mut buf = [0u8; 32];
@@ -305,9 +326,10 @@ mod tests {
     #[test]
     fn crash_schedule_points_arm_faults_deterministically() {
         let sched = CrashSchedule::at(10, vec![2, 5]);
+        let dir = TempDir::new("crash");
         let run = |name: &str| {
             let inj = FaultInjector::from_crash_schedule(&sched, Fault::WriteError);
-            let s = store(name, &inj);
+            let s = dir.store(name, &inj);
             let mut failures = Vec::new();
             for i in 0..8u64 {
                 if s.write_page(i, &[i as u8; 32]).is_err() {
@@ -326,8 +348,9 @@ mod tests {
     fn one_injector_clocks_many_stores() {
         let inj = FaultInjector::new();
         inj.schedule(3, Fault::WriteError);
-        let s1 = store("multi-1.pages", &inj);
-        let s2 = store("multi-2.pages", &inj);
+        let dir = TempDir::new("multi");
+        let s1 = dir.store("multi-1.pages", &inj);
+        let s2 = dir.store("multi-2.pages", &inj);
         s1.write_page(0, &[1u8; 32]).unwrap(); // op 0
         s2.write_page(0, &[1u8; 32]).unwrap(); // op 1
         s1.write_page(1, &[1u8; 32]).unwrap(); // op 2
