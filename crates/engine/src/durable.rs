@@ -21,11 +21,15 @@
 //!    [`CommitPolicy::max_epochs`](crate::CommitPolicy::max_epochs)
 //!    frames of lag (depth 0, [`CommitPolicy::synchronous`](crate::CommitPolicy),
 //!    makes every commit wait for its own sync before the epoch applies).
-//!    Concurrent flushers **group-commit**: one leader stages everything
-//!    admitted so far and everyone shares its epochs and syncs. Flush
-//!    leadership is the one serializer of the write path: only the
-//!    leader commits, applies, publishes and checkpoints, so commits are
-//!    totally ordered without a second lock.
+//!    Concurrent flushers **group-commit**: they take one leadership lock
+//!    in turn, the first applies everything admitted so far, and the rest
+//!    share its epochs and syncs. That lock is the one serializer of the
+//!    write path: only its holder commits, applies, publishes and
+//!    checkpoints, so commits are totally ordered. An epoch's writes stay
+//!    in the engine's write log until the table holds the epoch, and
+//!    every op is bounds-checked before its epoch is committed (at
+//!    admission, or by [`Engine::apply_epoch`]), so the table never
+//!    refuses a logged epoch and nothing logged is ever undone.
 //! 2. **Recover:** [`Engine::open`] rebuilds the table from the last
 //!    snapshot (entries in curve order, re-cut at this table's shard
 //!    boundaries) and re-applies every WAL frame with a later epoch,
@@ -72,7 +76,11 @@
 //! error and [`EngineStats::flush_failures`](crate::EngineStats)
 //! grows — the log device needs attention and the engine should be
 //! reopened. The error surfaces at the next acknowledgement point, not
-//! inside the (unacknowledged) auto-flush.
+//! inside the (unacknowledged) auto-flush. A leader that panics
+//! mid-epoch (a failed segment read inside the apply, say) may leave an
+//! epoch logged but not applied; it poisons flush leadership, and every
+//! later `flush`, `checkpoint` and [`Engine::apply_epoch`] returns
+//! `SfcError::Storage` instead of waiting for it — reopen the engine.
 //!
 //! Durability is strictly pay-as-you-go: an engine built with
 //! [`Engine::new`] carries `None` state and its flush path is byte-for-
@@ -137,8 +145,8 @@ struct SyncShared {
     state: Mutex<SyncState>,
     work: Condvar,
     done: Condvar,
-    /// The open log. Only [`Self::sync_group`] appends to it; rollbacks,
-    /// checkpoint resets and re-reads lock it too.
+    /// The open log. Only [`Self::sync_group`] appends to it; checkpoint
+    /// resets and re-reads lock it too.
     wal: Mutex<Wal>,
     /// A second handle to the log file, so a group's `sync_data` runs
     /// outside the `wal` lock: `wal_len` readers and re-reads stay
@@ -223,13 +231,12 @@ impl SyncShared {
     /// covers every epoch committed so far, so a lone flusher pays its
     /// fsync with no hand-off; otherwise it waits for the running group
     /// and checks again. Epochs past the last committed one at the call
-    /// (or retracted while waiting) are not waited for — nothing would
-    /// ever make them durable.
+    /// are not waited for — nothing would ever make them durable.
     fn wait_synced(&self, epoch: u64) -> Result<(), SfcError> {
         let mut st = self.lock();
         let target = epoch.min(st.requested);
         loop {
-            if st.synced >= target.min(st.requested) {
+            if st.synced >= target {
                 return Ok(());
             }
             if let Some(e) = &st.failed {
@@ -291,17 +298,6 @@ impl SyncShared {
             self.work.notify_all();
         }
         st
-    }
-
-    /// Clamps both watermarks back to `epoch` and drops any queued
-    /// payloads above it — the rollback path, after the frame above
-    /// `epoch` has been truncated away (or never landed).
-    fn retract(&self, epoch: u64) {
-        let mut st = self.lock();
-        st.pending.retain(|&(e, _)| e <= epoch);
-        st.requested = st.requested.min(epoch);
-        st.synced = st.synced.min(epoch);
-        self.done.notify_all();
     }
 }
 
@@ -385,25 +381,6 @@ impl Durability {
     /// Highest fsync-confirmed epoch.
     pub(crate) fn synced_epoch(&self) -> u64 {
         self.sync.lock().synced
-    }
-
-    /// Un-commits `epoch` — the frame [`Self::commit`] just wrote (or
-    /// queued) — when the in-memory apply fails after a successful
-    /// commit, keeping log and table in lockstep. Quiesces the pipeline
-    /// first (whatever its outcome) so the truncation cannot race an
-    /// fsync of the very frame being removed, and truncates only if the
-    /// frame actually landed: if the pipeline poisoned before appending
-    /// it (a double-fault — apply *and* WAL I/O failing), the log
-    /// already ends at an older, still-acknowledged frame, which must
-    /// not be cut away.
-    pub(crate) fn rollback_last(&self, epoch: u64) -> Result<(), SfcError> {
-        let _ = self.sync.quiesce();
-        let mut wal = self.sync.lock_wal();
-        if wal.last_epoch() == epoch {
-            wal.rollback_last()?;
-        }
-        self.sync.retract(wal.last_epoch());
-        Ok(())
     }
 
     /// Reconstructs the raw material of epoch `epoch`'s state from disk:
@@ -690,14 +667,15 @@ where
     /// absorbing any frame syncs still in flight, since the snapshot now
     /// carries their epochs. Returns the epoch the snapshot captures.
     /// Concurrent readers keep being served throughout; concurrent
-    /// flushes wait at the commit queue.
+    /// flushes wait for flush leadership, which the checkpoint holds.
     ///
     /// Crash-safe at every step: before the rename the old snapshot
     /// still pairs with the full log; after the rename but before the
     /// truncation, replay skips the frames the snapshot absorbed.
     ///
     /// # Errors
-    /// If called on a non-durable engine, or on I/O failure.
+    /// If called on a non-durable engine, on I/O failure, or once a flush
+    /// leader has panicked mid-epoch.
     pub fn checkpoint(&self) -> Result<u64, SfcError> {
         // Refuse before flushing: an error from a misconfigured call
         // must not leave visible side effects (applied epochs).
@@ -706,32 +684,28 @@ where
                 context: "checkpoint called on a non-durable engine (use Engine::open)".into(),
             });
         };
-        self.acquire_lead();
-        let result = (|| {
-            self.flush_as_leader()?;
-            // Quiesce the pipeline before touching the file, so no group
-            // sync can append a queued frame *after* the reset and
-            // resurrect epochs the snapshot already absorbed. A poisoned
-            // pipeline is no error here: the synced snapshot below makes
-            // every applied epoch durable again, and `absorb` clears it.
-            let _ = d.sync.quiesce();
-            let epoch = self.epoch();
-            write_snapshot(&d.dir.join(SNAPSHOT_FILE), epoch, self.table())?;
-            d.sync.lock_wal().reset()?;
-            // The snapshot (written and fsynced above) now carries every
-            // epoch the truncated frames held: mark them durable.
-            d.sync.absorb(epoch);
-            // Fold each shard's write overlay into a fresh base segment
-            // (a no-op for in-memory backends). Durability does not
-            // depend on this: the snapshot above is the recovery source,
-            // so a compaction failure leaves a consistent engine serving
-            // the pre-compaction version — but the error is surfaced so
-            // operators see the segment rewrite was skipped.
-            self.table().compact_shards()?;
-            Ok(epoch)
-        })();
-        self.finish_lead();
-        result
+        let _lead = self.lead()?;
+        self.flush_as_leader()?;
+        // Quiesce the pipeline before touching the file, so no group
+        // sync can append a queued frame *after* the reset and resurrect
+        // epochs the snapshot already absorbed. A poisoned pipeline is no
+        // error here: the synced snapshot below makes every applied epoch
+        // durable again, and `absorb` clears it.
+        let _ = d.sync.quiesce();
+        let epoch = self.epoch();
+        write_snapshot(&d.dir.join(SNAPSHOT_FILE), epoch, self.table())?;
+        d.sync.lock_wal().reset()?;
+        // The snapshot (written and fsynced above) now carries every
+        // epoch the truncated frames held: mark them durable.
+        d.sync.absorb(epoch);
+        // Fold each shard's write overlay into a fresh base segment (a
+        // no-op for in-memory backends). Durability does not depend on
+        // this: the snapshot above is the recovery source, so a
+        // compaction failure leaves a consistent engine serving the
+        // pre-compaction version — but the error is surfaced so operators
+        // see the segment rewrite was skipped.
+        self.table().compact_shards()?;
+        Ok(epoch)
     }
 
     /// Whether this engine commits epochs to a write-ahead log.
@@ -750,7 +724,7 @@ where
     /// everything up to this offset survives any crash — the
     /// observability hook the crash-point tests key on, and a practical
     /// "time to checkpoint?" signal. (Mid-pipeline, recently committed
-    /// epochs may still sit in the commit queue, not yet counted
+    /// epochs may still sit in the sync pipeline's queue, not yet counted
     /// here; compare [`Engine::durable_epoch`] with [`Engine::epoch`]
     /// for the lag.)
     pub fn wal_len(&self) -> Option<u64> {

@@ -9,7 +9,7 @@ use sfc_index::{
     ShardedTable, WalCodec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::Duration;
 
 /// A write's admission receipt: the acknowledgment that the op is in the
@@ -41,15 +41,16 @@ impl sfc_index::WalCodec for Admitted {
 /// durable engine's flush path (ignored — zero cost — on in-memory
 /// engines).
 ///
-/// Concurrent `flush` callers always coalesce through a leader/follower
-/// commit queue: one leader stages and commits everything admitted so
-/// far, followers wait for the leader's sync to cover their writes.
-/// Every commit takes one path: the epoch's payload joins a queue, and
-/// a group sync appends every queued frame with one write and fsyncs
-/// once. Whoever waits for durability runs that group on its own thread
-/// when none is running (an explicit flush, a commit at the window's
-/// edge); a background sync thread runs it when the backlog nears the
-/// window. The policy sets that window:
+/// Concurrent `flush` callers coalesce behind one leadership lock: the
+/// leader commits and applies everything admitted so far, and each
+/// flusher that takes the lock after it finds its writes applied and
+/// only waits for the sync that covers them. Every commit takes one
+/// path: the epoch's payload joins a queue, and a group sync appends
+/// every queued frame with one write and fsyncs once. Whoever waits for
+/// durability runs that group on its own thread when none is running
+/// (an explicit flush, a commit at the window's edge); a background
+/// sync thread runs it when the backlog nears the window. The policy
+/// sets that window:
 /// [`max_epochs`](Self::max_epochs) is the **pipeline depth** — how
 /// many committed-but-not-yet-fsynced epoch frames may be in flight
 /// while the engine goes on encoding and applying later epochs. `0`
@@ -146,8 +147,8 @@ pub struct EngineStats {
     /// Writes currently pending in the log.
     pub pending: u64,
     /// Epoch flushes that failed (durable engines: WAL I/O errors). The
-    /// staged writes stay queued and are retried; a nonzero value with a
-    /// growing `pending` means the log device needs attention.
+    /// epoch's writes stay in the log and are retried; a nonzero value
+    /// with a growing `pending` means the log device needs attention.
     pub flush_failures: u64,
     /// Epochs whose WAL frame is fsync-confirmed (durable engines; equal
     /// to `epochs` on in-memory engines and whenever the commit pipeline
@@ -179,38 +180,6 @@ impl sfc_index::WalCodec for EngineStats {
             flush_failures: u64::decode(cur)?,
             durable_epochs: u64::decode(cur)?,
         })
-    }
-}
-
-/// The leader/follower commit queue behind [`Engine::flush`]: at most
-/// one leader stages and applies epochs at a time; everyone else waits
-/// on the condvar for the published watermarks to cover their target.
-struct FlushQueue {
-    state: Mutex<FlushState>,
-    /// Notified whenever leadership frees up or the watermarks advance.
-    done: Condvar,
-}
-
-#[derive(Default)]
-struct FlushState {
-    /// Whether a leader currently holds the staging baton.
-    leader_active: bool,
-    /// Admission sequence (the `writes` counter) fully applied so far:
-    /// every admitted write numbered at or below this has been applied
-    /// to the table by some leader's epoch.
-    applied_seq: u64,
-    /// Epoch counter at the time `applied_seq` was published — the epoch
-    /// a follower must see fsync-confirmed before reporting its covered
-    /// writes durable.
-    applied_epoch: u64,
-}
-
-impl FlushQueue {
-    fn new() -> Self {
-        FlushQueue {
-            state: Mutex::new(FlushState::default()),
-            done: Condvar::new(),
-        }
     }
 }
 
@@ -384,23 +353,20 @@ impl<const D: usize, V> Drop for EpochSubscription<D, V> {
 pub struct Engine<C, V, const D: usize, B = MemoryBackend<Record<D, V>>> {
     table: ShardedTable<C, V, D, B>,
     planner: Planner,
-    /// The active write log: admitted, not yet being applied. An
-    /// `RwLock` so concurrent point-get overlays (read) never serialize
-    /// each other; only admits and flush staging take the write lock.
+    /// The write log: every admitted write the table does not hold yet,
+    /// oldest first. A write leaves it only once the table holds its
+    /// epoch, so a point get always finds an admitted write in the log
+    /// or in the table. An `RwLock` so concurrent point-get overlays
+    /// (read) never serialize each other; only admits and the leader's
+    /// drain take the write lock.
     log: RwLock<Vec<BatchOp<D, V>>>,
-    /// The epoch currently being applied (the "immutable memtable"): moved
-    /// here from `log` at flush start and cleared once the table has
-    /// absorbed it, so point-get overlays never observe a window where an
-    /// admitted write is in neither the log nor the table. Lock order is
-    /// always `log` before `applying`.
-    applying: RwLock<Vec<BatchOp<D, V>>>,
-    /// The group-commit queue: concurrent `flush` callers elect one
-    /// leader; followers wait for the leader's epoch (and its fsync) to
-    /// cover their writes instead of queueing up fsyncs of their own.
-    /// Leadership is also the engine's one write serializer: only the
-    /// leader stages, commits, applies and publishes epochs (and
-    /// checkpoints), so same-key writes never reorder across batches.
-    flush_q: FlushQueue,
+    /// Flush leadership, the engine's one write serializer: only its
+    /// holder commits, applies and publishes epochs (and checkpoints), so
+    /// same-key writes never reorder across batches. A flusher that gets
+    /// it after another leader finds its writes applied and only waits
+    /// for their sync. A leader that panics poisons it, and every later
+    /// flush, checkpoint and follower epoch fails instead of waiting.
+    leader: Mutex<()>,
     /// Durable state (WAL handle, data directory, sync pipeline) — `Some`
     /// only for engines built by [`Engine::open`], [`Engine::open_stored`]
     /// or [`Engine::open_stored_with`].
@@ -447,8 +413,7 @@ where
             table,
             planner,
             log: RwLock::new(Vec::new()),
-            applying: RwLock::new(Vec::new()),
-            flush_q: FlushQueue::new(),
+            leader: Mutex::new(()),
             durability: None,
             feed,
             gets: AtomicU64::new(0),
@@ -606,15 +571,11 @@ where
         }
     }
 
-    /// Writes currently pending: admitted to the active log plus staged in
-    /// the epoch being applied right now (if any). Both stages are read
-    /// under one joint acquisition (same `log` → `applying` order as
-    /// `flush`), so a write moving between them mid-flush is never
-    /// counted twice.
+    /// Writes currently pending: admitted, and still in the log because
+    /// the table does not hold their epoch yet (an epoch being applied
+    /// right now included).
     pub fn pending(&self) -> usize {
-        let log = self.log.read().expect("write log poisoned");
-        let applying = self.applying.read().expect("applying buffer poisoned");
-        log.len() + applying.len()
+        self.log.read().expect("write log poisoned").len()
     }
 
     /// Live counter snapshot.
@@ -630,9 +591,9 @@ where
         }
     }
 
-    /// Applies every pending write in epochs: the log is drained in
-    /// chunks of at most [`EngineConfig::epoch_ops`] ops, each stably
-    /// sorted into curve-key order inside
+    /// Applies every pending write in epochs: the log is applied oldest
+    /// first in chunks of at most [`EngineConfig::epoch_ops`] ops, each
+    /// stably sorted into curve-key order inside
     /// [`ShardedTable::apply_batch`] and installed as one new table
     /// version with a single pointer swap (large epochs: their per-shard
     /// slices applied concurrently on private copy-on-write forks), so
@@ -640,14 +601,14 @@ where
     /// number of writes applied (zero if the log was empty — no epoch is
     /// counted then).
     ///
-    /// Concurrent `flush` callers **group-commit**: one leader stages and
-    /// commits everything admitted so far; the others wait for the
-    /// leader's epochs (and, on durable engines, their fsyncs) to cover
-    /// their writes and return `Ok(0)` without staging or syncing
-    /// anything themselves.
+    /// Concurrent `flush` callers **group-commit**: they take flush
+    /// leadership in turn, and the first applies everything admitted so
+    /// far. A later one that finds every write admitted before its call
+    /// already applied returns `Ok(0)` once those epochs are durable,
+    /// without applying or syncing anything itself.
     ///
     /// On a durable engine ([`Engine::open`]), each epoch is committed to
-    /// the write-ahead log before the next is staged, and `flush` returns
+    /// the write-ahead log before it applies, and `flush` returns
     /// `Ok` only once every epoch it covers is appended **and fsynced**:
     /// the commit point is the synced append, exactly as without
     /// pipelining. When `flush` returns `Ok`, the epochs survive any
@@ -655,80 +616,56 @@ where
     /// [`Response::Admitted`], not yet flushed) do not.
     ///
     /// # Errors
-    /// On a WAL commit or sync failure (durable engines; a staged-but-
-    /// uncommitted epoch is re-queued ahead of newer admissions, so no
-    /// acknowledged write is lost in memory and a later flush retries the
-    /// same epoch). Table-side application never fails in practice —
-    /// every logged op was bounds-checked at admission.
+    /// On a WAL commit or sync failure (durable engines; the epoch's
+    /// writes stay in the log, so no acknowledged write is lost in memory
+    /// and a later flush retries the same epoch). [`SfcError::Storage`]
+    /// once a flush leader has panicked mid-epoch: the engine must be
+    /// reopened.
     pub fn flush(&self) -> Result<usize, SfcError> {
         let target = self.writes.load(Ordering::Acquire);
-        {
-            let mut st = self.flush_q.state.lock().expect("flush queue poisoned");
-            loop {
-                if !st.leader_active {
-                    if st.applied_seq >= target {
-                        // A concurrent leader already applied everything
-                        // admitted before this call; just confirm its
-                        // durability.
-                        let epoch = st.applied_epoch;
-                        drop(st);
-                        self.wait_durable(epoch)?;
-                        return Ok(0);
-                    }
-                    st.leader_active = true;
-                    break;
-                }
-                st = self.flush_q.done.wait(st).expect("flush queue poisoned");
-            }
-        }
-        let result = self.flush_as_leader();
-        self.finish_lead();
-        let applied = result?;
-        self.wait_durable(self.epoch())?;
+        let lead = self.lead()?;
+        // Admits count and push under the log's write lock, so `writes`
+        // read under its read lock matches the log's contents.
+        let applied_writes = {
+            let log = self.log.read().expect("write log poisoned");
+            self.writes.load(Ordering::Acquire) - log.len() as u64
+        };
+        let applied = if applied_writes >= target {
+            // An earlier leader applied everything admitted before this
+            // call; only confirm its durability.
+            0
+        } else {
+            self.flush_as_leader()?
+        };
+        let epoch = self.epoch();
+        drop(lead);
+        self.wait_durable(epoch)?;
         Ok(applied)
     }
 
-    /// Acquires flush leadership, waiting out any active leader — the
-    /// entry half of the group-commit protocol, shared with
-    /// [`Engine::checkpoint`] (which must also keep followers out while
-    /// it snapshots, so no epoch can slip in between its flush and its
-    /// snapshot).
-    pub(crate) fn acquire_lead(&self) {
-        let mut st = self.flush_q.state.lock().expect("flush queue poisoned");
-        while st.leader_active {
-            st = self.flush_q.done.wait(st).expect("flush queue poisoned");
-        }
-        st.leader_active = true;
+    /// Takes flush leadership, waiting for the current leader — shared
+    /// with [`Engine::checkpoint`] (which keeps it across its flush and
+    /// its snapshot, so no epoch can slip in between) and
+    /// [`Self::apply_epoch`].
+    ///
+    /// # Errors
+    /// [`SfcError::Storage`] if a leader panicked mid-epoch: its epoch
+    /// may be logged but not applied, and only a reopen brings the log
+    /// and the table back in step.
+    pub(crate) fn lead(&self) -> Result<MutexGuard<'_, ()>, SfcError> {
+        self.leader.lock().map_err(|_| SfcError::Storage {
+            context: "a flush leader panicked mid-epoch; reopen the engine".into(),
+        })
     }
 
-    /// Releases flush leadership and publishes the applied watermarks,
-    /// waking followers. The watermark is recomputed from the ground
-    /// truth (admitted minus pending) under the stage locks, so it stays
-    /// correct whether the lead flushed cleanly, partially (error after
-    /// some chunks), or not at all.
-    pub(crate) fn finish_lead(&self) {
-        let applied_seq = {
-            let log = self.log.read().expect("write log poisoned");
-            let applying = self.applying.read().expect("applying buffer poisoned");
-            // Admits assign their sequence and push under the log write
-            // lock, so reading `writes` while holding the log read lock
-            // sees a count consistent with the log's contents.
-            self.writes.load(Ordering::Acquire) - (log.len() + applying.len()) as u64
-        };
-        let mut st = self.flush_q.state.lock().expect("flush queue poisoned");
-        st.leader_active = false;
-        st.applied_seq = st.applied_seq.max(applied_seq);
-        st.applied_epoch = st.applied_epoch.max(self.epoch());
-        self.flush_q.done.notify_all();
-    }
-
-    /// [`Self::flush`] with leadership already acquired — shared with
-    /// [`Engine::checkpoint`], which must snapshot at the exact epoch its
-    /// own flush produced. Drains the whole backlog in epochs of at most
-    /// [`EngineConfig::epoch_ops`] ops; on durable engines the epochs
-    /// ride the commit pipeline and are *not* necessarily fsynced yet
-    /// when this returns (the callers own the commit point: `flush`
-    /// waits, `checkpoint` supersedes the log with a synced snapshot).
+    /// Applies the whole log in epochs of at most
+    /// [`EngineConfig::epoch_ops`] ops; the caller holds flush leadership
+    /// ([`Self::lead`]). Shared with [`Engine::checkpoint`], which must
+    /// snapshot at the exact epoch its own flush produced. On durable
+    /// engines the epochs ride the commit pipeline and are *not*
+    /// necessarily fsynced yet when this returns (the callers own the
+    /// commit point: `flush` waits, `checkpoint` supersedes the log with
+    /// a synced snapshot).
     pub(crate) fn flush_as_leader(&self) -> Result<usize, SfcError> {
         let mut total = 0usize;
         loop {
@@ -740,134 +677,96 @@ where
         }
     }
 
-    /// Stages and applies one epoch of at most
-    /// [`EngineConfig::epoch_ops`] ops (the caller leads).
+    /// Commits and applies the log's oldest ops, at most
+    /// [`EngineConfig::epoch_ops`] of them, as one epoch (the caller
+    /// leads). They stay in the log until the table holds them, so
+    /// point-get overlays see them throughout, and a failed commit leaves
+    /// them where the next flush finds them.
     fn flush_one_epoch(&self) -> Result<usize, SfcError> {
-        // Stage the epoch: move the oldest chunk of the active log into
-        // the applying buffer (held only by the leader, so it was empty
-        // before this). Point-get overlays keep seeing these writes
-        // throughout the apply — first in `applying`, then in the table
-        // itself.
-        let cap = self.config.epoch_ops.max(1);
         let batch = {
-            let mut log = self.log.write().expect("write log poisoned");
-            let mut applying = self.applying.write().expect("applying buffer poisoned");
-            debug_assert!(applying.is_empty(), "leadership serializes epochs");
-            if log.len() <= cap {
-                *applying = std::mem::take(&mut *log);
-            } else {
-                *applying = log.drain(..cap).collect();
-            }
-            // Release the log before the O(n) clone: admits and the first
-            // overlay stage proceed during it; only `applying` readers
-            // wait, and they'd see exactly these ops anyway.
-            drop(log);
-            applying.clone()
+            let log = self.log.read().expect("write log poisoned");
+            log[..log.len().min(self.config.epoch_ops.max(1))].to_vec()
         };
         if batch.is_empty() {
             return Ok(0);
         }
         let applied = batch.len();
         // Only the leader applies, so the table's next version is this
-        // epoch: `apply_batch` stamps exactly `epoch` on success.
+        // epoch: `apply_batch` stamps exactly `epoch`.
         let epoch = self.epoch() + 1;
-        let result = self.commit_and_apply(epoch, batch);
-        {
-            let mut log = self.log.write().expect("write log poisoned");
-            let mut applying = self.applying.write().expect("applying buffer poisoned");
-            if result.is_err() {
-                // Never drop acknowledged writes: re-queue the staged
-                // epoch ahead of anything admitted since, so a later
-                // flush retries it in order. Whichever half failed, the
-                // WAL holds no frame for this epoch by now — a failed
-                // append truncates itself, a committed frame whose apply
-                // failed was un-committed — so the retry re-commits
-                // the same epoch number cleanly. (A batch that failed
-                // *after partially applying* may re-apply some ops on
-                // retry — acceptable for a path that is unreachable
-                // today, since every op was bounds-checked at admission.)
-                let mut staged = std::mem::take(&mut *applying);
-                staged.append(&mut log);
-                *log = staged;
-            } else {
-                // The epoch is applied (and, on durable engines,
-                // committed): fan it out to replication subscribers
-                // before it leaves the staging buffer. Only the leader
-                // publishes, so per-subscription delivery stays strictly
-                // in epoch order.
-                self.feed.publish(epoch, &applying);
-                applying.clear();
-            }
-        }
-        if result.is_err() {
+        if let Err(e) = self.commit_and_apply(epoch, batch) {
             self.flush_failures.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.auto_flush_watermark.store(0, Ordering::Release);
+            return Err(e);
         }
-        result?;
+        // The table holds the epoch: fan it out to replication
+        // subscribers and drain it. Only the leader drains and admits only
+        // append, so the log still starts with this epoch's ops; only the
+        // leader publishes, so each subscription gets epochs in order.
+        let mut log = self.log.write().expect("write log poisoned");
+        self.feed.publish(epoch, &log[..applied]);
+        log.drain(..applied);
+        drop(log);
+        self.auto_flush_watermark.store(0, Ordering::Release);
         Ok(applied)
     }
 
     /// Commits `batch` as epoch `epoch` and applies it to the table (the
-    /// caller leads, and publishes the epoch on success). On durable
-    /// engines the epoch's frame is queued for the next group sync before
-    /// any shard mutates; at [`CommitPolicy::max_epochs`] `0` the commit
-    /// also waits for that sync. The durable commit *point* stays the
-    /// synced append: it is what explicit flushes and replication
-    /// streams wait for ([`Self::wait_durable`]).
+    /// caller leads, and publishes the epoch). On durable engines the
+    /// epoch's frame is queued for the next group sync before any shard
+    /// mutates; at [`CommitPolicy::max_epochs`] `0` the commit also waits
+    /// for that sync. The durable commit *point* stays the synced append:
+    /// it is what explicit flushes and replication streams wait for
+    /// ([`Self::wait_durable`]). Every op was bounds-checked before it got
+    /// here (at admission, or by [`Self::apply_epoch`]), so the apply
+    /// cannot fail and nothing committed is ever undone.
     fn commit_and_apply(&self, epoch: u64, batch: Vec<BatchOp<D, V>>) -> Result<(), SfcError> {
         if let Some(d) = &self.durability {
             d.commit(epoch, &batch)?;
         }
-        self.table.apply_batch(batch).map(drop).inspect_err(|_| {
-            // The frame is on disk but the table refused the epoch:
-            // un-commit it so the log never holds an epoch the table does
-            // not, and a retry can re-commit the same epoch number.
-            // (Best-effort: if the rollback itself fails on top of an
-            // apply failure — two independent failures on a path that is
-            // unreachable today — recovery would replay the orphaned
-            // frame, which re-applies the same ops a retry holds.)
-            if let Some(d) = &self.durability {
-                let _ = d.rollback_last(epoch);
-            }
-        })
+        self.table
+            .apply_batch(batch)
+            .expect("every op was bounds-checked before its epoch was committed");
+        Ok(())
     }
 
     /// Applies epoch `epoch` of a transactor's history, with its ops in
     /// submission order — the follower's one write entry, which
-    /// `sfc-net`'s replica drives. Under flush leadership it commits,
-    /// applies and publishes the epoch exactly as a flush would its own,
-    /// so a durable follower logs every epoch it applies and serves its
-    /// own subscribers.
+    /// `sfc-net`'s replica drives. Under flush leadership it checks every
+    /// op's point, then commits, applies and publishes the epoch exactly
+    /// as a flush would its own, so a durable follower logs every epoch
+    /// it applies and serves its own subscribers.
     ///
     /// # Errors
     /// [`SfcError::Storage`] on an engine that is not a
-    /// [follower](Self::into_follower), and for any epoch other than
+    /// [follower](Self::into_follower), for any epoch other than
     /// [`Self::epoch`]` + 1` or an empty one (a gap or a replay in the
-    /// stream), leaving the state unchanged; otherwise the commit's or
-    /// the apply's own error.
+    /// stream), and once a flush leader has panicked mid-epoch;
+    /// [`SfcError::PointOutOfBounds`] for an op outside the universe.
+    /// These leave the state unchanged: nothing is logged. Otherwise the
+    /// commit's own error.
     pub fn apply_epoch(&self, epoch: u64, ops: Vec<BatchOp<D, V>>) -> Result<(), SfcError> {
         if !self.follower {
             return Err(SfcError::Storage {
                 context: format!("epoch {epoch} offered to an engine that is not a follower"),
             });
         }
-        self.acquire_lead();
+        let _lead = self.lead()?;
         let expect = self.epoch() + 1;
-        let result = if epoch != expect || ops.is_empty() {
-            Err(SfcError::Storage {
+        if epoch != expect || ops.is_empty() {
+            return Err(SfcError::Storage {
                 context: format!(
                     "epoch stream gap: got epoch {epoch} ({} ops), expected {expect}",
                     ops.len()
                 ),
-            })
-        } else {
-            let published = ops.clone();
-            self.commit_and_apply(epoch, ops)
-                .map(|()| self.feed.publish(epoch, &published))
-        };
-        self.finish_lead();
-        result
+            });
+        }
+        for op in &ops {
+            self.check_point(op.point())?;
+        }
+        let published = ops.clone();
+        self.commit_and_apply(epoch, ops)?;
+        self.feed.publish(epoch, &published);
+        Ok(())
     }
 
     /// Validates a write target against the universe so the epoch apply
@@ -896,28 +795,27 @@ where
         let epoch = self.epoch();
         let backlog = {
             let mut log = self.log.write().expect("write log poisoned");
-            // The admission sequence is assigned under the same lock the
-            // op is pushed under, so the group-commit watermarks
-            // (`FlushState::applied_seq`) can be recomputed consistently
-            // from `writes - pending`.
+            // Counted under the same lock the op is pushed under, so
+            // `flush` reads the applied writes, `writes - log.len()`,
+            // consistently.
             self.writes.fetch_add(1, Ordering::Release);
             log.push(op);
             log.len()
         };
         // Auto-flush once the backlog crosses the threshold — backed off
         // past the last failure's watermark so a persistently failing WAL
-        // (durable engines, disk trouble) re-stages the growing batch
+        // (durable engines, disk trouble) retries the growing backlog
         // once per epoch of admissions, not once per write.
         let watermark = self.auto_flush_watermark.load(Ordering::Acquire);
         if backlog >= self.config.epoch_ops
             && backlog as u64 >= watermark + self.config.epoch_ops as u64
         {
             // An auto-flush failure is not *this op's* failure — the
-            // write is admitted either way, and the staged epoch was
-            // re-queued for the next flush. Propagating the error here
-            // would tell the caller the write failed while it is in fact
-            // pending, and a retry would then duplicate it. Durability
-            // errors surface where durability is acknowledged: explicit
+            // write is admitted either way, and stays in the log for the
+            // next flush. Propagating the error here would tell the
+            // caller the write failed while it is in fact pending, and a
+            // retry would then duplicate it. Durability errors surface
+            // where durability is acknowledged: explicit
             // [`Self::flush`]/`checkpoint` calls, and the
             // [`EngineStats::flush_failures`] counter.
             if !self.try_flush_auto() {
@@ -930,41 +828,35 @@ where
 
     /// The admission path's flush: applies the backlog like
     /// [`Self::flush`] but **never blocks behind another leader** (the
-    /// active leader is already staging this op's epoch, or the next
+    /// active leader is already applying this op's epoch, or the next
     /// admission will re-trigger) and **never waits for fsyncs** — the
     /// commit pipeline makes auto-flushed epochs durable in the
     /// background, and only an explicit `flush`/`checkpoint` acknowledges
-    /// durability. Returns `false` only on a flush error.
+    /// durability. Returns `false` only on a flush error or after a
+    /// leader panicked.
     fn try_flush_auto(&self) -> bool {
-        {
-            let mut st = self.flush_q.state.lock().expect("flush queue poisoned");
-            if st.leader_active {
-                return true;
-            }
-            st.leader_active = true;
+        match self.leader.try_lock() {
+            Ok(_lead) => self.flush_as_leader().is_ok(),
+            Err(TryLockError::WouldBlock) => true,
+            Err(TryLockError::Poisoned(_)) => false,
         }
-        let result = self.flush_as_leader();
-        self.finish_lead();
-        result.is_ok()
     }
 
-    /// Serves a point get: the pending logs overlay the table — the
-    /// active log first (newest writes win), then the epoch currently
-    /// being applied — so every admitted write is observable at all
-    /// times, including mid-flush. Overlay scans take read locks (gets
-    /// never serialize each other) and are `O(pending)`, bounded by
+    /// Serves a point get: the write log overlays the table, newest write
+    /// first. A write leaves the log only once the table holds its epoch,
+    /// so every admitted write is observable at all times, including
+    /// mid-flush. The overlay scan takes a read lock (gets never
+    /// serialize each other) and is `O(pending)`, bounded by
     /// [`EngineConfig::epoch_ops`].
     fn get(&self, p: Point<D>) -> Result<Option<V>, SfcError> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        for stage in [&self.log, &self.applying] {
-            let pending = stage.read().expect("write stage poisoned");
-            for op in pending.iter().rev() {
-                if op.point() == p {
-                    return Ok(match op {
-                        BatchOp::Insert(_, v) | BatchOp::Update(_, v) => Some(v.clone()),
-                        BatchOp::Delete(_) => None,
-                    });
-                }
+        {
+            let log = self.log.read().expect("write log poisoned");
+            if let Some(op) = log.iter().rev().find(|op| op.point() == p) {
+                return Ok(match op {
+                    BatchOp::Insert(_, v) | BatchOp::Update(_, v) => Some(v.clone()),
+                    BatchOp::Delete(_) => None,
+                });
             }
         }
         Ok(self.table.get(p)?.map(|guard| guard.cloned()))
@@ -1321,6 +1213,43 @@ mod tests {
             Response::Flushed { applied: 0 }
         );
         assert_eq!(f.epoch(), 1);
+    }
+
+    #[test]
+    fn a_follower_refuses_an_out_of_bounds_epoch_before_logging_it() {
+        let dir = std::env::temp_dir().join(format!("sfc-follower-oob-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            Engine::<Onion2D, u32, 2>::open(
+                &dir,
+                Onion2D::new(8).unwrap(),
+                DiskModel::ssd(),
+                2,
+                EngineConfig::default(),
+            )
+            .unwrap()
+            .into_follower()
+        };
+        let f = open();
+        let empty_log = f.wal_len();
+        let mut ops = one_update(7);
+        ops.push(BatchOp::Update(Point::new([8, 0]), 8));
+        let err = f.apply_epoch(1, ops).unwrap_err();
+        assert!(matches!(err, SfcError::PointOutOfBounds { .. }), "{err}");
+        f.execute(Request::Flush).unwrap();
+        assert_eq!((f.epoch(), f.durable_epoch()), (0, 0));
+        assert_eq!(f.wal_len(), empty_log, "the refused epoch was never logged");
+
+        f.apply_epoch(1, one_update(7)).unwrap();
+        drop(f);
+        let f = open();
+        assert_eq!(f.epoch(), 1);
+        assert_eq!(
+            f.execute(Request::Get(Point::new([1, 2]))).unwrap(),
+            Response::Value(Some(7))
+        );
+        drop(f);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   B+-trees see sorted bulk mutations instead of random single inserts,
 //!   each touched shard is written as a private copy-on-write fork, and
 //!   readers observe whole epochs: a new version is installed with one
-//!   pointer swap.
+//!   pointer swap. A write leaves the log only once the table holds its
+//!   epoch, and one lock, flush leadership, serializes every epoch.
 //!
 //! Consistency model (what the proptests verify): **per-key
 //! read-your-writes** at all times — a `Get` consults the pending log
@@ -55,7 +56,8 @@
 //!   WAL suffix` on reopen — dropping the engine (or the process) at any
 //!   instant recovers the last acknowledged epoch boundary. Commits
 //!   group-commit and pipeline: concurrent [`Engine::flush`] callers
-//!   coalesce behind one leader, and frame appends + fsyncs run as one
+//!   take flush leadership in turn and the first applies for all of
+//!   them, and frame appends + fsyncs run as one
 //!   group sync per batch of queued epochs — on the thread that waits
 //!   for durability, or on a background sync thread when nobody waits —
 //!   overlapped with the next epochs' work under a [`CommitPolicy`],

@@ -581,11 +581,6 @@ pub struct Wal {
     valid_len: u64,
     /// Highest epoch committed or replayed; appends must exceed it.
     last_epoch: u64,
-    /// `(valid_len, last_epoch)` before the most recent append — the
-    /// undo record [`Self::rollback_last`] restores when a committed
-    /// frame's in-memory application fails and the caller needs the log
-    /// to match the table again.
-    undo: Option<(u64, u64)>,
     /// Whether bytes past `valid_len` (a torn or damaged tail found at
     /// open) are still physically present. They are truncated lazily,
     /// right before the first append overwrites them — so an open that
@@ -594,12 +589,6 @@ pub struct Wal {
     /// which no checksum vouches for, strands every later frame behind
     /// it; eager truncation would delete those intact frames for good).
     dirty_tail: bool,
-    /// Whether a [`Self::rollback_last`] failed on its truncation I/O
-    /// and must be completed before the next append (its undo record is
-    /// still in `undo`). Keeps the watermark honest across a rollback
-    /// whose own I/O failed: the next append retries the rollback
-    /// instead of asserting on the stale `last_epoch`.
-    pending_rollback: bool,
     /// Reusable frame assembly buffer (`[len][crc][payload]`), so every
     /// append is one contiguous `write_all` with no per-commit
     /// allocation once the buffer has grown to the working frame size.
@@ -684,8 +673,6 @@ impl Wal {
                 path: path.to_path_buf(),
                 valid_len: valid_len as u64,
                 last_epoch: frames.last().map_or(0, |f| f.epoch),
-                undo: None,
-                pending_rollback: false,
                 dirty_tail: valid_len < bytes.len(),
                 frame_buf: Vec::new(),
             },
@@ -711,11 +698,11 @@ impl Wal {
         epoch: u64,
         ops: &[BatchOp<D, V>],
     ) -> Result<(), SfcError> {
+        let (len, last) = (self.valid_len, self.last_epoch);
         self.append_payloads_unsynced(&[(epoch, encode_epoch_payload(epoch, ops))])?;
         if let Err(e) = self.file.sync_data() {
             // Roll the file back to the last committed frame; best-effort,
             // and replay would stop at the torn frame anyway.
-            let (len, last) = self.undo.take().expect("append just set the undo record");
             let _ = self.file.set_len(len);
             let _ = self.file.seek(SeekFrom::Start(len));
             self.valid_len = len;
@@ -741,9 +728,9 @@ impl Wal {
     ///
     /// Frames land in slice order, and append order is frame order, so
     /// syncing the file at any instant makes a *prefix* of appended
-    /// epochs durable — pipelining never reorders the log. On success the
-    /// undo record covers the group's *last* frame, so a subsequent
-    /// [`Self::rollback_last`] removes exactly the newest epoch.
+    /// epochs durable — pipelining never reorders the log. Nothing undoes
+    /// a frame appended here: the serving layer commits only epochs its
+    /// table will accept.
     ///
     /// # Errors
     /// On I/O failure (the file is truncated back to its last valid
@@ -760,13 +747,6 @@ impl Wal {
     ) -> Result<(), SfcError> {
         if group.is_empty() {
             return Ok(());
-        }
-        // A rollback that failed on its I/O leaves the frame on disk and
-        // the epoch watermark advanced; completing it here (or erroring
-        // again, cleanly) is what lets a retried flush re-commit the same
-        // epoch number without tripping the monotonicity assert below.
-        if self.pending_rollback {
-            self.rollback_last()?;
         }
         let mut last = self.last_epoch;
         for (epoch, payload) in group {
@@ -800,12 +780,8 @@ impl Wal {
             self.dirty_tail = false;
         }
         self.frame_buf.clear();
-        let mut undo = (self.valid_len, self.last_epoch);
-        let mut prev_epoch = self.last_epoch;
-        for (epoch, payload) in group {
+        for (_, payload) in group {
             let payload = payload.as_ref();
-            undo = (self.valid_len + self.frame_buf.len() as u64, prev_epoch);
-            prev_epoch = *epoch;
             (payload.len() as u32).encode(&mut self.frame_buf);
             crc32(payload).encode(&mut self.frame_buf);
             self.frame_buf.extend_from_slice(payload);
@@ -820,7 +796,6 @@ impl Wal {
                 format_args!("{}: {e}", self.path.display()),
             ));
         }
-        self.undo = Some(undo);
         self.valid_len += self.frame_buf.len() as u64;
         self.last_epoch = last;
         Ok(())
@@ -837,43 +812,6 @@ impl Wal {
         self.file
             .try_clone()
             .map_err(|e| storage_err("cloning WAL handle", e))
-    }
-
-    /// Un-commits the most recently appended epoch: truncates its frame
-    /// away and restores the previous epoch watermark. The serving
-    /// layer calls this when a committed epoch's in-memory application
-    /// fails, so the log never holds an epoch the table does not — and a
-    /// retried flush can re-commit the same epoch number cleanly.
-    ///
-    /// If the truncation itself fails, the undo record is *kept*: the
-    /// rollback stays pending and the next append completes it first (or
-    /// fails with the same error) — a double failure degrades to clean,
-    /// retryable errors, never to an inconsistent watermark.
-    ///
-    /// # Errors
-    /// On I/O failure (retryable — see above), or if there is no append
-    /// to undo (nothing appended since open, or already undone).
-    pub fn rollback_last(&mut self) -> Result<(), SfcError> {
-        let Some((len, epoch)) = self.undo else {
-            return Err(storage_err(
-                "rolling back WAL",
-                "no committed frame to undo",
-            ));
-        };
-        let truncate = self
-            .file
-            .set_len(len)
-            .and_then(|_| self.file.seek(SeekFrom::Start(len)))
-            .and_then(|_| self.file.sync_all());
-        if let Err(e) = truncate {
-            self.pending_rollback = true;
-            return Err(storage_err("rolling back WAL", e));
-        }
-        self.undo = None;
-        self.pending_rollback = false;
-        self.valid_len = len;
-        self.last_epoch = epoch;
-        Ok(())
     }
 
     /// Discards every committed frame (keeping the header) — the
@@ -894,7 +832,6 @@ impl Wal {
             .sync_all()
             .map_err(|e| storage_err("syncing compacted WAL", e))?;
         self.valid_len = header;
-        self.undo = None;
         self.dirty_tail = false;
         Ok(())
     }

@@ -221,28 +221,6 @@ fn mistyped_opens_error_instead_of_truncating() {
 }
 
 #[test]
-fn rollback_last_uncommits_exactly_one_frame() {
-    let dir = test_dir("wal-rollback");
-    let path = dir.join("wal.log");
-    let (mut wal, _) = Wal::open::<2, u64>(&path).unwrap();
-    wal.append_epoch(1, &sample_ops(3)).unwrap();
-    let len_after_first = wal.len();
-    wal.append_epoch(2, &sample_ops(5)).unwrap();
-    wal.rollback_last().unwrap();
-    assert_eq!(wal.len(), len_after_first);
-    assert_eq!(wal.last_epoch(), 1);
-    // Only the most recent append is undoable; a second undo errors.
-    assert!(wal.rollback_last().is_err());
-    // Epoch 2 can now be recommitted with different contents.
-    wal.append_epoch(2, &sample_ops(1)).unwrap();
-    drop(wal);
-    let (_, frames) = Wal::open::<2, u64>(&path).unwrap();
-    assert_eq!(frames.len(), 2);
-    assert_eq!(frames[1].ops, sample_ops(1));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 #[should_panic(expected = "strictly increasing")]
 fn non_monotonic_epochs_are_rejected() {
     let dir = test_dir("wal-monotonic");

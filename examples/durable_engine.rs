@@ -103,11 +103,11 @@ fn main() {
     // --- Run 3: group commit — N writers, one epoch frame, one fsync. ---
     // Each thread admits its own writes, waits at a barrier until every
     // writer's admissions are in, and calls `flush` concurrently. The
-    // commit queue elects one leader, whose epoch holds everything
-    // admitted so far; the other flushers find their writes covered and
-    // only wait for its fsync — so the WAL grows by a single coalesced
-    // frame (one fsync serves every writer) instead of one frame per
-    // writer, however the threads are scheduled.
+    // first to take flush leadership applies one epoch holding everything
+    // admitted so far; the other flushers take it after, find their
+    // writes covered and only wait for its fsync — so the WAL grows by a
+    // single coalesced frame (one fsync serves every writer) instead of
+    // one frame per writer, however the threads are scheduled.
     let engine = open();
     let writers = 4u64;
     let per_writer = 32u64;
